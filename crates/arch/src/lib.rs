@@ -10,14 +10,11 @@
 //!   CAM code (a product of high-/low-nibble sets, standing in for CAMA's
 //!   multi-zero prefix scheme) and the 256-bit one-hot code used when LNFAs
 //!   fall back to the local switch,
-//! * [`cam::Cam`] — the 32×128 8T-CAM of a tile, searchable per symbol and
-//!   reusable as bit-vector storage in NBVA mode (unified memory, §3.1),
-//! * [`fcb::Crossbar`] — the fully-connected local (128×128) and global
-//!   (256×256) switches,
 //! * [`buffers`] — the two-level input/output buffering of §3.3.
+//!
+//! The tile itself — CAM search and crossbar routing over 128-bit words —
+//! is executed by the simulator's kernels (`rap-sim`'s `array` module).
 
 pub mod buffers;
-pub mod cam;
 pub mod config;
 pub mod encoding;
-pub mod fcb;

@@ -1,13 +1,8 @@
-//! Property tests for the hardware building blocks: encodings must be
-//! exact for arbitrary classes, and the structural CAM/crossbar models
-//! must agree with their specs.
+//! Property tests for the character-class encodings: every encoding must
+//! be exact for arbitrary classes.
 
 use proptest::prelude::*;
-use rap_arch::cam::Cam;
-use rap_arch::config::ArchConfig;
 use rap_arch::encoding::{encode_class, one_hot, one_hot_matches, product_cover, single_code};
-use rap_arch::fcb::Crossbar;
-use rap_automata::bitvec::BitVec;
 use rap_regex::CharClass;
 
 fn arb_class() -> impl Strategy<Value = CharClass> {
@@ -67,40 +62,4 @@ proptest! {
         }
     }
 
-    /// A CAM programmed with a class's codes reports a column hit iff the
-    /// byte is in the class (the OR across an STE's columns).
-    #[test]
-    fn cam_search_implements_membership(cc in arb_class(), probe in any::<u8>()) {
-        let codes = encode_class(&cc);
-        prop_assume!(codes.len() <= 128);
-        let mut cam = Cam::new(&ArchConfig::default());
-        for (i, code) in codes.iter().enumerate() {
-            cam.program_code(i, *code);
-        }
-        let hits = cam.search(probe);
-        prop_assert_eq!(hits.any(), cc.contains(probe));
-    }
-
-    /// Crossbar routing is exactly boolean matrix-vector product.
-    #[test]
-    fn crossbar_route_is_matrix_product(
-        points in prop::collection::vec((0usize..32, 0usize..32), 0..64),
-        inputs in prop::collection::vec(0usize..32, 0..16),
-    ) {
-        let mut xbar = Crossbar::square(32);
-        for &(r, c) in &points {
-            xbar.set(r, c);
-        }
-        let mut input = BitVec::zeros(32);
-        for &c in &inputs {
-            input.set(c, true);
-        }
-        let out = xbar.route(&input);
-        for r in 0..32 {
-            let expect = points
-                .iter()
-                .any(|&(pr, pc)| pr == r && inputs.contains(&pc));
-            prop_assert_eq!(out.get(r), expect, "row {}", r);
-        }
-    }
 }

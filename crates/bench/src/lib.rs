@@ -38,7 +38,7 @@ use std::sync::Arc;
 /// Standard scale knobs for the harness, overridable via environment
 /// variables so CI can run quick versions:
 ///
-/// * `RAP_BENCH_PATTERNS` — patterns per suite (default 120),
+/// * `RAP_BENCH_PATTERNS` — patterns per suite (default 300),
 /// * `RAP_BENCH_INPUT` — input length in bytes (default 100 000, matching
 ///   the paper's §5.4 streams),
 /// * `RAP_BENCH_SEED` — RNG seed (default 42).

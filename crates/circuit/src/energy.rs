@@ -6,7 +6,6 @@
 //! like Fig. 11 of the paper.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Energy categories used by the simulators.
@@ -63,9 +62,13 @@ impl fmt::Display for Category {
 }
 
 /// Accumulates picojoule charges by category.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct EnergyMeter {
-    by_category: BTreeMap<Category, f64>,
+    /// Subtotal per category, indexed by `Category as usize`.
+    pj: [f64; 8],
+    /// Bit `c` is set once category `c` has been charged (even with 0 pJ),
+    /// so breakdowns list exactly the categories a run touched.
+    charged: u8,
 }
 
 impl EnergyMeter {
@@ -84,17 +87,18 @@ impl EnergyMeter {
             pj.is_finite() && pj >= 0.0,
             "invalid energy charge {pj} pJ to {category}"
         );
-        *self.by_category.entry(category).or_insert(0.0) += pj;
+        self.pj[category as usize] += pj;
+        self.charged |= 1 << category as u8;
     }
 
     /// Subtotal of one category, in picojoules.
     pub fn category_pj(&self, category: Category) -> f64 {
-        self.by_category.get(&category).copied().unwrap_or(0.0)
+        self.pj[category as usize]
     }
 
     /// Total across categories, in picojoules.
     pub fn total_pj(&self) -> f64 {
-        self.by_category.values().sum()
+        self.iter().map(|(_, pj)| pj).sum()
     }
 
     /// Total in microjoules (the unit of Tables 2 and 3).
@@ -104,14 +108,19 @@ impl EnergyMeter {
 
     /// Adds every subtotal of `other` into `self`.
     pub fn merge(&mut self, other: &EnergyMeter) {
-        for (&cat, &pj) in &other.by_category {
-            *self.by_category.entry(cat).or_insert(0.0) += pj;
+        for (category, pj) in other.iter() {
+            self.pj[category as usize] += pj;
+            self.charged |= 1 << category as u8;
         }
     }
 
-    /// Iterates over `(category, picojoules)` pairs in report order.
+    /// Iterates over the charged `(category, picojoules)` pairs in report
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (Category, f64)> + '_ {
-        self.by_category.iter().map(|(&c, &e)| (c, e))
+        Category::all()
+            .into_iter()
+            .filter(|&c| self.charged & (1 << c as u8) != 0)
+            .map(|c| (c, self.pj[c as usize]))
     }
 }
 

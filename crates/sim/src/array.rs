@@ -1,27 +1,56 @@
-//! Per-array cycle simulation, one steppable machine per tile mode.
+//! Word-level array kernels: every cycle steps whole tiles, the way the
+//! paper's tile computes (§2.2, §3.1).
 //!
-//! Each array advances one clock cycle per [`ArraySim::tick`] call:
-//! NFA/LNFA arrays consume one input byte every cycle, while an NBVA array
-//! that entered the bit-vector-processing phase spends the following
-//! `depth` cycles stalled (reporting [`ArraySim::stalled`]) before it
-//! accepts the next byte. Energy is charged per micro-operation against
-//! the circuit models; activity factors (active states per tile,
-//! cross-tile signals) come from the configuration *entering* each cycle,
-//! which is what toggles the switch fabric during that cycle's state
-//! transition.
+//! * The **tile kernel** ([`TileArray`]) runs NFA and NBVA arrays; an NFA
+//!   array is an NBVA array without bit-vector (BV) states. Each tile
+//!   keeps a 128-bit active word. The CAM search is a match column per
+//!   input byte, one bit per state whose class holds the byte, built the
+//!   first time the byte arrives from the array's distinct character
+//!   classes. State transition ORs the crossbar row of every emitting state
+//!   into the next cycle's candidates: one word for the tile's own local
+//!   crossbar plus one entry per other tile reached through the global
+//!   crossbar. BV states live in a short side list that applies the
+//!   `set1`/`shft`/read actions and starts the bit-vector-processing phase,
+//!   which stalls the array for `depth` cycles (or BVAP's fixed latency).
+//! * The **chain kernel** ([`ChainArray`]) runs LNFA arrays. Every chain of
+//!   every bin is packed into one Shift-And register, so a cycle is
+//!   `states = ((states << 1) | starts) & label[byte]` over a few words.
 //!
-//! The [`run_array`] wrapper drives a machine over a whole input slice
-//! (used by the batch `simulate` entry point); the bank-level streaming
-//! simulation in [`crate::bank`] interleaves several machines cycle by
-//! cycle through the §3.3 buffer hierarchy.
+//! Crossbar rows and match columns are *lowered lazily*: a row the first
+//! time its state activates, a column the first time its byte arrives. A
+//! run therefore never pays for the edges of states it never visits, and
+//! nothing lowered outlives the run.
+//!
+//! Energy is charged against the circuit models with activity factors
+//! (active states per tile, cross-tile signals, candidate states) taken
+//! from the configuration *entering* each cycle. The activity-scaled
+//! charges are dyadic rationals, so a run counts how many cycles it spent
+//! at each activity level and charges `count × energy(level)` once, at the
+//! end: every product and sum is exact, hence bit-identical to charging
+//! every cycle. Wire and buffer energies are not dyadic; they are charged
+//! every cycle, in cycle order.
+//!
+//! [`run_array`] drives one array over a whole input slice (the batch
+//! `simulate` entry point); the bank-level streaming simulation in
+//! [`crate::bank`] interleaves arrays cycle by cycle through the §3.3
+//! buffer hierarchy.
 
 use crate::cost::CostModel;
 use crate::result::MatchEvent;
+use rap_automata::bitvec::BitVec;
+use rap_automata::nbva::{ReadAction, StateKind};
+use rap_automata::StateId;
 use rap_circuit::energy::Category;
 use rap_circuit::{EnergyMeter, Machine};
-use rap_compiler::{Compiled, CompiledLnfa, CompiledNbva, CompiledNfa, MatchPath};
+use rap_compiler::{Compiled, MatchPath};
 use rap_mapper::{ArrayKind, ArrayPlan, Bin, Placement};
+use rap_regex::CharClass;
 use rap_telemetry::{ProbeEvent, SimProbe};
+use std::collections::BTreeMap;
+
+/// States per tile word: a tile has 128 columns and every state takes at
+/// least one.
+const TILE_BITS: usize = 128;
 
 /// What one array produced: its private cycle count (stalls included), its
 /// match reports, and the tile-cycles that were actually powered (gated
@@ -34,56 +63,107 @@ pub(crate) struct ArrayOutcome {
 }
 
 /// A point-in-time activity sample of one array, as seen by a telemetry
-/// probe (see [`ArraySim::observe`]).
+/// probe (see [`Array::observe`]).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ArrayObservation {
-    /// Automaton states currently active across the array's machines.
+    /// Automaton states currently active across the array.
     pub active_states: u64,
     /// Tiles that will draw power on the next cycle (gated tiles excluded).
     pub powered_tiles: u64,
 }
 
-/// A cycle-steppable array.
-pub(crate) trait ArraySim {
+/// One array, lowered to its kernel.
+pub(crate) enum Array<'a> {
+    /// NFA or NBVA tiles.
+    Tile(Box<TileArray<'a>>),
+    /// LNFA bins.
+    Chain(Box<ChainArray>),
+}
+
+impl<'a> Array<'a> {
+    /// Lowers an array plan. Only per-state bookkeeping happens here;
+    /// crossbar rows and match columns are lowered on demand.
+    pub(crate) fn new(compiled: &'a [Compiled], plan: &ArrayPlan, cost: &CostModel) -> Array<'a> {
+        let tiles = plan.tiles_used as usize;
+        match &plan.kind {
+            ArrayKind::Nfa { placements } => Array::Tile(Box::new(TileArray::new(
+                compiled, placements, tiles, None, *cost,
+            ))),
+            ArrayKind::Nbva { depth, placements } => {
+                let stall = if cost.machine == Machine::Bvap {
+                    cost.bvap_stall_cycles
+                } else {
+                    u64::from(*depth)
+                };
+                Array::Tile(Box::new(TileArray::new(
+                    compiled,
+                    placements,
+                    tiles,
+                    Some(stall),
+                    *cost,
+                )))
+            }
+            ArrayKind::Lnfa { bins } => {
+                Array::Chain(Box::new(ChainArray::new(compiled, bins, tiles, *cost)))
+            }
+        }
+    }
+
     /// Whether the next cycle is a stall cycle (the array will not accept
     /// an input byte).
-    fn stalled(&self) -> bool;
+    pub(crate) fn stalled(&self) -> bool {
+        match self {
+            Array::Tile(a) => a.stall_remaining > 0,
+            Array::Chain(_) => false,
+        }
+    }
 
     /// Advances one clock cycle. When not stalled, `byte` must be the next
     /// input symbol and `offset` its 0-based position; matches ending this
-    /// cycle are appended to `out`. When stalled, `byte` is ignored.
-    fn tick(
+    /// cycle are appended to `out` (one per placed pattern or chain). When
+    /// stalled, `byte` is ignored.
+    pub(crate) fn tick(
         &mut self,
         byte: Option<u8>,
         offset: usize,
         meter: &mut EnergyMeter,
         out: &mut Vec<MatchEvent>,
-    );
+    ) {
+        match self {
+            Array::Tile(a) => a.tick(byte, offset, meter, out),
+            Array::Chain(a) => a.step(byte.expect("LNFA arrays never stall"), offset, meter, out),
+        }
+    }
 
     /// Tile-cycles powered so far.
-    fn powered_tile_cycles(&self) -> u64;
+    pub(crate) fn powered_tile_cycles(&self) -> u64 {
+        match self {
+            Array::Tile(a) => tile_cycles(&a.powered),
+            Array::Chain(a) => tile_cycles(&a.powered),
+        }
+    }
 
     /// Samples the array's current activity for a telemetry probe. Pure
     /// observation: never charges energy or mutates state.
-    fn observe(&self) -> ArrayObservation;
-}
-
-/// Builds the steppable machine for an array plan.
-pub(crate) fn build_array<'a>(
-    compiled: &'a [Compiled],
-    plan: &'a ArrayPlan,
-    cost: &CostModel,
-) -> Box<dyn ArraySim + 'a> {
-    match &plan.kind {
-        ArrayKind::Nfa { placements } => Box::new(NfaArray::new(compiled, placements, plan, *cost)),
-        ArrayKind::Nbva { depth, placements } => {
-            Box::new(NbvaArray::new(compiled, placements, plan, *depth, *cost))
+    pub(crate) fn observe(&self) -> ArrayObservation {
+        match self {
+            Array::Tile(a) => a.observe(),
+            Array::Chain(a) => a.observe(),
         }
-        ArrayKind::Lnfa { bins } => Box::new(LnfaArray::new(compiled, bins, plan, *cost)),
+    }
+
+    /// Charges the activity-scaled energy counted so far. Call once, when
+    /// the array's run ends.
+    pub(crate) fn settle(&self, meter: &mut EnergyMeter) {
+        match self {
+            Array::Tile(a) => a.settle(meter),
+            Array::Chain(a) => a.settle(meter),
+        }
     }
 }
 
-/// Drives one array over a whole input slice (stalls expanded in place).
+/// Drives one array over a whole input slice (stalls expanded in place)
+/// and settles its energy.
 ///
 /// When a telemetry probe is attached (as `(probe, array index)`), the
 /// loop emits an [`ProbeEvent::Array`] sample every
@@ -91,14 +171,14 @@ pub(crate) fn build_array<'a>(
 /// summary at the end. Probing only observes — energy, cycles, and
 /// matches are identical with and without it.
 pub(crate) fn run_array(
-    sim: &mut dyn ArraySim,
+    sim: &mut Array<'_>,
     input: &[u8],
     meter: &mut EnergyMeter,
     mut probe: Option<(&mut SimProbe, u32)>,
 ) -> ArrayOutcome {
     let mut cycles = 0u64;
     let mut matches = Vec::new();
-    let mut step = |sim: &mut dyn ArraySim,
+    let mut step = |sim: &mut Array<'_>,
                     byte: Option<u8>,
                     offset: usize,
                     cycles: &mut u64,
@@ -127,6 +207,7 @@ pub(crate) fn run_array(
     while sim.stalled() {
         step(sim, None, input.len(), &mut cycles, &mut matches);
     }
+    sim.settle(meter);
     if let Some((probe, array)) = probe {
         probe.push(ProbeEvent::ArrayEnd {
             array,
@@ -143,286 +224,364 @@ pub(crate) fn run_array(
     }
 }
 
-fn expect_nfa(compiled: &[Compiled], pattern: usize) -> &CompiledNfa {
-    match &compiled[pattern] {
-        Compiled::Nfa(img) => img,
-        other => panic!(
-            "array plan references pattern {pattern} as NFA but it compiled to {}",
-            other.mode()
-        ),
-    }
-}
-
-fn expect_nbva(compiled: &[Compiled], pattern: usize) -> &CompiledNbva {
-    match &compiled[pattern] {
-        Compiled::Nbva(img) => img,
-        other => panic!(
-            "array plan references pattern {pattern} as NBVA but it compiled to {}",
-            other.mode()
-        ),
-    }
-}
-
-fn expect_lnfa(compiled: &[Compiled], pattern: usize) -> &CompiledLnfa {
-    match &compiled[pattern] {
-        Compiled::Lnfa(img) => img,
-        other => panic!(
-            "array plan references pattern {pattern} as LNFA but it compiled to {}",
-            other.mode()
-        ),
-    }
-}
-
-/// Per-cycle housekeeping common to all modes: controllers and buffering.
-fn charge_overheads(meter: &mut EnergyMeter, cost: &CostModel, powered_tiles: u32) {
-    meter.charge(
-        Category::Controller,
-        cost.local_ctrl_pj * f64::from(powered_tiles) + cost.global_ctrl_pj,
-    );
-    meter.charge(Category::Buffer, cost.buffer_pj);
-}
-
-/// Charges state matching + transition for one NFA-mode cycle.
-fn charge_nfa_cycle(
+/// Charges `Σ count × energy(level)` over the activity levels that
+/// occurred, or nothing when no cycle charged `category`. Every per-level
+/// energy is a dyadic rational with a small denominator (see
+/// `cost::tests::activity_scaled_charges_are_dyadic`), so each product and
+/// the sum are exact: the result equals the per-cycle running sum bit for
+/// bit.
+fn charge_levels(
     meter: &mut EnergyMeter,
-    cost: &CostModel,
-    tile_active: &[u32],
-    cross_signals: u32,
+    category: Category,
+    counts: &[u64],
+    energy: impl Fn(usize) -> f64,
 ) {
-    let tile_cols = 128.0;
-    meter.charge(
-        Category::StateMatch,
-        cost.match_pj * tile_active.len() as f64,
-    );
-    for &active in tile_active {
-        let activity = (f64::from(active) / tile_cols).min(1.0);
-        meter.charge(
-            Category::LocalSwitch,
-            cost.local_switch.access_energy_pj(activity),
-        );
+    if counts.iter().all(|&n| n == 0) {
+        return;
     }
-    let g_activity = (f64::from(cross_signals) / 256.0).min(1.0);
-    meter.charge(
-        Category::GlobalSwitch,
-        cost.global_switch.access_energy_pj(g_activity),
-    );
-    meter.charge(Category::Wire, cost.wire_pj * f64::from(cross_signals));
-}
-
-/// Whether each state of each placement has a successor in a different
-/// tile (its active signal must traverse the global switch).
-fn cross_tile_flags<S>(
-    placements: &[Placement],
-    states_of: impl Fn(usize) -> Vec<(usize, S)>,
-    succ_of: impl Fn(&S) -> Vec<u32>,
-) -> Vec<Vec<bool>> {
-    placements
+    let pj = counts
         .iter()
         .enumerate()
-        .map(|(i, p)| {
-            states_of(i)
-                .into_iter()
-                .map(|(q, s)| {
-                    succ_of(&s)
-                        .into_iter()
-                        .any(|succ| p.state_tile[succ as usize] != p.state_tile[q])
-                })
-                .collect()
-        })
-        .collect()
+        .filter(|&(_, &n)| n > 0)
+        .map(|(level, &n)| n as f64 * energy(level))
+        .sum();
+    meter.charge(category, pj);
 }
 
-// ---------------------------------------------------------------------
-// NFA mode
-// ---------------------------------------------------------------------
-
-/// Basic NFA array (§2.2): every tile searches and routes every cycle.
-pub(crate) struct NfaArray<'a> {
-    placements: &'a [Placement],
-    runs: Vec<rap_automata::nfa::NfaRun<'a>>,
-    crosses: Vec<Vec<bool>>,
-    tiles: usize,
-    cost: CostModel,
-    tile_active: Vec<u32>,
-    powered_tile_cycles: u64,
+/// Controller energy of one cycle with `tiles` powered tiles.
+fn controller_pj(cost: &CostModel, tiles: usize) -> f64 {
+    cost.local_ctrl_pj * tiles as f64 + cost.global_ctrl_pj
 }
 
-impl<'a> NfaArray<'a> {
-    pub(crate) fn new(
-        compiled: &'a [Compiled],
-        placements: &'a [Placement],
-        plan: &ArrayPlan,
-        cost: CostModel,
-    ) -> NfaArray<'a> {
-        let images: Vec<&CompiledNfa> = placements
-            .iter()
-            .map(|p| expect_nfa(compiled, p.pattern))
-            .collect();
-        let crosses = cross_tile_flags(
-            placements,
-            |i| {
-                images[i]
-                    .nfa
-                    .states()
-                    .iter()
-                    .cloned()
-                    .enumerate()
-                    .collect::<Vec<_>>()
-            },
-            |s| s.succ.clone(),
-        );
-        NfaArray {
-            placements,
-            runs: images.iter().map(|img| img.nfa.start()).collect(),
-            crosses,
-            tiles: plan.tiles_used as usize,
-            cost,
-            tile_active: vec![0; plan.tiles_used as usize],
-            powered_tile_cycles: 0,
+/// Tile-cycles behind a cycles-by-powered-tiles histogram.
+fn tile_cycles(powered: &[u64]) -> u64 {
+    powered
+        .iter()
+        .enumerate()
+        .map(|(tiles, &n)| tiles as u64 * n)
+        .sum()
+}
+
+/// The distinct character classes of an array (its shared class alphabet,
+/// as in Mata), each with the storage positions it labels, and the
+/// per-byte table built from them: match columns in the tile kernel,
+/// Shift-And labels in the chain kernel. A byte's entry is built, and
+/// stored, the first time the byte arrives.
+struct Alphabet<W> {
+    /// Words per class mask and per table entry.
+    width: usize,
+    /// Class bitmap → index into `classes`.
+    index: BTreeMap<[u64; 4], usize>,
+    classes: Vec<CharClass>,
+    /// `width` words per class: the positions it labels.
+    masks: Vec<W>,
+    /// The class labelled last.
+    last: usize,
+    /// Per byte: offset of its entry in `table` (`u32::MAX` until the
+    /// byte arrives).
+    offsets: [u32; 256],
+    /// `width` words per arrived byte: the positions whose class holds it.
+    table: Vec<W>,
+}
+
+impl<W: Copy + Default + std::ops::BitOrAssign> Alphabet<W> {
+    fn new(width: usize) -> Alphabet<W> {
+        Alphabet {
+            width,
+            index: BTreeMap::new(),
+            classes: Vec::new(),
+            masks: Vec::new(),
+            last: usize::MAX,
+            offsets: [u32::MAX; 256],
+            table: Vec::new(),
         }
     }
-}
 
-impl ArraySim for NfaArray<'_> {
-    fn stalled(&self) -> bool {
-        false
+    /// Labels position `bit` of word `word` with `cc`.
+    fn add(&mut self, cc: CharClass, word: usize, bit: W) {
+        // Runs of one class (unfolded repetitions) skip the lookup.
+        if self.classes.get(self.last) != Some(&cc) {
+            self.last = *self.index.entry(*cc.as_words()).or_insert_with(|| {
+                self.classes.push(cc);
+                self.masks
+                    .resize(self.classes.len() * self.width, W::default());
+                self.classes.len() - 1
+            });
+        }
+        self.masks[self.last * self.width + word] |= bit;
     }
 
-    fn tick(
-        &mut self,
-        byte: Option<u8>,
-        offset: usize,
-        meter: &mut EnergyMeter,
-        out: &mut Vec<MatchEvent>,
-    ) {
-        let byte = byte.expect("NFA arrays never stall");
-        // Activity entering this cycle drives the transition fabric.
-        self.tile_active.iter_mut().for_each(|c| *c = 0);
-        let mut cross_signals = 0u32;
-        for ((p, run), cross) in self
-            .placements
-            .iter()
-            .zip(self.runs.iter())
-            .zip(self.crosses.iter())
-        {
-            for q in run.active_bits().iter_ones() {
-                self.tile_active[p.state_tile[q] as usize] += 1;
-                cross_signals += u32::from(cross[q]);
+    /// Offset of `byte`'s entry in [`Alphabet::table`]: the OR of the
+    /// masks of every class holding the byte.
+    fn lookup(&mut self, byte: u8) -> usize {
+        let width = self.width;
+        if self.offsets[usize::from(byte)] == u32::MAX {
+            let base = self.table.len();
+            self.offsets[usize::from(byte)] =
+                u32::try_from(base).expect("at most 256 entries of one array's width");
+            self.table.resize(base + width, W::default());
+            let entry = &mut self.table[base..];
+            for (c, cc) in self.classes.iter().enumerate() {
+                if cc.contains(byte) {
+                    for (o, &m) in entry.iter_mut().zip(&self.masks[c * width..]) {
+                        *o |= m;
+                    }
+                }
             }
         }
-        charge_nfa_cycle(meter, &self.cost, &self.tile_active, cross_signals);
-        charge_overheads(meter, &self.cost, self.tiles as u32);
-        self.powered_tile_cycles += self.tiles as u64;
-        for (i, run) in self.runs.iter_mut().enumerate() {
-            if run.step(byte) {
-                out.push(MatchEvent {
-                    pattern: self.placements[i].pattern,
-                    end: offset + 1,
-                });
-            }
-        }
-    }
-
-    fn powered_tile_cycles(&self) -> u64 {
-        self.powered_tile_cycles
-    }
-
-    fn observe(&self) -> ArrayObservation {
-        ArrayObservation {
-            active_states: self.runs.iter().map(|r| u64::from(r.active_count())).sum(),
-            powered_tiles: self.tiles as u64,
-        }
+        self.offsets[usize::from(byte)] as usize
     }
 }
 
 // ---------------------------------------------------------------------
-// NBVA mode
+// Tile kernel: NFA and NBVA arrays
 // ---------------------------------------------------------------------
 
-/// NBVA array (§3.1): NFA-style matching plus the event-driven
-/// bit-vector-processing phase, which stalls the whole array for `depth`
-/// cycles (or the fixed BVM latency on BVAP).
-pub(crate) struct NbvaArray<'a> {
-    placements: &'a [Placement],
-    runs: Vec<rap_automata::nbva::NbvaRun<'a>>,
-    /// (placement idx, state id, tile) of every BV state.
-    bv_states: Vec<(usize, u32, u32)>,
-    crosses: Vec<Vec<bool>>,
-    tiles: usize,
+/// A lowered crossbar row: where one state's activation routes.
+#[derive(Clone, Copy, Default)]
+struct Row {
+    /// Successors in the state's own tile (the local crossbar).
+    local: u128,
+    /// Range of [`TileArray::links`] reached through the global crossbar.
+    links: (u32, u32),
+}
+
+/// One global-crossbar entry of a row: successors in another tile.
+#[derive(Clone, Copy)]
+struct Link {
+    tile: usize,
+    mask: u128,
+}
+
+/// The words of one tile, one bit per state slot.
+#[derive(Clone, Copy, Default)]
+struct Tile {
+    /// Active plain states.
+    active: u128,
+    /// BV states with a live vector, and those whose read action succeeds.
+    live: u128,
+    emit: u128,
+    /// Always-armed initial states, and the `^`-anchored ones among them
+    /// (armed on the first byte only).
+    initial: u128,
+    anchored: u128,
+    /// Plain final states, and BV state slots.
+    finals: u128,
+    vectors: u128,
+    /// States whose row is lowered, and those among them with a cross-tile
+    /// successor.
+    lowered: u128,
+    cross: u128,
+}
+
+/// A bit-vector state, kept beside the tile words.
+struct VectorState {
+    slot: usize,
+    cc: CharClass,
+    read: ReadAction,
+    vector: BitVec,
+    is_final: bool,
+    placement: usize,
+}
+
+/// NFA/NBVA array (§2.2, §3.1): every tile searches and routes every
+/// cycle; an NBVA array additionally stalls through bit-vector phases.
+pub(crate) struct TileArray<'a> {
     cost: CostModel,
-    stall_per_phase: u64,
-    /// Remaining stall cycles of the current bit-vector-processing phase.
+    tiles: Vec<Tile>,
+    /// Per tile: the next cycle's candidates, routed by the crossbar; after
+    /// the CAM search, the BV states entering their vectors.
+    reach: Vec<u128>,
+    /// Pattern index of every placement.
+    patterns: Vec<usize>,
+    /// Per state slot (`tile * 128 + bit`): placement, successors, and the
+    /// offset of its placement's states in [`TileArray::state_slot`].
+    slot_placement: Vec<u32>,
+    slot_succ: Vec<&'a [StateId]>,
+    slot_base: Vec<u32>,
+    /// Per slot: index of its BV state in [`TileArray::vectors`] (empty in
+    /// an NFA array).
+    slot_vector: Vec<u32>,
+    /// Slot of every state, placement after placement.
+    state_slot: Vec<u32>,
+    rows: Vec<Row>,
+    links: Vec<Link>,
+    vectors: Vec<VectorState>,
+    /// The CAM: per-byte match columns over the plain states.
+    columns: Alphabet<u128>,
+    /// Bytes consumed; doubles as the per-cycle report stamp.
+    consumed: u64,
+    reported: Vec<u64>,
+    /// Stall cycles per bit-vector phase (`None`: an NFA array).
+    stall_per_phase: Option<u64>,
     stall_remaining: u64,
-    /// Tiles with live bit vectors during the current phase.
-    phase_active_tiles: u32,
-    tile_active: Vec<u32>,
-    bv_tile_active: Vec<bool>,
-    powered_tile_cycles: u64,
+    /// Tiles with live vectors during the current phase.
+    phase_tiles: usize,
+    /// Cycles by powered tiles, tile-cycles by active states, cycles by
+    /// cross-tile signals, and stall cycles by live-vector tiles.
+    powered: Vec<u64>,
+    local_levels: Vec<u64>,
+    global_levels: Vec<u64>,
+    phase_levels: Vec<u64>,
 }
 
-impl<'a> NbvaArray<'a> {
-    pub(crate) fn new(
+impl<'a> TileArray<'a> {
+    fn new(
         compiled: &'a [Compiled],
-        placements: &'a [Placement],
-        plan: &ArrayPlan,
-        depth: u32,
+        placements: &[Placement],
+        tiles: usize,
+        stall_per_phase: Option<u64>,
         cost: CostModel,
-    ) -> NbvaArray<'a> {
-        let images: Vec<&CompiledNbva> = placements
-            .iter()
-            .map(|p| expect_nbva(compiled, p.pattern))
-            .collect();
-        let bv_states: Vec<(usize, u32, u32)> = placements
-            .iter()
-            .enumerate()
-            .zip(images.iter())
-            .flat_map(|((i, p), img)| {
-                img.bv_allocs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| a.is_some())
-                    .map(move |(q, _)| (i, q as u32, p.state_tile[q]))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let crosses = cross_tile_flags(
-            placements,
-            |i| {
-                images[i]
-                    .nbva
-                    .states()
-                    .iter()
-                    .cloned()
-                    .enumerate()
-                    .collect::<Vec<_>>()
-            },
-            |s| s.succ.clone(),
-        );
-        let stall_per_phase = if cost.machine == Machine::Bvap {
-            cost.bvap_stall_cycles
-        } else {
-            u64::from(depth)
-        };
-        NbvaArray {
-            placements,
-            runs: images.iter().map(|img| img.nbva.start()).collect(),
-            bv_states,
-            crosses,
-            tiles: plan.tiles_used as usize,
+    ) -> TileArray<'a> {
+        let slots = tiles * TILE_BITS;
+        let mut a = TileArray {
             cost,
+            tiles: vec![Tile::default(); tiles],
+            reach: vec![0; tiles],
+            patterns: placements.iter().map(|p| p.pattern).collect(),
+            slot_placement: vec![0; slots],
+            slot_succ: vec![&[]; slots],
+            slot_base: vec![0; slots],
+            slot_vector: Vec::new(),
+            state_slot: Vec::new(),
+            rows: vec![Row::default(); slots],
+            links: Vec::new(),
+            vectors: Vec::new(),
+            columns: Alphabet::new(tiles),
+            consumed: 0,
+            reported: vec![0; placements.len()],
             stall_per_phase,
             stall_remaining: 0,
-            phase_active_tiles: 0,
-            tile_active: vec![0; plan.tiles_used as usize],
-            bv_tile_active: vec![false; plan.tiles_used as usize],
-            powered_tile_cycles: 0,
+            phase_tiles: 0,
+            powered: vec![0; tiles + 1],
+            local_levels: vec![0; TILE_BITS + 1],
+            global_levels: vec![0; 257],
+            phase_levels: vec![0; tiles + 1],
+        };
+        let mut used = vec![0usize; tiles];
+        for (i, p) in placements.iter().enumerate() {
+            let base = a.state_slot.len();
+            // An NFA array (no stall) holds NFA images, an NBVA array NBVA
+            // ones; an NFA state is an NBVA state without a vector.
+            let (initial, anchored_start) = match (&compiled[p.pattern], stall_per_phase) {
+                (Compiled::Nfa(img), None) => {
+                    for (q, s) in img.nfa.states().iter().enumerate() {
+                        let (tile, bit) = a.place(&mut used, i, base, p.state_tile[q], &s.succ);
+                        a.add_plain(tile, bit, s.cc, s.is_final);
+                    }
+                    (img.nfa.initial(), img.nfa.anchored_start())
+                }
+                (Compiled::Nbva(img), Some(_)) => {
+                    for (q, s) in img.nbva.states().iter().enumerate() {
+                        let (tile, bit) = a.place(&mut used, i, base, p.state_tile[q], &s.succ);
+                        match s.kind {
+                            StateKind::Plain => a.add_plain(tile, bit, s.cc, s.is_final),
+                            StateKind::Bv { width, read } => {
+                                a.tiles[tile].vectors |= bit;
+                                a.vectors.push(VectorState {
+                                    slot: tile * TILE_BITS + bit.trailing_zeros() as usize,
+                                    cc: s.cc,
+                                    read,
+                                    vector: BitVec::zeros(width as usize),
+                                    is_final: s.is_final,
+                                    placement: i,
+                                });
+                            }
+                        }
+                    }
+                    (img.nbva.initial(), img.nbva.anchored_start())
+                }
+                (other, _) => panic!(
+                    "array plan references pattern {} as {} but it compiled to {}",
+                    p.pattern,
+                    if stall_per_phase.is_some() {
+                        "NBVA"
+                    } else {
+                        "NFA"
+                    },
+                    other.mode()
+                ),
+            };
+            for &q in initial {
+                let slot = a.state_slot[base + q as usize] as usize;
+                let (tile, bit) = (slot / TILE_BITS, 1u128 << (slot % TILE_BITS));
+                a.tiles[tile].initial |= bit;
+                if anchored_start {
+                    a.tiles[tile].anchored |= bit;
+                }
+            }
+        }
+        // BV states emit without ever being plain-active: lower them now.
+        if !a.vectors.is_empty() {
+            a.slot_vector = vec![0; slots];
+            for i in 0..a.vectors.len() {
+                let slot = a.vectors[i].slot;
+                a.slot_vector[slot] = i as u32;
+                a.lower(slot);
+            }
+        }
+        a
+    }
+
+    /// Gives the next free slot of `tile` to a state of `placement` (whose
+    /// states start at `base` in [`TileArray::state_slot`]) with successors
+    /// `succ`; returns the tile and the slot's bit.
+    fn place(
+        &mut self,
+        used: &mut [usize],
+        placement: usize,
+        base: usize,
+        tile: u32,
+        succ: &'a [StateId],
+    ) -> (usize, u128) {
+        let tile = tile as usize;
+        assert!(
+            used[tile] < TILE_BITS,
+            "tile {tile} holds more than {TILE_BITS} states"
+        );
+        let slot = tile * TILE_BITS + used[tile];
+        used[tile] += 1;
+        self.state_slot.push(slot as u32);
+        self.slot_placement[slot] = placement as u32;
+        self.slot_succ[slot] = succ;
+        self.slot_base[slot] = base as u32;
+        (tile, 1u128 << (slot % TILE_BITS))
+    }
+
+    fn add_plain(&mut self, tile: usize, bit: u128, cc: CharClass, is_final: bool) {
+        self.columns.add(cc, tile, bit);
+        if is_final {
+            self.tiles[tile].finals |= bit;
         }
     }
-}
 
-impl ArraySim for NbvaArray<'_> {
-    fn stalled(&self) -> bool {
-        self.stall_remaining > 0
+    /// Lowers the crossbar row of the state in `slot` from its successor
+    /// list.
+    fn lower(&mut self, slot: usize) {
+        let tile = slot / TILE_BITS;
+        let start = self.links.len();
+        let mut local = 0u128;
+        for &succ in self.slot_succ[slot] {
+            let target = self.state_slot[self.slot_base[slot] as usize + succ as usize] as usize;
+            let (t, bit) = (target / TILE_BITS, 1u128 << (target % TILE_BITS));
+            if t == tile {
+                local |= bit;
+            } else if let Some(link) = self.links[start..].iter_mut().find(|l| l.tile == t) {
+                link.mask |= bit;
+            } else {
+                self.links.push(Link { tile: t, mask: bit });
+            }
+        }
+        let end = self.links.len();
+        self.rows[slot] = Row {
+            local,
+            links: (start as u32, end as u32),
+        };
+        let bit = 1u128 << (slot % TILE_BITS);
+        self.tiles[tile].lowered |= bit;
+        if end > start {
+            self.tiles[tile].cross |= bit;
+        }
     }
 
     fn tick(
@@ -436,261 +595,422 @@ impl ArraySim for NbvaArray<'_> {
             // One cycle of the bit-vector-processing pipeline: only tiles
             // with live vectors run (read → action/route → write back).
             self.stall_remaining -= 1;
-            let active = f64::from(self.phase_active_tiles);
-            self.powered_tile_cycles += u64::from(self.phase_active_tiles);
-            meter.charge(Category::BitVector, self.cost.bv_step_pj * active);
-            meter.charge(
-                Category::Controller,
-                self.cost.global_ctrl_pj + self.cost.local_ctrl_pj * active,
-            );
+            self.powered[self.phase_tiles] += 1;
+            self.phase_levels[self.phase_tiles] += 1;
             return;
         }
         let byte = byte.expect("non-stalled tick needs an input byte");
-        self.powered_tile_cycles += self.tiles as u64;
-        self.tile_active.iter_mut().for_each(|c| *c = 0);
-        let mut cross_signals = 0u32;
-        for ((p, run), cross) in self
-            .placements
-            .iter()
-            .zip(self.runs.iter())
-            .zip(self.crosses.iter())
-        {
-            for q in run.plain_active_bits().iter_ones() {
-                self.tile_active[p.state_tile[q] as usize] += 1;
-                cross_signals += u32::from(cross[q]);
-            }
-        }
-        for &(i, q, tile) in &self.bv_states {
-            if self.runs[i].vector(q).any() {
-                self.tile_active[tile as usize] += 1;
-                cross_signals += u32::from(self.crosses[i][q as usize]);
-            }
-        }
-        charge_nfa_cycle(meter, &self.cost, &self.tile_active, cross_signals);
-        charge_overheads(meter, &self.cost, self.tiles as u32);
 
-        let mut bv_phase = false;
-        for (i, run) in self.runs.iter_mut().enumerate() {
-            let info = run.step_detailed(byte);
-            bv_phase |= info.bv_touched;
-            if info.matched {
-                out.push(MatchEvent {
-                    pattern: self.placements[i].pattern,
-                    end: offset + 1,
-                });
+        // Transition fabric, driven by the configuration entering this
+        // cycle: tally its activity and route every emitting state.
+        let (mut idle_tiles, mut cross_signals) = (0, 0u32);
+        for (t, tile) in self.tiles.iter().enumerate() {
+            let live = tile.active | tile.live;
+            // Most tiles idle; skip their (software) popcounts.
+            if live == 0 {
+                idle_tiles += 1;
+                continue;
             }
-        }
-        if bv_phase {
-            // The global controller stalls the array for the next `depth`
-            // cycles while the phase streams BV words.
-            self.bv_tile_active.iter_mut().for_each(|b| *b = false);
-            for &(i, q, tile) in &self.bv_states {
-                if self.runs[i].vector(q).any() {
-                    self.bv_tile_active[tile as usize] = true;
+            self.local_levels[live.count_ones() as usize] += 1;
+            cross_signals += (live & tile.cross).count_ones();
+            let mut emit = tile.active | tile.emit;
+            while emit != 0 {
+                let row = self.rows[t * TILE_BITS + emit.trailing_zeros() as usize];
+                emit &= emit - 1;
+                self.reach[t] |= row.local;
+                for link in &self.links[row.links.0 as usize..row.links.1 as usize] {
+                    self.reach[link.tile] |= link.mask;
                 }
             }
-            self.phase_active_tiles = self.bv_tile_active.iter().filter(|&&b| b).count() as u32;
-            self.stall_remaining = self.stall_per_phase;
+        }
+        self.local_levels[0] += idle_tiles;
+        self.global_levels[(cross_signals as usize).min(256)] += 1;
+        self.powered[self.tiles.len()] += 1;
+        meter.charge(Category::Wire, self.cost.wire_pj * f64::from(cross_signals));
+        meter.charge(Category::Buffer, self.cost.buffer_pj);
+
+        // CAM search: candidates AND the byte's match column.
+        let base = self.columns.lookup(byte);
+        let column = &self.columns.table[base..base + self.tiles.len()];
+        self.consumed += 1;
+        let mut attention = false;
+        for ((tile, reach), &matched) in self.tiles.iter_mut().zip(&mut self.reach).zip(column) {
+            let cand = *reach | tile.initial;
+            let next = cand & matched;
+            // Keep only the BV candidates: they are entering their vectors.
+            *reach = cand & tile.vectors;
+            tile.active = next;
+            attention |= next & (tile.finals | !tile.lowered) != 0;
+        }
+        if attention {
+            self.attend(offset, out);
+        }
+        if self.consumed == 1 {
+            // `^`-anchored initial states arm on the first byte only.
+            for tile in &mut self.tiles {
+                tile.initial &= !tile.anchored;
+            }
+        }
+        if !self.vectors.is_empty() {
+            self.step_vectors(byte, offset, out);
         }
     }
 
-    fn powered_tile_cycles(&self) -> u64 {
-        self.powered_tile_cycles
+    /// Reports the final states that just activated and lowers the rows of
+    /// first activations.
+    fn attend(&mut self, offset: usize, out: &mut Vec<MatchEvent>) {
+        for t in 0..self.tiles.len() {
+            let Tile {
+                active,
+                finals,
+                lowered,
+                ..
+            } = self.tiles[t];
+            let mut done = active & finals;
+            while done != 0 {
+                let slot = t * TILE_BITS + done.trailing_zeros() as usize;
+                done &= done - 1;
+                self.report(self.slot_placement[slot] as usize, offset, out);
+            }
+            let mut fresh = active & !lowered;
+            while fresh != 0 {
+                let slot = t * TILE_BITS + fresh.trailing_zeros() as usize;
+                fresh &= fresh - 1;
+                self.lower(slot);
+            }
+        }
+    }
+
+    /// The BV side list: `set1` on entry, `shft` on a matching byte, clear
+    /// on a mismatch, then the read action. Only live or entering vectors
+    /// can change. Starts a bit-vector phase when any vector was entered or
+    /// advanced.
+    fn step_vectors(&mut self, byte: u8, offset: usize, out: &mut Vec<MatchEvent>) {
+        let mut touched = false;
+        for t in 0..self.tiles.len() {
+            // `reach` holds the tile's entering BV states (see `tick`).
+            let entering = std::mem::take(&mut self.reach[t]);
+            let mut todo = entering | self.tiles[t].live;
+            while todo != 0 {
+                let slot = t * TILE_BITS + todo.trailing_zeros() as usize;
+                let bit = todo & todo.wrapping_neg();
+                todo &= todo - 1;
+                let v = &mut self.vectors[self.slot_vector[slot] as usize];
+                let entering = entering & bit != 0;
+                if v.cc.contains(byte) {
+                    touched |= entering || v.vector.any();
+                    v.vector.shift_up();
+                    if entering {
+                        v.vector.set(0, true);
+                    }
+                } else {
+                    v.vector.clear();
+                }
+                let live = v.vector.any();
+                let emit = match v.read {
+                    ReadAction::Exact(m) => v.vector.get(m as usize - 1),
+                    ReadAction::All => live,
+                };
+                let (report, placement) = (v.is_final && emit, v.placement);
+                set_bits(&mut self.tiles[t].live, bit, live);
+                set_bits(&mut self.tiles[t].emit, bit, emit);
+                if report {
+                    self.report(placement, offset, out);
+                }
+            }
+        }
+        if touched {
+            // The global controller stalls the array for the next cycles
+            // while the phase streams BV words.
+            self.phase_tiles = self.tiles.iter().filter(|w| w.live != 0).count();
+            self.stall_remaining = self
+                .stall_per_phase
+                .expect("only NBVA arrays hold bit vectors");
+        }
+    }
+
+    /// Reports a match of `placement` ending at `offset`, once per cycle.
+    fn report(&mut self, placement: usize, offset: usize, out: &mut Vec<MatchEvent>) {
+        if self.reported[placement] != self.consumed {
+            self.reported[placement] = self.consumed;
+            out.push(MatchEvent {
+                pattern: self.patterns[placement],
+                end: offset + 1,
+            });
+        }
     }
 
     fn observe(&self) -> ArrayObservation {
+        let active: u32 = self
+            .tiles
+            .iter()
+            .map(|w| (w.active | w.live).count_ones())
+            .sum();
         ArrayObservation {
-            active_states: self.runs.iter().map(|r| u64::from(r.active_count())).sum(),
+            active_states: u64::from(active),
             // During a bit-vector-processing phase only the tiles with
             // live vectors run; otherwise the whole array is powered.
             powered_tiles: if self.stall_remaining > 0 {
-                u64::from(self.phase_active_tiles)
+                self.phase_tiles as u64
             } else {
-                self.tiles as u64
+                self.tiles.len() as u64
             },
         }
     }
+
+    fn settle(&self, meter: &mut EnergyMeter) {
+        let cost = &self.cost;
+        // Every cycle that consumed a byte searched every tile.
+        let searches: u64 = self.global_levels.iter().sum();
+        let tiles = self.tiles.len() as f64;
+        charge_levels(meter, Category::StateMatch, &[searches], |_| {
+            cost.match_pj * tiles
+        });
+        charge_levels(meter, Category::LocalSwitch, &self.local_levels, |k| {
+            cost.local_switch
+                .access_energy_pj((k as f64 / TILE_BITS as f64).min(1.0))
+        });
+        charge_levels(meter, Category::GlobalSwitch, &self.global_levels, |c| {
+            cost.global_switch
+                .access_energy_pj((c as f64 / 256.0).min(1.0))
+        });
+        charge_levels(meter, Category::BitVector, &self.phase_levels, |p| {
+            cost.bv_step_pj * p as f64
+        });
+        charge_levels(meter, Category::Controller, &self.powered, |p| {
+            controller_pj(cost, p)
+        });
+    }
+}
+
+fn set_bits(word: &mut u128, bits: u128, on: bool) {
+    if on {
+        *word |= bits;
+    } else {
+        *word &= !bits;
+    }
 }
 
 // ---------------------------------------------------------------------
-// LNFA mode
+// Chain kernel: LNFA arrays
 // ---------------------------------------------------------------------
 
-/// One mapped chain inside an LNFA array.
-struct ChainRun<'a> {
-    pattern: usize,
-    run: rap_automata::lnfa::ShiftAndRun<'a>,
-    /// Absolute tile index of every chain position.
-    state_tile: Vec<u32>,
-    len: usize,
-}
-
-/// LNFA array (§3.2): Shift-And in the active vector, power-gated tiles,
-/// ring routing between adjacent tiles.
-pub(crate) struct LnfaArray<'a> {
-    chains: Vec<ChainRun<'a>>,
+/// LNFA array (§3.2): Shift-And over every chain at once, power-gated
+/// tiles, ring routing between adjacent tiles.
+pub(crate) struct ChainArray {
+    cost: CostModel,
+    /// The Shift-And register: chains back to back, in bin and member
+    /// order, each with its first state at the lowest bit.
+    states: Vec<u64>,
+    /// First and last state of every chain, and every other state (fed
+    /// by the previous position of its chain).
+    starts: Vec<u64>,
+    finals: Vec<u64>,
+    follows: Vec<u64>,
+    /// Positions whose predecessor sits on another tile (a ring hop).
+    hops: Vec<u64>,
+    /// Tile and pattern of every register position.
+    position_tile: Vec<u32>,
+    position_pattern: Vec<usize>,
+    /// Per-byte Shift-And labels.
+    labels: Alphabet<u64>,
+    /// Per tile: chains starting there (always armed, never gated), and
+    /// whether CAM-path or switch-path chains are stored there.
+    initial: Vec<u32>,
     tile_cam: Vec<bool>,
     tile_switch: Vec<bool>,
-    tile_initial: Vec<bool>,
-    initial_cands: Vec<u32>,
-    tiles: usize,
-    cost: CostModel,
-    powered: Vec<bool>,
+    /// Per-tile candidate states of the current cycle.
     cands: Vec<u32>,
-    powered_tile_cycles: u64,
+    /// Cycles by powered tiles, and powered CAM-path and switch-path
+    /// tile-cycles by candidate states.
+    powered: Vec<u64>,
+    cam_levels: Vec<u64>,
+    switch_levels: Vec<u64>,
 }
 
-impl<'a> LnfaArray<'a> {
-    pub(crate) fn new(
-        compiled: &'a [Compiled],
-        bins: &'a [Bin],
-        plan: &ArrayPlan,
-        cost: CostModel,
-    ) -> LnfaArray<'a> {
-        let tiles = plan.tiles_used as usize;
-        let mut chains: Vec<ChainRun<'a>> = Vec::new();
-        // Which powered tiles search via the CAM vs the one-hot local
-        // switch, and which tiles hold initial states (never power-gated).
+impl ChainArray {
+    fn new(compiled: &[Compiled], bins: &[Bin], tiles: usize, cost: CostModel) -> ChainArray {
+        let lnfa = |pattern: usize, unit: usize| match &compiled[pattern] {
+            Compiled::Lnfa(img) => &img.units[unit].lnfa,
+            other => panic!(
+                "array plan references pattern {pattern} as LNFA but it compiled to {}",
+                other.mode()
+            ),
+        };
+        let positions: usize = bins
+            .iter()
+            .flat_map(|bin| &bin.members)
+            .map(|m| lnfa(m.pattern, m.unit).len())
+            .sum();
+        let words = positions.div_ceil(64);
+        let mut position_tile = Vec::with_capacity(positions);
+        let mut position_pattern = Vec::with_capacity(positions);
+        let mut starts = vec![0; words];
+        let mut finals = vec![0; words];
+        let mut hops = vec![0; words];
+        let mut labels = Alphabet::new(words);
+        let mut initial = vec![0u32; tiles];
         let mut tile_cam = vec![false; tiles];
         let mut tile_switch = vec![false; tiles];
-        let mut tile_initial = vec![false; tiles];
         for bin in bins {
             for member in &bin.members {
-                let img = expect_lnfa(compiled, member.pattern);
-                let lnfa = &img.units[member.unit].lnfa;
-                let state_tile: Vec<u32> = (0..lnfa.len() as u32)
-                    .map(|s| bin.first_tile + bin.tile_of_state(member, s))
-                    .collect();
-                for &t in &state_tile {
+                let lnfa = lnfa(member.pattern, member.unit);
+                for (s, cc) in lnfa.classes().iter().enumerate() {
+                    let p = position_tile.len();
+                    let tile = bin.first_tile + bin.tile_of_state(member, s as u32);
                     match member.path {
-                        MatchPath::Cam => tile_cam[t as usize] = true,
-                        MatchPath::LocalSwitch => tile_switch[t as usize] = true,
+                        MatchPath::Cam => tile_cam[tile as usize] = true,
+                        MatchPath::LocalSwitch => tile_switch[tile as usize] = true,
                     }
+                    if s == 0 {
+                        initial[tile as usize] += 1;
+                        set_bit(&mut starts, p);
+                    } else if position_tile[p - 1] != tile {
+                        set_bit(&mut hops, p);
+                    }
+                    if s + 1 == lnfa.len() {
+                        set_bit(&mut finals, p);
+                    }
+                    labels.add(*cc, p / 64, 1u64 << (p % 64));
+                    position_tile.push(tile);
+                    position_pattern.push(member.pattern);
                 }
-                tile_initial[state_tile[0] as usize] = true;
-                chains.push(ChainRun {
-                    pattern: member.pattern,
-                    run: lnfa.start(),
-                    state_tile,
-                    len: lnfa.len(),
-                });
             }
         }
-        // Candidate states per tile: the always-armed initial states plus
-        // the successors of active states. The active vector gates the CAM
-        // columns (§3.2), so matching energy scales with candidates.
-        let mut initial_cands = vec![0u32; tiles];
-        for chain in &chains {
-            initial_cands[chain.state_tile[0] as usize] += 1;
-        }
-        LnfaArray {
-            chains,
+        let follows = (0..words)
+            .map(|w| {
+                let valid = if positions - 64 * w >= 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << (positions - 64 * w)) - 1
+                };
+                valid & !starts[w]
+            })
+            .collect();
+        ChainArray {
+            cost,
+            states: vec![0; words],
+            starts,
+            finals,
+            follows,
+            hops,
+            position_tile,
+            position_pattern,
+            labels,
+            initial,
             tile_cam,
             tile_switch,
-            tile_initial,
-            initial_cands,
-            tiles,
-            cost,
-            powered: vec![false; tiles],
             cands: vec![0; tiles],
-            powered_tile_cycles: 0,
+            powered: vec![0; tiles + 1],
+            cam_levels: vec![0; TILE_BITS + 1],
+            switch_levels: vec![0; TILE_BITS + 1],
         }
     }
-}
 
-impl ArraySim for LnfaArray<'_> {
-    fn stalled(&self) -> bool {
-        false
-    }
-
-    fn tick(
+    fn step(
         &mut self,
-        byte: Option<u8>,
+        byte: u8,
         offset: usize,
         meter: &mut EnergyMeter,
         out: &mut Vec<MatchEvent>,
     ) {
-        let byte = byte.expect("LNFA arrays never stall");
-        // A tile is powered if it holds an initial state or a state that
-        // can become active this cycle (an active predecessor shifts in).
-        self.powered.copy_from_slice(&self.tile_initial);
-        self.cands.copy_from_slice(&self.initial_cands);
+        let label = self.labels.lookup(byte);
+        // Candidates per tile: the always-armed first states plus the
+        // successors of active states. The active vector gates the CAM
+        // columns (§3.2), so matching energy scales with candidates.
+        self.cands.copy_from_slice(&self.initial);
         let mut ring_crossings = 0u32;
-        for chain in &self.chains {
-            for s in chain.run.states().iter_ones() {
-                if s + 1 < chain.len {
-                    let here = chain.state_tile[s];
-                    let next = chain.state_tile[s + 1];
-                    self.powered[next as usize] = true;
-                    self.cands[next as usize] += 1;
-                    if next != here {
-                        ring_crossings += 1;
-                    }
-                }
+        let mut carry = 0u64;
+        for w in 0..self.states.len() {
+            let states = self.states[w];
+            let shifted = (states << 1) | carry;
+            carry = states >> 63;
+            let mut succ = shifted & self.follows[w];
+            if succ != 0 {
+                ring_crossings += (succ & self.hops[w]).count_ones();
             }
-        }
-        for t in 0..self.tiles {
-            if !self.powered[t] {
-                continue;
+            while succ != 0 {
+                let p = w * 64 + succ.trailing_zeros() as usize;
+                succ &= succ - 1;
+                self.cands[self.position_tile[p] as usize] += 1;
             }
-            let activity = (f64::from(self.cands[t]) / 128.0).min(1.0);
-            if self.tile_cam[t] {
-                // Column-gated CAM search: wordline drive + the candidate
-                // columns' compare energy.
-                meter.charge(Category::StateMatch, 0.5 + self.cost.match_pj * activity);
-            }
-            if self.tile_switch[t] {
-                // One-hot lookup in the local switch: two columns per
-                // candidate state.
-                meter.charge(
-                    Category::StateMatch,
-                    self.cost
-                        .local_switch
-                        .access_energy_pj((2.0 * activity).min(1.0)),
-                );
-            }
-        }
-        meter.charge(
-            Category::Wire,
-            self.cost.ring_hop_pj * f64::from(ring_crossings),
-        );
-        let powered_count = self.powered.iter().filter(|&&b| b).count() as u32;
-        self.powered_tile_cycles += u64::from(powered_count);
-        charge_overheads(meter, &self.cost, powered_count);
-
-        for chain in self.chains.iter_mut() {
-            if chain.run.step(byte) {
+            let next = (shifted | self.starts[w]) & self.labels.table[label + w];
+            self.states[w] = next;
+            let mut done = next & self.finals[w];
+            while done != 0 {
+                let p = w * 64 + done.trailing_zeros() as usize;
+                done &= done - 1;
                 out.push(MatchEvent {
-                    pattern: chain.pattern,
+                    pattern: self.position_pattern[p],
                     end: offset + 1,
                 });
             }
         }
-    }
-
-    fn powered_tile_cycles(&self) -> u64 {
-        self.powered_tile_cycles
+        // A tile is powered if it holds a first state or a candidate.
+        let mut powered = 0;
+        for (t, &cands) in self.cands.iter().enumerate() {
+            if cands == 0 {
+                continue;
+            }
+            powered += 1;
+            let level = (cands as usize).min(TILE_BITS);
+            if self.tile_cam[t] {
+                self.cam_levels[level] += 1;
+            }
+            if self.tile_switch[t] {
+                self.switch_levels[level] += 1;
+            }
+        }
+        self.powered[powered] += 1;
+        meter.charge(
+            Category::Wire,
+            self.cost.ring_hop_pj * f64::from(ring_crossings),
+        );
+        meter.charge(Category::Buffer, self.cost.buffer_pj);
     }
 
     fn observe(&self) -> ArrayObservation {
-        // Mirror the tick's power-gating rule without touching the
-        // scratch vectors: a tile is powered if it holds an initial state
-        // or a state an active predecessor can shift into.
-        let mut powered = self.tile_initial.clone();
-        let mut active_states = 0u64;
-        for chain in &self.chains {
-            for s in chain.run.states().iter_ones() {
-                active_states += 1;
-                if s + 1 < chain.len {
-                    powered[chain.state_tile[s + 1] as usize] = true;
-                }
+        // Mirror the step's power-gating rule: a tile is powered if it
+        // holds a first state or a state an active predecessor can shift
+        // into.
+        let mut powered: Vec<bool> = self.initial.iter().map(|&n| n > 0).collect();
+        let mut carry = 0u64;
+        for (w, &states) in self.states.iter().enumerate() {
+            let mut succ = ((states << 1) | carry) & self.follows[w];
+            carry = states >> 63;
+            while succ != 0 {
+                powered[self.position_tile[w * 64 + succ.trailing_zeros() as usize] as usize] =
+                    true;
+                succ &= succ - 1;
             }
         }
         ArrayObservation {
-            active_states,
+            active_states: self.states.iter().map(|w| u64::from(w.count_ones())).sum(),
             powered_tiles: powered.iter().filter(|&&b| b).count() as u64,
         }
     }
+
+    fn settle(&self, meter: &mut EnergyMeter) {
+        let cost = &self.cost;
+        let activity = |k: usize| (k as f64 / TILE_BITS as f64).min(1.0);
+        // Column-gated CAM search: wordline drive + the candidate
+        // columns' compare energy.
+        charge_levels(meter, Category::StateMatch, &self.cam_levels, |k| {
+            0.5 + cost.match_pj * activity(k)
+        });
+        // One-hot lookup in the local switch: two columns per candidate.
+        charge_levels(meter, Category::StateMatch, &self.switch_levels, |k| {
+            cost.local_switch
+                .access_energy_pj((2.0 * activity(k)).min(1.0))
+        });
+        charge_levels(meter, Category::Controller, &self.powered, |p| {
+            controller_pj(cost, p)
+        });
+    }
+}
+
+fn set_bit(words: &mut [u64], p: usize) {
+    words[p / 64] |= 1u64 << (p % 64);
 }
 
 #[cfg(test)]
@@ -738,8 +1058,8 @@ mod tests {
     ) -> ArrayOutcome {
         let cost = CostModel::for_machine(Machine::Rap);
         let mut meter = EnergyMeter::new();
-        let mut sim = build_array(compiled, plan, &cost);
-        run_array(sim.as_mut(), input, &mut meter, probe)
+        let mut sim = Array::new(compiled, plan, &cost);
+        run_array(&mut sim, input, &mut meter, probe)
     }
 
     #[test]
@@ -769,6 +1089,36 @@ mod tests {
         assert_eq!(outcome.cycles - 8, 18, "stall cycles");
         assert_eq!(outcome.powered_tile_cycles, 34);
         assert_eq!(outcome.matches, vec![MatchEvent { pattern: 0, end: 8 }]);
+    }
+
+    #[test]
+    fn cross_tile_rows_route_through_the_global_crossbar() {
+        let (compiled, plan) = two_tile_nbva(3);
+        let cost = CostModel::for_machine(Machine::Rap);
+        let mut meter = EnergyMeter::new();
+        let mut sim = Array::new(&compiled, &plan, &cost);
+        // Before any byte only the BV state's row is lowered: it stays in
+        // tile 1 (`y{6}` → `z`).
+        let Array::Tile(tile) = &sim else {
+            panic!("NBVA arrays run on the tile kernel")
+        };
+        let words = |w: fn(&Tile) -> u128| tile.tiles.iter().map(w).collect::<Vec<_>>();
+        assert_eq!(words(|w| w.lowered), vec![0, 0b01]);
+        assert_eq!(words(|w| w.cross), vec![0, 0]);
+        run_array(&mut sim, b"x", &mut meter, None);
+        // `x` activated: its row routes to the BV state on tile 1 through
+        // the global crossbar.
+        let Array::Tile(tile) = &sim else {
+            unreachable!()
+        };
+        let words = |w: fn(&Tile) -> u128| tile.tiles.iter().map(w).collect::<Vec<_>>();
+        assert_eq!(words(|w| w.lowered), vec![0b1, 0b01]);
+        assert_eq!(words(|w| w.cross), vec![0b1, 0]);
+        let row = tile.rows[0];
+        assert_eq!(row.local, 0);
+        let links = &tile.links[row.links.0 as usize..row.links.1 as usize];
+        assert_eq!(links.len(), 1);
+        assert_eq!((links[0].tile, links[0].mask), (1, 0b01));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! identical matches) plus [`BankStats`] — stalls, starvation, buffer
 //! occupancy, interrupts — for studying the buffering itself.
 
-use crate::array::{build_array, ArraySim};
+use crate::array::Array;
 use crate::cost::CostModel;
 use crate::result::{MatchEvent, RunResult};
 use rap_arch::buffers::Fifo;
@@ -57,7 +57,7 @@ pub struct BankStats {
 
 /// Per-array streaming state.
 struct ArrayLane<'a> {
-    sim: Box<dyn ArraySim + 'a>,
+    sim: Array<'a>,
     input_fifo: Fifo<(usize, u8)>,
     output_fifo: Fifo<MatchEvent>,
     /// Next input byte index the arbiter will fetch for this lane.
@@ -119,7 +119,7 @@ fn simulate_streaming_inner(
         .arrays
         .iter()
         .map(|plan| ArrayLane {
-            sim: build_array(compiled, plan, &cost),
+            sim: Array::new(compiled, plan, &cost),
             input_fifo: Fifo::new(arch.array_input_entries as usize),
             output_fifo: Fifo::new(arch.array_output_entries as usize),
             fetch_pos: 0,
@@ -261,7 +261,10 @@ fn simulate_streaming_inner(
     // `$`-anchored patterns report only at the stream's end.
     collected.retain(|m| !compiled[m.pattern].anchored_end() || m.end == input.len());
 
-    // Leakage, as in the batch path.
+    // Activity-scaled energy, then leakage, as in the batch path.
+    for lane in &lanes {
+        lane.sim.settle(&mut meter);
+    }
     let runtime_s = cycles as f64 / cost.clock_hz;
     let powered: u64 = lanes.iter().map(|l| l.sim.powered_tile_cycles()).sum();
     let mut leak_w = cost.bank_overhead_leak_w(mapping.arrays.len() as u32);

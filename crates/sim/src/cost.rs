@@ -182,6 +182,33 @@ mod tests {
         assert!(bvap.bv_step_pj < rap.bv_step_pj);
     }
 
+    /// The array kernels charge activity-scaled energy once per run, as
+    /// `count × energy(level)`. That equals the per-cycle running sum bit
+    /// for bit only while every per-level energy is a multiple of 2⁻⁸ pJ:
+    /// then no product or partial sum (below 2⁴⁵ pJ) ever rounds.
+    #[test]
+    fn activity_scaled_charges_are_dyadic() {
+        let dyadic = |pj: f64| (pj * 256.0).fract() == 0.0;
+        for m in Machine::all() {
+            let c = CostModel::for_machine(m);
+            for k in 0..=256u32 {
+                let tile = (f64::from(k) / 128.0).min(1.0);
+                let levels = [
+                    c.local_switch.access_energy_pj(tile),
+                    c.local_switch.access_energy_pj((2.0 * tile).min(1.0)),
+                    c.global_switch.access_energy_pj(f64::from(k) / 256.0),
+                    0.5 + c.match_pj * tile,
+                    c.match_pj * f64::from(k),
+                    c.local_ctrl_pj * f64::from(k) + c.global_ctrl_pj,
+                    c.bv_step_pj * f64::from(k),
+                ];
+                for pj in levels {
+                    assert!(dyadic(pj), "{m}: {pj} pJ at level {k} is not dyadic");
+                }
+            }
+        }
+    }
+
     #[test]
     fn clocks_forwarded() {
         for m in Machine::all() {

@@ -420,9 +420,9 @@ fn simulate_inner(
     let mut probe = telemetry.map(|(tel, label)| tel.probe(label));
 
     for (index, plan) in mapping.arrays.iter().enumerate() {
-        let mut sim = array::build_array(compiled, plan, &cost);
+        let mut sim = array::Array::new(compiled, plan, &cost);
         let outcome = array::run_array(
-            sim.as_mut(),
+            &mut sim,
             input,
             &mut meter,
             probe.as_mut().map(|p| (p, index as u32)),

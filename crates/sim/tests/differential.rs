@@ -1,11 +1,15 @@
 //! Differential testing of the hardware simulators against the software
 //! NFA interpreter — the §5.2 consistency check, fuzzed.
+//!
+//! Besides small multi-mode pattern sets, the corpora include long counted
+//! repetitions that span tiles (global-crossbar routes) and arrays once
+//! CA/CAMA unfold them, and `^`/`$`-anchored patterns.
 
 use proptest::prelude::*;
 use rap_automata::nfa::Nfa;
 use rap_circuit::Machine;
-use rap_regex::{CharClass, Regex};
-use rap_sim::{MatchEvent, Simulator};
+use rap_regex::{CharClass, Pattern, Regex};
+use rap_sim::{MatchEvent, RunResult, Simulator};
 
 /// Random pattern sets that exercise all three RAP modes.
 fn arb_pattern() -> impl Strategy<Value = Regex> {
@@ -42,6 +46,52 @@ fn arb_input() -> impl Strategy<Value = Vec<u8>> {
     )
 }
 
+/// Long counted repetitions: as NBVA they are one bit-vector state, but
+/// unfolded (CA, CAMA, RAP's NFA mode) they span two or more 128-state
+/// tiles, and a dozen of them overflow a 2 048-state array.
+fn arb_wide_pattern() -> impl Strategy<Value = Regex> {
+    let lit = Regex::literal_byte;
+    prop_oneof![
+        (40u32..140, 0u32..100).prop_map(move |(m, k)| {
+            Regex::concat(vec![
+                lit(b'x'),
+                Regex::repeat(lit(b'c'), m, Some(m + k)),
+                lit(b'y'),
+            ])
+        }),
+        (60u32..200).prop_map(move |n| {
+            let not_a = CharClass::single(b'a').complement();
+            Regex::concat(vec![
+                lit(b'a'),
+                Regex::repeat(Regex::Class(not_a), n, Some(n)),
+                lit(b'a'),
+            ])
+        }),
+    ]
+}
+
+/// Any pattern, possibly `^`- and/or `$`-anchored.
+fn arb_anchored() -> impl Strategy<Value = Pattern> {
+    (arb_pattern(), any::<bool>(), any::<bool>()).prop_map(|(regex, start, end)| Pattern {
+        regex,
+        anchored_start: start,
+        anchored_end: end,
+    })
+}
+
+/// Inputs built from runs, so long repetitions can complete.
+fn arb_runs() -> impl Strategy<Value = Vec<u8>> {
+    let byte = prop_oneof![Just(b'a'), Just(b'b'), Just(b'c'), Just(b'x'), Just(b'y')];
+    prop::collection::vec((byte, 1usize..160), 0..8)
+        .prop_map(|runs| runs.into_iter().flat_map(|(b, n)| vec![b; n]).collect())
+}
+
+fn sorted(mut out: Vec<MatchEvent>) -> Vec<MatchEvent> {
+    out.sort_unstable_by_key(|m| (m.end, m.pattern));
+    out.dedup();
+    out
+}
+
 fn reference(patterns: &[Regex], input: &[u8]) -> Vec<MatchEvent> {
     let mut out = Vec::new();
     for (i, re) in patterns.iter().enumerate() {
@@ -49,9 +99,88 @@ fn reference(patterns: &[Regex], input: &[u8]) -> Vec<MatchEvent> {
             out.push(MatchEvent { pattern: i, end });
         }
     }
-    out.sort_unstable_by_key(|m| (m.end, m.pattern));
-    out.dedup();
-    out
+    sorted(out)
+}
+
+/// Ground truth for parsed patterns, anchors included.
+fn reference_anchored(patterns: &[Pattern], input: &[u8]) -> Vec<MatchEvent> {
+    let mut out = Vec::new();
+    for (i, p) in patterns.iter().enumerate() {
+        for end in Nfa::from_pattern(p).match_ends(input) {
+            out.push(MatchEvent { pattern: i, end });
+        }
+    }
+    sorted(out)
+}
+
+fn unanchored(regexes: Vec<Regex>) -> Vec<Pattern> {
+    regexes
+        .into_iter()
+        .map(|regex| Pattern {
+            regex,
+            anchored_start: false,
+            anchored_end: false,
+        })
+        .collect()
+}
+
+/// Compiles, maps and verifies `patterns` for `machine`, then runs the
+/// batch and the streaming path; `None` when the set does not fit.
+fn run_both(
+    machine: Machine,
+    patterns: &[Pattern],
+    input: &[u8],
+) -> Option<(RunResult, RunResult)> {
+    let sim = Simulator::new(machine);
+    let compiled = sim.compile_parsed(patterns).ok()?;
+    let mapping = sim.map_verified(&compiled).ok()?;
+    let batch = sim.simulate(&compiled, &mapping, input);
+    let (streaming, _) = sim.simulate_streaming(&compiled, &mapping, input);
+    Some((batch, streaming))
+}
+
+/// A fixed wide corpus really does exercise what the wide property is
+/// for: unfolded, it spans tiles (cross-tile edges) and several arrays.
+#[test]
+fn wide_corpus_spans_tiles_and_arrays() {
+    let regexes: Vec<Regex> = ["xc{60,200}y", "a[^a]{150}a", "xc{90,180}y"]
+        .iter()
+        .cycle()
+        .take(12)
+        .map(|p| rap_regex::parse(p).expect("parses"))
+        .collect();
+    let input = [
+        b"x".to_vec(),
+        b"c".repeat(120),
+        b"y a".to_vec(),
+        b"b".repeat(150),
+        b"a".to_vec(),
+    ]
+    .concat();
+    let expect = reference(&regexes, &input);
+    assert!(!expect.is_empty());
+    for machine in Machine::all() {
+        let sim = Simulator::new(machine);
+        let compiled = sim.compile(&regexes).expect("compiles");
+        let mapping = sim.map_verified(&compiled).expect("verifies");
+        if matches!(machine, Machine::Ca | Machine::Cama) {
+            assert!(mapping.arrays.len() > 1, "{machine}: one array");
+            let cross: u32 = mapping
+                .arrays
+                .iter()
+                .flat_map(|a| match &a.kind {
+                    rap_mapper::ArrayKind::Nfa { placements } => placements.clone(),
+                    _ => Vec::new(),
+                })
+                .map(|p| p.cross_tile_edges)
+                .sum();
+            assert!(cross > 0, "{machine}: no cross-tile edges");
+        }
+        let batch = sim.simulate(&compiled, &mapping, &input);
+        let (streaming, _) = sim.simulate_streaming(&compiled, &mapping, &input);
+        assert_eq!(batch.matches, expect, "{machine} batch");
+        assert_eq!(streaming.matches, expect, "{machine} streaming");
+    }
 }
 
 proptest! {
@@ -117,5 +246,46 @@ proptest! {
             prop_assert!(auto.metrics.energy_uj > 0.0);
             prop_assert!(auto.metrics.area_mm2 > 0.0);
         }
+    }
+
+    /// `^`/`$`-anchored patterns report exactly the interpreter's matches,
+    /// on both the batch and the streaming path.
+    #[test]
+    fn anchored_patterns_match_ground_truth(
+        patterns in prop::collection::vec(arb_anchored(), 1..5),
+        input in arb_input(),
+        machine_idx in 0usize..4,
+    ) {
+        let machine = Machine::all()[machine_idx];
+        let Some((batch, streaming)) = run_both(machine, &patterns, &input) else {
+            return Ok(());
+        };
+        let expect = reference_anchored(&patterns, &input);
+        prop_assert_eq!(&batch.matches, &expect, "machine {} batch", machine);
+        prop_assert_eq!(&streaming.matches, &expect, "machine {} streaming", machine);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Tile- and array-spanning pattern sets (mixed with small ones) match
+    /// the interpreter on every machine, batch and streaming alike.
+    #[test]
+    fn wide_patterns_match_ground_truth(
+        wide in prop::collection::vec(arb_wide_pattern(), 1..14),
+        small in prop::collection::vec(arb_pattern(), 0..3),
+        input in arb_runs(),
+        machine_idx in 0usize..4,
+    ) {
+        let machine = Machine::all()[machine_idx];
+        let regexes: Vec<Regex> = wide.into_iter().chain(small).collect();
+        let Some((batch, streaming)) = run_both(machine, &unanchored(regexes.clone()), &input)
+        else {
+            return Ok(());
+        };
+        let expect = reference(&regexes, &input);
+        prop_assert_eq!(&batch.matches, &expect, "machine {} batch", machine);
+        prop_assert_eq!(&streaming.matches, &expect, "machine {} streaming", machine);
     }
 }
