@@ -6,6 +6,9 @@
 //! PatternSet --compile--> CompiledSet --map--> MappedPlan --verify--> VerifiedPlan --simulate--> RunResult
 //! ```
 //!
+//! A verified plan also opens a resumable [`PlanStream`], which feeds a
+//! stream through the bank chunk by chunk.
+//!
 //! Each transition consumes the previous artifact (or borrows it
 //! immutably), so illegal stage orderings are unrepresentable at the type
 //! level: [`VerifiedPlan::simulate`] is the *only* road to a
@@ -19,8 +22,9 @@ use rap_circuit::Machine;
 use rap_compiler::{Compiled, Mode};
 use rap_mapper::Mapping;
 use rap_regex::{Pattern, Regex};
-use rap_sim::{BankStats, RunResult, SimError, Simulator};
+use rap_sim::{BankStats, MatchEvent, RunResult, SimError, Simulator, StreamRun};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Stage 1 artifact: a parse-validated pattern set with its source text.
 ///
@@ -447,6 +451,42 @@ impl VerifiedPlan {
             input,
             self.compiled.machine,
         )
+    }
+
+    /// Stage transition: opens a resumable §3.3 bank run over this plan
+    /// at stream offset 0 (see [`rap_sim::StreamRun`]). Feeding it a
+    /// stream in any chunking hands out exactly the matches of
+    /// [`VerifiedPlan::simulate_streaming`] over the whole stream.
+    pub fn stream(self: &Arc<Self>) -> PlanStream {
+        PlanStream {
+            run: StreamRun::new(&self.compiled.images, &self.mapping, self.compiled.machine),
+            plan: Arc::clone(self),
+        }
+    }
+}
+
+/// A resumable bank run that owns the verified plan it executes, so
+/// chunks are fed without handing the plan in again. Obtained through
+/// [`VerifiedPlan::stream`].
+pub struct PlanStream {
+    plan: Arc<VerifiedPlan>,
+    run: StreamRun,
+}
+
+impl PlanStream {
+    /// Streams the next chunk; see [`StreamRun::feed`].
+    pub fn feed(&mut self, chunk: &[u8]) -> Vec<MatchEvent> {
+        self.run.feed(&self.plan.compiled.images, chunk)
+    }
+
+    /// The buffer statistics accumulated so far.
+    pub fn stats(&self) -> BankStats {
+        self.run.stats()
+    }
+
+    /// Ends the stream; see [`StreamRun::finish`].
+    pub fn finish(self) -> (Vec<MatchEvent>, RunResult, BankStats) {
+        self.run.finish()
     }
 }
 

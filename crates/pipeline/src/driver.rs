@@ -552,6 +552,18 @@ impl Pipeline {
         Ok(SwapOutcome { analysis, plan })
     }
 
+    /// Drops the plan under `key` from the in-memory plan tier, e.g. a
+    /// composition no longer resident anywhere. The disk tier, when
+    /// attached, keeps it: a later request reloads it from there.
+    pub fn evict_plan(&self, key: crate::cache::CacheKey) {
+        self.plans.evict_memory(key);
+    }
+
+    /// Number of plans (solo and composed) held in the in-memory tier.
+    pub fn cached_plans(&self) -> usize {
+        self.plans.len()
+    }
+
     /// Fans independent grid cells out over this pipeline's worker pool,
     /// recording worker count and fan-out wall-clock in the report.
     pub fn grid<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>

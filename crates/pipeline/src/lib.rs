@@ -66,7 +66,8 @@ pub mod summary;
 pub mod workload;
 
 pub use artifact::{
-    build_plan, build_plan_sim, AnalyzedSet, CompiledSet, MappedPlan, PatternSet, VerifiedPlan,
+    build_plan, build_plan_sim, AnalyzedSet, CompiledSet, MappedPlan, PatternSet, PlanStream,
+    VerifiedPlan,
 };
 pub use cache::{CacheKey, CacheStats, StableHasher};
 pub use driver::{default_workers, par_map, Admission, Pipeline, SwapOutcome};

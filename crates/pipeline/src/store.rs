@@ -812,6 +812,17 @@ impl<T> TieredStore<T> {
         self.memory.len()
     }
 
+    /// Drops `key` from the memory tier only; a disk tier keeps its copy,
+    /// so a later lookup reloads it from there. A build racing on the key
+    /// finishes into the dropped cell and is not cached.
+    pub(crate) fn evict_memory(&self, key: CacheKey) {
+        self.memory
+            .cells
+            .lock()
+            .expect("store lock poisoned")
+            .remove(&key);
+    }
+
     /// Whether nothing has been cached in memory yet.
     pub fn is_empty(&self) -> bool {
         self.memory.is_empty()

@@ -17,10 +17,10 @@
 //! - **Placement** lands each tenant on the least-loaded shard; the
 //!   shard's residents share one certified [`rap_admit::ComposedPlan`],
 //!   re-admitted on every join and leave.
-//! - **Streaming** re-scans each session's retained window through
-//!   `simulate_streaming` and demuxes per-tenant events through the
-//!   composition certificate's pattern ranges — never by inspecting
-//!   another tenant's traffic.
+//! - **Streaming** feeds each accepted byte once through the session's
+//!   own resumable bank run over its verified solo plan — the arrays the
+//!   composition certificate proves identical to the tenant's slot range
+//!   — never through another tenant's arrays or traffic.
 //! - **Backpressure** budgets come from certified quantities (the bank
 //!   ping-pong input window and `rap-bound`'s B002 worst-case output
 //!   occupancy), scaled by [`ServeConfig::queue_pages`] — not from

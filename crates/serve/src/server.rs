@@ -5,15 +5,18 @@
 //! tenants. Registration re-runs admission over the residents plus the
 //! newcomer (warm-started from the pipeline's caches and persistent
 //! store, so a known pattern set performs zero compile-stage work); a
-//! refusal leaves the previous composition untouched. Scan jobs re-run
-//! `simulate_streaming` over each session's retained window and demux
-//! per-tenant events through [`ComposedPlan::tenant_matches`].
+//! refusal leaves the previous composition untouched. The certificate
+//! proves each tenant's slot range bit-identical to its verified solo
+//! plan, so a scan job feeds the bytes a session accepted since its last
+//! scan, once, through that session's own resumable bank run
+//! ([`rap_pipeline::PlanStream`]) over its solo plan: no other tenant's
+//! arrays, no byte twice.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -21,8 +24,8 @@ use rap_admit::{AdmissionAnalysis, AdmitOptions, ComposedPlan};
 use rap_bound::BoundOptions;
 use rap_diag::Location;
 use rap_pipeline::{PatternSet, Pipeline, VerifiedPlan};
-use rap_sim::{max_match_span, MatchEvent, Simulator};
-use rap_telemetry::Telemetry;
+use rap_sim::{BankMetrics, BankStats, Simulator};
+use rap_telemetry::{Counter, Gauge, Telemetry};
 
 use crate::config::ServeConfig;
 use crate::metrics::ServeMetrics;
@@ -72,10 +75,15 @@ impl fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// One shard's current certified composition and its derived budgets.
+///
+/// The scan plane never executes the composition: each session runs its
+/// own solo plan, which the certificate proves identical to its slot
+/// range. The composition sizes the budgets and anchors hot-swap analysis.
 pub(crate) struct Tenancy {
-    /// The verified composed plan the scan plane executes.
+    /// The verified composed plan admission certified (cached in the
+    /// pipeline's memory tier while it is resident).
     pub plan: Arc<VerifiedPlan>,
-    /// The demux certificate (per-tenant pattern ranges).
+    /// The co-residency certificate (per-tenant slot and pattern ranges).
     pub composed: ComposedPlan,
     /// Per-session intake budget in bytes: `queue_pages` ping-pong bank
     /// input windows per fabric bank.
@@ -102,9 +110,11 @@ pub(crate) struct Residency {
 
 /// Work items for a shard's scan thread.
 pub(crate) enum Job {
-    /// Re-scan a session's window (coalesced if already caught up).
+    /// Feed a session's newly accepted bytes (a no-op if an earlier scan
+    /// already took them).
     Scan(Arc<SessionInner>),
-    /// Final scan, then release the tenant's slot and recompose.
+    /// Final scan and end of the session's run, then release the
+    /// tenant's slot and recompose.
     Finish(Arc<SessionInner>),
     /// Exit the worker loop.
     Shutdown,
@@ -116,6 +126,10 @@ pub(crate) struct ShardInner {
     queue: Mutex<VecDeque<Job>>,
     ready: Condvar,
     pub residency: Mutex<Residency>,
+    /// `rap_serve_shard_bytes_scanned_total{shard}` and
+    /// `rap_serve_shard_sessions_active{shard}`, registered on first use.
+    bytes: OnceLock<Counter>,
+    sessions: OnceLock<Gauge>,
 }
 
 impl ShardInner {
@@ -128,7 +142,18 @@ impl ShardInner {
                 tenants: Vec::new(),
                 tenancy: None,
             }),
+            bytes: OnceLock::new(),
+            sessions: OnceLock::new(),
         }
+    }
+
+    fn bytes_scanned(&self, metrics: &ServeMetrics) -> &Counter {
+        self.bytes.get_or_init(|| metrics.shard_bytes(self.id))
+    }
+
+    fn sessions_active(&self, metrics: &ServeMetrics) -> &Gauge {
+        self.sessions
+            .get_or_init(|| metrics.shard_sessions(self.id))
     }
 
     pub fn enqueue(&self, job: Job) {
@@ -173,6 +198,9 @@ pub(crate) struct Shared {
     /// Serializes registrations so duplicate-name checks and shard
     /// selection never need to hold two residency locks at once.
     registration: Mutex<()>,
+    /// The `rap_sim_*` bank cells of the served machine, registered at
+    /// the first scan.
+    bank: OnceLock<BankMetrics>,
 }
 
 impl Shared {
@@ -211,12 +239,28 @@ impl Shared {
 
     /// Re-runs admission over a shard's residents. Replaces the tenancy
     /// only on success; a refusal or stage failure leaves the previous
-    /// certified composition (and its running sessions) untouched.
+    /// certified composition (and its running sessions) untouched. The
+    /// replaced composition is resident nowhere any more, so it leaves
+    /// the plan cache's memory tier (a disk tier keeps it).
     fn recompose(&self, residency: &mut Residency) -> Result<(), ServeError> {
-        if residency.tenants.is_empty() {
-            residency.tenancy = None;
-            return Ok(());
+        let tenancy = if residency.tenants.is_empty() {
+            None
+        } else {
+            Some(Arc::new(self.certify(residency)?))
+        };
+        let replaced = std::mem::replace(&mut residency.tenancy, tenancy);
+        if let Some(old) = replaced {
+            let key = old.plan.compiled().key();
+            let current = residency.tenancy.as_ref().map(|t| t.plan.compiled().key());
+            if current != Some(key) {
+                self.pipeline.evict_plan(key);
+            }
         }
+        Ok(())
+    }
+
+    /// Admits a shard's residents and derives the composition's budgets.
+    fn certify(&self, residency: &Residency) -> Result<Tenancy, ServeError> {
         let sim = self.simulator();
         let tenants: Vec<(&str, &Simulator, &PatternSet)> = residency
             .tenants
@@ -263,14 +307,13 @@ impl Shared {
         let input_budget =
             (self.config.queue_pages * u64::from(admission.analysis.banks) * window).max(1);
         let events_budget = (self.config.queue_pages * bounds.bank.output_fifo_records).max(1);
-        residency.tenancy = Some(Arc::new(Tenancy {
+        Ok(Tenancy {
             plan,
             composed,
             input_budget,
             events_budget,
             banks: admission.analysis.banks,
-        }));
-        Ok(())
+        })
     }
 
     /// Whether any shard hosts a tenant under `name` (momentary
@@ -343,29 +386,19 @@ impl Shared {
             }
             residency.tenants.len()
         };
-        // Solo plan (cache-shared with the admission run above) for the
-        // session's anchoring flags and certified match span.
+        // The session streams through its solo plan (cache-shared with
+        // the admission run above); its run is built at the first scan.
         let sim = self.simulator();
         let solo = self
             .pipeline
             .plan(&sim, patterns, None)
             .map_err(|e| ServeError::Pipeline(e.to_string()))?;
-        let images = solo.compiled().images();
-        let anchored_end: Vec<bool> = images.iter().map(|img| img.anchored_end()).collect();
-        let anchored_start = images.iter().any(|img| img.anchored_start());
-        let span = max_match_span(images);
-        let inner = Arc::new(SessionInner::new(
-            name,
-            Arc::clone(shard),
-            anchored_end,
-            anchored_start,
-            span,
-        ));
+        let inner = Arc::new(SessionInner::new(name, Arc::clone(shard), solo));
         self.metrics.sessions_admitted.inc();
         let active = self.active.fetch_add(1, Ordering::Relaxed) + 1;
         self.metrics.sessions_active.set(active);
-        self.metrics
-            .shard_sessions(shard.id)
+        shard
+            .sessions_active(&self.metrics)
             .set(resident_count as u64);
         self.metrics
             .register_ns
@@ -421,7 +454,7 @@ impl Shared {
             match_base: None,
             slot: None,
         };
-        let arch = tenancy.plan.mapping().config.arch;
+        let arch = tenancy.composed.mapping.config.arch;
         let analysis = rap_swap::analyze_swap(
             &tenancy.composed,
             &outgoing_name,
@@ -504,6 +537,7 @@ impl Server {
             active: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
             registration: Mutex::new(()),
+            bank: OnceLock::new(),
         });
         let workers = shared
             .shards
@@ -679,134 +713,97 @@ fn worker(shared: &Arc<Shared>, shard: &Arc<ShardInner>) {
     }
 }
 
-struct Snapshot {
-    window: Vec<u8>,
-    trim: usize,
-    global_len: usize,
-    scanned_len: usize,
-    watermark: usize,
-}
-
-/// Re-scans a session's retained window through the shard's composed
-/// plan and delivers the fresh demuxed events. `fin` runs the final
-/// scan, which additionally delivers `$`-anchored matches.
+/// Feeds the bytes a session accepted since its last scan through the
+/// session's run (built here at the first scan) and delivers the fresh
+/// events. `fin` also ends the run, delivering the `$`-anchored matches
+/// at the stream's end. A scan with no new bytes and no such match is a
+/// no-op and is not counted.
 fn scan(shared: &Arc<Shared>, shard: &Arc<ShardInner>, session: &Arc<SessionInner>, fin: bool) {
-    let snapshot = {
-        let st = session.lock();
+    let bytes = {
+        let mut st = session.lock();
         if st.drained {
             return;
         }
-        let caught_up = st.scanned_len == st.global_len;
-        // Coalesce: a queued scan whose bytes were already covered by a
-        // later batch is a no-op. The final scan still runs when any
-        // pattern is `$`-anchored (those matches only surface at EOS).
-        let has_anchored_end = session.anchored_end.iter().any(|&a| a);
-        if caught_up && !(fin && has_anchored_end && st.global_len > 0) {
-            return;
-        }
-        Snapshot {
-            window: st.history.clone(),
-            trim: st.trim,
-            global_len: st.global_len,
-            scanned_len: st.scanned_len,
-            watermark: st.watermark,
-        }
+        std::mem::take(&mut st.intake)
     };
-    let Some(tenancy) = shard.tenancy() else {
-        // No certified composition (pathological mid-teardown state):
-        // mark the bytes covered so waiters make progress.
-        let mut st = session.lock();
-        st.scanned_len = st.global_len;
-        session.cv.notify_all();
+    if bytes.is_empty() && !fin {
         return;
-    };
-    let Some(index) = tenancy
-        .composed
-        .tenants
-        .iter()
-        .position(|t| t.name == session.name)
-    else {
-        let mut st = session.lock();
-        st.scanned_len = st.global_len;
-        session.cv.notify_all();
-        return;
-    };
+    }
     let start = Instant::now();
-    let (result, stats) = tenancy.plan.simulate_streaming(&snapshot.window);
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-    // Demux, globalize, and keep only events past the delivery
-    // watermark. `$`-anchored matches survive the simulator only at
-    // window end; they are deferred to the final scan, where the window
-    // end is the true end of stream.
-    let mine = tenancy.composed.tenant_matches(index, &result.matches);
-    let fresh: Vec<MatchEvent> = mine
-        .into_iter()
-        .filter_map(|m| {
-            let end = m.end + snapshot.trim;
-            let anchored = session.anchored_end[m.pattern];
-            let deliver = if fin {
-                end > snapshot.watermark || anchored
-            } else {
-                end > snapshot.watermark && !anchored
-            };
-            deliver.then_some(MatchEvent {
-                pattern: m.pattern,
-                end,
+    let (fresh, stats) = {
+        let mut slot = session.run.lock().expect("session run poisoned");
+        let mut fresh = Vec::new();
+        if !bytes.is_empty() {
+            fresh = slot
+                .get_or_insert_with(|| session.plan.stream())
+                .feed(&bytes);
+        }
+        let stats = if fin {
+            slot.take().map(|run| {
+                let (tail, _, stats) = run.finish();
+                fresh.extend(tail);
+                stats
             })
-        })
-        .collect();
-    let bytes_delta = (snapshot.global_len - snapshot.scanned_len) as u64;
-    let over_events_budget = {
+        } else {
+            slot.as_ref().map(rap_pipeline::PlanStream::stats)
+        };
+        (fresh, stats)
+    };
+    let elapsed_ns = start.elapsed().as_nanos() as u64;
+    if bytes.is_empty() && fresh.is_empty() {
+        // A finish with nothing left to feed and no `$` match at the end.
+        return;
+    }
+    let stats = stats.expect("a scan that fed bytes or ended a run has its stats");
+    let events_budget = shard.tenancy().map_or(u64::MAX, |t| t.events_budget);
+    let (over_events_budget, bank) = {
         let mut st = session.lock();
         st.events.extend(fresh.iter().copied());
-        st.watermark = snapshot.global_len;
-        st.scanned_len = st.scanned_len.max(snapshot.global_len);
-        st.stats.bytes_scanned += bytes_delta;
+        st.scanned_len += bytes.len();
+        st.stats.bytes_scanned += bytes.len() as u64;
         st.stats.scans += 1;
         st.stats.matches_delivered += fresh.len() as u64;
-        st.stats.output_interrupts += stats.output_interrupts;
-        // Trim the retained window to the certified match span. Only
-        // sound when the span is finite and no pattern is `^`-anchored
-        // (anchored matches depend on absolute position, not content).
-        if !session.anchored_start {
-            if let Some(span) = session.span {
-                let keep_from = snapshot.global_len.saturating_sub(span);
-                let cut = keep_from.saturating_sub(st.trim);
-                if cut > 0 {
-                    st.history.drain(..cut);
-                    st.trim += cut;
-                }
-            }
-        }
-        let over = st.events.len() as u64 > tenancy.events_budget;
+        // The registry counts this scan's share of the run's totals.
+        let bank = BankStats {
+            output_interrupts: stats.output_interrupts - st.stats.output_interrupts,
+            output_backpressure: stats.output_backpressure - st.output_backpressure,
+            ..stats
+        };
+        st.stats.output_interrupts += bank.output_interrupts;
+        st.output_backpressure += bank.output_backpressure;
+        let over = st.events.len() as u64 > events_budget;
         let first = over && !st.flagged.backpressure;
         if over {
             st.stats.backpressure_events += 1;
             st.flagged.backpressure = true;
         }
         session.cv.notify_all();
-        first
+        (first, bank)
     };
     if over_events_budget {
         shared.metrics.backpressure_events.inc();
         shared.finding(
             Rule::SessionBackpressure,
             format!(
-                "tenant {:?} exceeded its certified event-queue budget ({} records)",
-                session.name, tenancy.events_budget
+                "tenant {:?} exceeded its certified event-queue budget ({events_budget} records)",
+                session.name
             ),
         );
     }
+    let bytes_delta = bytes.len() as u64;
     shared.metrics.bytes_scanned.add(bytes_delta);
-    shared.metrics.shard_bytes(shard.id).add(bytes_delta);
+    shard.bytes_scanned(&shared.metrics).add(bytes_delta);
     shared.metrics.chunks_scanned.inc();
     shared.metrics.matches_delivered.add(fresh.len() as u64);
-    shared
-        .metrics
-        .tenant_matches(&session.name)
+    session
+        .matches
+        .get_or_init(|| shared.metrics.tenant_matches(&session.name))
         .add(fresh.len() as u64);
     shared.metrics.scan_ns.record(elapsed_ns);
-    rap_sim::record_bank_stats(&shared.telemetry, shared.config.machine, &stats);
+    shared
+        .bank
+        .get_or_init(|| BankMetrics::on(shared.telemetry.registry(), shared.config.machine))
+        .record(&bank);
 }
 
 /// Releases a drained session's slot and recomposes the remainder.
@@ -820,8 +817,8 @@ fn release(shared: &Arc<Shared>, shard: &Arc<ShardInner>, session: &Arc<SessionI
         let mut residency = shard.residency.lock().expect("shard residency poisoned");
         residency.tenants.retain(|t| t.name != session.name);
         if let Err(error) = shared.recompose(&mut residency) {
-            // Keep the departing composition: the remaining sessions'
-            // demux ranges stay valid, the departed arrays just idle.
+            // Keep the departing composition: it still covers every
+            // remaining tenant, and the departed slots just idle.
             shared.finding(
                 Rule::AdmissionRejected,
                 format!(
@@ -834,10 +831,7 @@ fn release(shared: &Arc<Shared>, shard: &Arc<ShardInner>, session: &Arc<SessionI
     };
     let active = shared.active.fetch_sub(1, Ordering::Relaxed) - 1;
     shared.metrics.sessions_active.set(active);
-    shared
-        .metrics
-        .shard_sessions(shard.id)
-        .set(remaining as u64);
+    shard.sessions_active(&shared.metrics).set(remaining as u64);
     {
         let mut st = session.lock();
         st.drained = true;

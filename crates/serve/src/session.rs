@@ -2,18 +2,21 @@
 //! and graceful drain.
 //!
 //! A [`Session`] is the producer side of one tenant stream. Chunks are
-//! appended to a retained history window under the session lock; the
-//! shard worker re-scans the window through the composed plan and
-//! delivers the demuxed, globalized match events back into the
-//! session's event queue. Both directions are budgeted by quantities
-//! certified at admission time (see `Tenancy` in the server module).
+//! appended to the session's intake under the session lock; the shard
+//! worker takes every byte accepted since the last scan, feeds it once
+//! through the session's own resumable bank run over its verified solo
+//! plan, and delivers the fresh match events back into the session's
+//! event queue. Both directions are budgeted by quantities certified at
+//! admission time (see `Tenancy` in the server module).
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
+use rap_pipeline::{PlanStream, VerifiedPlan};
 use rap_sim::MatchEvent;
+use rap_telemetry::Counter;
 
 use crate::rules::Rule;
 use crate::server::{Job, ServeError, ShardInner, Shared};
@@ -49,28 +52,26 @@ pub struct SessionStats {
     pub scans: u64,
     /// Match events delivered to this session's queue.
     pub matches_delivered: u64,
-    /// Host output interrupts raised by the bank model while scanning
-    /// this session's batches.
+    /// Host output interrupts raised by the bank model on this session's
+    /// own arrays.
     pub output_interrupts: u64,
 }
 
 /// Mutable stream state, guarded by the session mutex.
 pub(crate) struct StreamState {
-    /// Retained input window; global offset of `history[0]` is `trim`.
-    pub history: Vec<u8>,
-    /// Global offset of the first retained byte.
-    pub trim: usize,
+    /// Bytes accepted since the last scan took its batch.
+    pub intake: Vec<u8>,
     /// Total bytes accepted (global stream length).
     pub global_len: usize,
     /// Bytes covered by completed scans.
     pub scanned_len: usize,
-    /// Delivery watermark: events ending at or before this global
-    /// offset have already been delivered.
-    pub watermark: usize,
     /// Delivered-but-undrained match events (global `end` offsets).
     pub events: VecDeque<MatchEvent>,
     /// Session counters.
     pub stats: SessionStats,
+    /// Output-FIFO backpressure events of the session's run already added
+    /// to the registry (its interrupts are `stats.output_interrupts`).
+    pub output_backpressure: u64,
     /// The producer called `finish` (or dropped the handle).
     pub finished: bool,
     /// The worker completed the final scan and released the slot.
@@ -91,13 +92,12 @@ pub(crate) struct Flagged {
 impl StreamState {
     fn new() -> StreamState {
         StreamState {
-            history: Vec::new(),
-            trim: 0,
+            intake: Vec::new(),
             global_len: 0,
             scanned_len: 0,
-            watermark: 0,
             events: VecDeque::new(),
             stats: SessionStats::default(),
+            output_backpressure: 0,
             finished: false,
             drained: false,
             flagged: Flagged::default(),
@@ -116,37 +116,33 @@ pub(crate) struct SessionInner {
     pub name: String,
     /// The hosting shard.
     pub shard: Arc<ShardInner>,
-    /// Per-pattern `$`-anchoring: such matches are only valid at end of
-    /// stream, so delivery defers them to the final scan.
-    pub anchored_end: Vec<bool>,
-    /// Whether any pattern is `^`-anchored (disables window trimming —
-    /// anchored matches are position-dependent, not content-determined).
-    pub anchored_start: bool,
-    /// Certified match-span bound; `None` (cyclic automaton) disables
-    /// window trimming.
-    pub span: Option<usize>,
+    /// The tenant's verified solo plan: the arrays the admission
+    /// certificate proves identical to its slot range of the shard's
+    /// composition.
+    pub plan: Arc<VerifiedPlan>,
     /// Stream state.
     pub state: Mutex<StreamState>,
     /// Signalled on scan completion and drain.
     pub cv: Condvar,
+    /// The session's resumable bank run over `plan`: built by the shard
+    /// worker at the first scan, finished and dropped when the session
+    /// drains. Only the worker locks it.
+    pub run: Mutex<Option<PlanStream>>,
+    /// `rap_serve_tenant_matches_delivered_total{tenant}`, registered at
+    /// the first scan.
+    pub matches: OnceLock<Counter>,
 }
 
 impl SessionInner {
-    pub fn new(
-        name: &str,
-        shard: Arc<ShardInner>,
-        anchored_end: Vec<bool>,
-        anchored_start: bool,
-        span: Option<usize>,
-    ) -> SessionInner {
+    pub fn new(name: &str, shard: Arc<ShardInner>, plan: Arc<VerifiedPlan>) -> SessionInner {
         SessionInner {
             name: name.to_string(),
             shard,
-            anchored_end,
-            anchored_start,
-            span,
+            plan,
             state: Mutex::new(StreamState::new()),
             cv: Condvar::new(),
+            run: Mutex::new(None),
+            matches: OnceLock::new(),
         }
     }
 
@@ -221,7 +217,7 @@ impl Session {
                 st.flagged.shed = true;
                 (SendOutcome::Shed, first_bp, first_shed)
             } else {
-                st.history.extend_from_slice(chunk);
+                st.intake.extend_from_slice(chunk);
                 st.global_len += chunk.len();
                 st.stats.chunks_sent += 1;
                 st.stats.bytes_sent += chunk.len() as u64;
@@ -297,9 +293,10 @@ impl Session {
         }
     }
 
-    /// Ends the stream: runs the final scan (delivering `$`-anchored
-    /// matches), releases the tenant's slot, and blocks until the drain
-    /// completes. Idempotent.
+    /// Ends the stream: scans the last accepted bytes, finishes the run
+    /// (delivering the `$`-anchored matches at the stream's end),
+    /// releases the tenant's slot, and blocks until the drain completes.
+    /// Idempotent.
     pub fn finish(&self) {
         let enqueue = {
             let mut st = self.inner.lock();

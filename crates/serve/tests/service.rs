@@ -231,6 +231,110 @@ fn telemetry_counters_track_the_ops_surface() {
     }
 }
 
+/// The value of one Prometheus series (`name{labels}`) in `text`.
+fn series(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("{name} missing from exposition"))
+        .parse()
+        .expect("integer sample")
+}
+
+#[test]
+fn prometheus_series_add_up_to_the_sessions() {
+    let telemetry = Arc::new(Telemetry::default());
+    let pipeline = Pipeline::new(small_spec()).with_telemetry(Arc::clone(&telemetry));
+    let server = Server::new(
+        pipeline,
+        ServeConfig {
+            shards: 2,
+            queue_pages: 8,
+            ..ServeConfig::default()
+        },
+    );
+    // Every byte matches `[ab]`: the bank output buffer overflows into
+    // host interrupts.
+    let flood = server
+        .register("flood", &patterns(&["[ab]"]))
+        .expect("admits");
+    let quiet = server
+        .register("quiet", &patterns(&["zz"]))
+        .expect("admits");
+    assert_ne!(flood.shard(), quiet.shard());
+    for _ in 0..4 {
+        flood.send(&b"ab".repeat(60)).expect("open");
+        quiet.send(b"zzz").expect("open");
+        flood.wait_idle();
+        quiet.wait_idle();
+    }
+    flood.finish();
+    quiet.finish();
+    let (f, q) = (flood.stats(), quiet.stats());
+    assert_eq!((f.matches_delivered, q.matches_delivered), (480, 11));
+    assert!(f.output_interrupts > 0, "expected interrupts: {f:?}");
+    let prom = server.prometheus();
+    for (session, stats) in [(&flood, &f), (&quiet, &q)] {
+        assert_eq!(
+            series(
+                &prom,
+                &format!(
+                    "rap_serve_tenant_matches_delivered_total{{tenant=\"{}\"}}",
+                    session.tenant()
+                )
+            ),
+            stats.matches_delivered
+        );
+        assert_eq!(
+            series(
+                &prom,
+                &format!(
+                    "rap_serve_shard_bytes_scanned_total{{shard=\"{}\"}}",
+                    session.shard()
+                )
+            ),
+            stats.bytes_scanned
+        );
+    }
+    let machine = server.config().machine.to_string();
+    assert_eq!(
+        series(
+            &prom,
+            &format!("rap_sim_output_interrupts_total{{machine=\"{machine}\"}}")
+        ),
+        f.output_interrupts + q.output_interrupts
+    );
+    assert_eq!(
+        series(&prom, "rap_serve_chunks_scanned_total"),
+        f.scans + q.scans
+    );
+    assert_eq!(f.scans, 4, "one scan per chunk, none for a bare finish");
+}
+
+#[test]
+fn churn_keeps_only_solo_plans_and_live_compositions_cached() {
+    let server = server(2, 8);
+    let set = |i: usize| patterns(&[&format!("churn{i}x")]);
+    // Four tenants stay resident while twenty more churn through; every
+    // join and leave recomposes a shard.
+    let mut live: std::collections::VecDeque<_> = (0..4)
+        .map(|i| server.register(&format!("t{i}"), &set(i)).expect("admits"))
+        .collect();
+    for i in 4..24 {
+        let leaving = live.pop_front().expect("four live");
+        leaving.send(b"a churn line").expect("open");
+        leaving.finish();
+        live.push_back(server.register(&format!("t{i}"), &set(i)).expect("admits"));
+    }
+    // 24 distinct solo plans, plus the composition of each occupied shard.
+    let shards: std::collections::BTreeSet<usize> = live.iter().map(|s| s.shard()).collect();
+    assert_eq!(shards.len(), 2);
+    assert_eq!(server.pipeline().cached_plans(), 24 + 2);
+    for session in &live {
+        session.finish();
+    }
+    assert_eq!(server.pipeline().cached_plans(), 24);
+}
+
 #[test]
 fn warm_registration_compiles_nothing() {
     let dir = std::env::temp_dir().join(format!(

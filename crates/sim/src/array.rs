@@ -73,17 +73,18 @@ pub(crate) struct ArrayObservation {
 }
 
 /// One array, lowered to its kernel.
-pub(crate) enum Array<'a> {
+pub(crate) enum Array {
     /// NFA or NBVA tiles.
-    Tile(Box<TileArray<'a>>),
+    Tile(Box<TileArray>),
     /// LNFA bins.
     Chain(Box<ChainArray>),
 }
 
-impl<'a> Array<'a> {
+impl Array {
     /// Lowers an array plan. Only per-state bookkeeping happens here;
-    /// crossbar rows and match columns are lowered on demand.
-    pub(crate) fn new(compiled: &'a [Compiled], plan: &ArrayPlan, cost: &CostModel) -> Array<'a> {
+    /// crossbar rows and match columns are lowered on demand, from the
+    /// `compiled` images every [`Array::tick`] is handed.
+    pub(crate) fn new(compiled: &[Compiled], plan: &ArrayPlan, cost: &CostModel) -> Array {
         let tiles = plan.tiles_used as usize;
         match &plan.kind {
             ArrayKind::Nfa { placements } => Array::Tile(Box::new(TileArray::new(
@@ -121,16 +122,18 @@ impl<'a> Array<'a> {
     /// Advances one clock cycle. When not stalled, `byte` must be the next
     /// input symbol and `offset` its 0-based position; matches ending this
     /// cycle are appended to `out` (one per placed pattern or chain). When
-    /// stalled, `byte` is ignored.
+    /// stalled, `byte` is ignored. `compiled` must be the images the array
+    /// was built from: rows of first activations are lowered from them.
     pub(crate) fn tick(
         &mut self,
+        compiled: &[Compiled],
         byte: Option<u8>,
         offset: usize,
         meter: &mut EnergyMeter,
         out: &mut Vec<MatchEvent>,
     ) {
         match self {
-            Array::Tile(a) => a.tick(byte, offset, meter, out),
+            Array::Tile(a) => a.tick(compiled, byte, offset, meter, out),
             Array::Chain(a) => a.step(byte.expect("LNFA arrays never stall"), offset, meter, out),
         }
     }
@@ -171,14 +174,15 @@ impl<'a> Array<'a> {
 /// summary at the end. Probing only observes — energy, cycles, and
 /// matches are identical with and without it.
 pub(crate) fn run_array(
-    sim: &mut Array<'_>,
+    sim: &mut Array,
+    compiled: &[Compiled],
     input: &[u8],
     meter: &mut EnergyMeter,
     mut probe: Option<(&mut SimProbe, u32)>,
 ) -> ArrayOutcome {
     let mut cycles = 0u64;
     let mut matches = Vec::new();
-    let mut step = |sim: &mut Array<'_>,
+    let mut step = |sim: &mut Array,
                     byte: Option<u8>,
                     offset: usize,
                     cycles: &mut u64,
@@ -195,7 +199,7 @@ pub(crate) fn run_array(
                 });
             }
         }
-        sim.tick(byte, offset, meter, matches);
+        sim.tick(compiled, byte, offset, meter, matches);
         *cycles += 1;
     };
     for (offset, &byte) in input.iter().enumerate() {
@@ -386,7 +390,7 @@ struct VectorState {
 
 /// NFA/NBVA array (§2.2, §3.1): every tile searches and routes every
 /// cycle; an NBVA array additionally stalls through bit-vector phases.
-pub(crate) struct TileArray<'a> {
+pub(crate) struct TileArray {
     cost: CostModel,
     tiles: Vec<Tile>,
     /// Per tile: the next cycle's candidates, routed by the crossbar; after
@@ -394,10 +398,11 @@ pub(crate) struct TileArray<'a> {
     reach: Vec<u128>,
     /// Pattern index of every placement.
     patterns: Vec<usize>,
-    /// Per state slot (`tile * 128 + bit`): placement, successors, and the
-    /// offset of its placement's states in [`TileArray::state_slot`].
+    /// Per state slot (`tile * 128 + bit`): placement, state index in its
+    /// pattern's image, and the offset of its placement's states in
+    /// [`TileArray::state_slot`].
     slot_placement: Vec<u32>,
-    slot_succ: Vec<&'a [StateId]>,
+    slot_state: Vec<u32>,
     slot_base: Vec<u32>,
     /// Per slot: index of its BV state in [`TileArray::vectors`] (empty in
     /// an NFA array).
@@ -425,14 +430,14 @@ pub(crate) struct TileArray<'a> {
     phase_levels: Vec<u64>,
 }
 
-impl<'a> TileArray<'a> {
+impl TileArray {
     fn new(
-        compiled: &'a [Compiled],
+        compiled: &[Compiled],
         placements: &[Placement],
         tiles: usize,
         stall_per_phase: Option<u64>,
         cost: CostModel,
-    ) -> TileArray<'a> {
+    ) -> TileArray {
         let slots = tiles * TILE_BITS;
         let mut a = TileArray {
             cost,
@@ -440,7 +445,7 @@ impl<'a> TileArray<'a> {
             reach: vec![0; tiles],
             patterns: placements.iter().map(|p| p.pattern).collect(),
             slot_placement: vec![0; slots],
-            slot_succ: vec![&[]; slots],
+            slot_state: vec![0; slots],
             slot_base: vec![0; slots],
             slot_vector: Vec::new(),
             state_slot: Vec::new(),
@@ -466,14 +471,14 @@ impl<'a> TileArray<'a> {
             let (initial, anchored_start) = match (&compiled[p.pattern], stall_per_phase) {
                 (Compiled::Nfa(img), None) => {
                     for (q, s) in img.nfa.states().iter().enumerate() {
-                        let (tile, bit) = a.place(&mut used, i, base, p.state_tile[q], &s.succ);
+                        let (tile, bit) = a.place(&mut used, i, base, p.state_tile[q], q);
                         a.add_plain(tile, bit, s.cc, s.is_final);
                     }
                     (img.nfa.initial(), img.nfa.anchored_start())
                 }
                 (Compiled::Nbva(img), Some(_)) => {
                     for (q, s) in img.nbva.states().iter().enumerate() {
-                        let (tile, bit) = a.place(&mut used, i, base, p.state_tile[q], &s.succ);
+                        let (tile, bit) = a.place(&mut used, i, base, p.state_tile[q], q);
                         match s.kind {
                             StateKind::Plain => a.add_plain(tile, bit, s.cc, s.is_final),
                             StateKind::Bv { width, read } => {
@@ -517,22 +522,22 @@ impl<'a> TileArray<'a> {
             for i in 0..a.vectors.len() {
                 let slot = a.vectors[i].slot;
                 a.slot_vector[slot] = i as u32;
-                a.lower(slot);
+                a.lower(compiled, slot);
             }
         }
         a
     }
 
-    /// Gives the next free slot of `tile` to a state of `placement` (whose
-    /// states start at `base` in [`TileArray::state_slot`]) with successors
-    /// `succ`; returns the tile and the slot's bit.
+    /// Gives the next free slot of `tile` to state `state` of `placement`
+    /// (whose states start at `base` in [`TileArray::state_slot`]); returns
+    /// the tile and the slot's bit.
     fn place(
         &mut self,
         used: &mut [usize],
         placement: usize,
         base: usize,
         tile: u32,
-        succ: &'a [StateId],
+        state: usize,
     ) -> (usize, u128) {
         let tile = tile as usize;
         assert!(
@@ -543,7 +548,7 @@ impl<'a> TileArray<'a> {
         used[tile] += 1;
         self.state_slot.push(slot as u32);
         self.slot_placement[slot] = placement as u32;
-        self.slot_succ[slot] = succ;
+        self.slot_state[slot] = state as u32;
         self.slot_base[slot] = base as u32;
         (tile, 1u128 << (slot % TILE_BITS))
     }
@@ -556,12 +561,13 @@ impl<'a> TileArray<'a> {
     }
 
     /// Lowers the crossbar row of the state in `slot` from its successor
-    /// list.
-    fn lower(&mut self, slot: usize) {
+    /// list in `compiled`.
+    fn lower(&mut self, compiled: &[Compiled], slot: usize) {
         let tile = slot / TILE_BITS;
         let start = self.links.len();
         let mut local = 0u128;
-        for &succ in self.slot_succ[slot] {
+        let image = &compiled[self.patterns[self.slot_placement[slot] as usize]];
+        for &succ in successors(image, self.slot_state[slot] as usize) {
             let target = self.state_slot[self.slot_base[slot] as usize + succ as usize] as usize;
             let (t, bit) = (target / TILE_BITS, 1u128 << (target % TILE_BITS));
             if t == tile {
@@ -586,6 +592,7 @@ impl<'a> TileArray<'a> {
 
     fn tick(
         &mut self,
+        compiled: &[Compiled],
         byte: Option<u8>,
         offset: usize,
         meter: &mut EnergyMeter,
@@ -643,7 +650,7 @@ impl<'a> TileArray<'a> {
             attention |= next & (tile.finals | !tile.lowered) != 0;
         }
         if attention {
-            self.attend(offset, out);
+            self.attend(compiled, offset, out);
         }
         if self.consumed == 1 {
             // `^`-anchored initial states arm on the first byte only.
@@ -658,7 +665,7 @@ impl<'a> TileArray<'a> {
 
     /// Reports the final states that just activated and lowers the rows of
     /// first activations.
-    fn attend(&mut self, offset: usize, out: &mut Vec<MatchEvent>) {
+    fn attend(&mut self, compiled: &[Compiled], offset: usize, out: &mut Vec<MatchEvent>) {
         for t in 0..self.tiles.len() {
             let Tile {
                 active,
@@ -676,7 +683,7 @@ impl<'a> TileArray<'a> {
             while fresh != 0 {
                 let slot = t * TILE_BITS + fresh.trailing_zeros() as usize;
                 fresh &= fresh - 1;
-                self.lower(slot);
+                self.lower(compiled, slot);
             }
         }
     }
@@ -780,6 +787,15 @@ impl<'a> TileArray<'a> {
         charge_levels(meter, Category::Controller, &self.powered, |p| {
             controller_pj(cost, p)
         });
+    }
+}
+
+/// Successors of state `q` of a tile-kernel (NFA or NBVA) image.
+fn successors(image: &Compiled, q: usize) -> &[StateId] {
+    match image {
+        Compiled::Nfa(img) => &img.nfa.states()[q].succ,
+        Compiled::Nbva(img) => &img.nbva.states()[q].succ,
+        Compiled::Lnfa(_) => unreachable!("LNFA images run on the chain kernel"),
     }
 }
 
@@ -1059,7 +1075,7 @@ mod tests {
         let cost = CostModel::for_machine(Machine::Rap);
         let mut meter = EnergyMeter::new();
         let mut sim = Array::new(compiled, plan, &cost);
-        run_array(&mut sim, input, &mut meter, probe)
+        run_array(&mut sim, compiled, input, &mut meter, probe)
     }
 
     #[test]
@@ -1105,7 +1121,7 @@ mod tests {
         let words = |w: fn(&Tile) -> u128| tile.tiles.iter().map(w).collect::<Vec<_>>();
         assert_eq!(words(|w| w.lowered), vec![0, 0b01]);
         assert_eq!(words(|w| w.cross), vec![0, 0]);
-        run_array(&mut sim, b"x", &mut meter, None);
+        run_array(&mut sim, &compiled, b"x", &mut meter, None);
         // `x` activated: its row routes to the BV state on tile 1 through
         // the global crossbar.
         let Array::Tile(tile) = &sim else {

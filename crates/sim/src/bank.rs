@@ -19,17 +19,34 @@
 //! The result carries the same [`RunResult`] as the batch path (byte-
 //! identical matches) plus [`BankStats`] — stalls, starvation, buffer
 //! occupancy, interrupts — for studying the buffering itself.
+//!
+//! The bank is resumable: a [`StreamRun`] owns the lane state between
+//! calls, [`StreamRun::feed`] streams the next chunk and returns its
+//! matches at global offsets, and [`StreamRun::finish`] returns the
+//! `$`-anchored matches at the stream's end with the run's totals.
+//! [`simulate_streaming`] is one feed of the whole input plus the finish.
+//!
+//! * Matches are identical for any chunking of the input: the feeds'
+//!   events followed by the finish's equal [`simulate_streaming`]'s.
+//! * Cycles and [`BankStats`] of a chunked run differ from a one-shot
+//!   run's, because each feed runs until every array has consumed the
+//!   chunk and drained its own stalls, and the host then collects the
+//!   buffered reports; a one-shot run is bit-identical to a single feed.
+//! * The scan service runs one `StreamRun` per session over the tenant's
+//!   solo plan, so its `SessionStats::output_interrupts` counts only the
+//!   session's own lanes.
 
 use crate::array::Array;
 use crate::cost::CostModel;
 use crate::result::{MatchEvent, RunResult};
+use crate::BankMetrics;
 use rap_arch::buffers::Fifo;
 use rap_arch::config::ArchConfig;
 use rap_circuit::energy::Category;
 use rap_circuit::{EnergyMeter, Machine, Metrics};
 use rap_compiler::Compiled;
 use rap_mapper::Mapping;
-use rap_telemetry::{ProbeEvent, Telemetry};
+use rap_telemetry::{ProbeEvent, Registry, SimProbe, Telemetry};
 
 /// Buffer-hierarchy statistics from one streaming run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -56,8 +73,8 @@ pub struct BankStats {
 }
 
 /// Per-array streaming state.
-struct ArrayLane<'a> {
-    sim: Array<'a>,
+struct ArrayLane {
+    sim: Array,
     input_fifo: Fifo<(usize, u8)>,
     output_fifo: Fifo<MatchEvent>,
     /// Next input byte index the arbiter will fetch for this lane.
@@ -72,7 +89,362 @@ struct ArrayLane<'a> {
     pending: Vec<MatchEvent>,
 }
 
-/// Streams `input` through the bank buffer hierarchy.
+/// A traced run's probe and the registry its totals land in.
+struct Trace {
+    probe: SimProbe,
+    registry: Registry,
+}
+
+/// A resumable run of the bank buffer hierarchy: the lanes (array
+/// kernels and FIFOs), the bank output buffer, the energy meter and the
+/// statistics live here between calls, so a stream can be fed chunk by
+/// chunk and every byte is simulated once.
+///
+/// The run is handed the compiled images on every [`StreamRun::feed`]:
+/// the kernels keep state indices and lower a crossbar row from the
+/// images on its state's first activation. They must be the images the
+/// run was built from.
+pub struct StreamRun {
+    machine: Machine,
+    cost: CostModel,
+    /// Patterns in the plan (checked against every feed's images).
+    patterns: usize,
+    /// Arrays in the mapping and their area, for the leakage and metrics.
+    arrays: usize,
+    area_mm2: f64,
+    /// Ping-pong bank input window in bytes.
+    window: usize,
+    lanes: Vec<ArrayLane>,
+    bank_output: Fifo<MatchEvent>,
+    meter: EnergyMeter,
+    /// Bytes fed so far: the global offset of the next chunk's first byte.
+    len: usize,
+    cycles: u64,
+    interrupts: u64,
+    backpressure: u64,
+    max_skew: usize,
+    max_input_fifo_bytes: u64,
+    max_output_fifo_records: u64,
+    /// Matches handed out by the feeds so far.
+    delivered: u64,
+    /// `$`-anchored matches ending at `len`: they count only if the
+    /// stream ends there.
+    tail: Vec<MatchEvent>,
+    trace: Option<Trace>,
+}
+
+impl StreamRun {
+    /// Opens a run of the bank over a mapped workload, at stream offset 0.
+    ///
+    /// The mapping must have passed the verify gate, exactly as for the
+    /// batch [`crate::simulate`] entry point; debug builds assert this at
+    /// the door.
+    pub fn new(compiled: &[Compiled], mapping: &Mapping, machine: Machine) -> StreamRun {
+        StreamRun::open(compiled, mapping, machine, None)
+    }
+
+    fn open(
+        compiled: &[Compiled],
+        mapping: &Mapping,
+        machine: Machine,
+        trace: Option<Trace>,
+    ) -> StreamRun {
+        crate::debug_assert_verified(compiled, mapping);
+        let arch = ArchConfig::default();
+        let cost = CostModel::for_machine(machine);
+        let lanes = mapping
+            .arrays
+            .iter()
+            .map(|plan| ArrayLane {
+                sim: Array::new(compiled, plan, &cost),
+                input_fifo: Fifo::new(arch.array_input_entries as usize),
+                output_fifo: Fifo::new(arch.array_output_entries as usize),
+                fetch_pos: 0,
+                consumed: 0,
+                stalled_cycles: 0,
+                starved_cycles: 0,
+                produced: 0,
+                pending: Vec::new(),
+            })
+            .collect();
+        StreamRun {
+            machine,
+            cost,
+            patterns: compiled.len(),
+            arrays: mapping.arrays.len(),
+            area_mm2: cost.area_mm2(mapping),
+            window: 2 * arch.bank_input_entries as usize, // ping-pong pages
+            lanes,
+            bank_output: Fifo::new(arch.bank_output_entries as usize),
+            meter: EnergyMeter::new(),
+            len: 0,
+            cycles: 0,
+            interrupts: 0,
+            backpressure: 0,
+            max_skew: 0,
+            max_input_fifo_bytes: 0,
+            max_output_fifo_records: 0,
+            delivered: 0,
+            tail: Vec::new(),
+            trace,
+        }
+    }
+
+    /// Streams the next `chunk` through the bank until every array has
+    /// consumed it and left its bit-vector phase, then collects every
+    /// report still buffered. Returns the chunk's matches, sorted by
+    /// `(end, pattern)` at global stream offsets, except the `$`-anchored
+    /// ones: those are held back for [`StreamRun::finish`], which hands
+    /// out the ones at the stream's end.
+    pub fn feed(&mut self, compiled: &[Compiled], chunk: &[u8]) -> Vec<MatchEvent> {
+        assert_eq!(
+            compiled.len(),
+            self.patterns,
+            "a run must be fed the images it was built from"
+        );
+        let base = self.len;
+        let end = base + chunk.len();
+        self.len = end;
+        let mut collected: Vec<MatchEvent> = Vec::new();
+        let lanes = &mut self.lanes;
+        let done =
+            |lanes: &[ArrayLane]| lanes.iter().all(|l| l.consumed == end && !l.sim.stalled());
+
+        while !lanes.is_empty() && !done(lanes) {
+            self.cycles += 1;
+            let cycles = self.cycles;
+            // The bank window: DMA cannot recycle a page until every array
+            // has drained it, so the slowest lane bounds everyone's fetch
+            // range.
+            let min_consumed = lanes.iter().map(|l| l.consumed).min().unwrap_or(0);
+            let max_consumed = lanes.iter().map(|l| l.consumed).max().unwrap_or(0);
+            self.max_skew = self.max_skew.max(max_consumed - min_consumed);
+            let fetch_limit = (min_consumed + self.window).min(end);
+
+            if let Some(Trace { probe, .. }) = self.trace.as_mut() {
+                if (cycles - 1).is_multiple_of(u64::from(probe.sample_every())) {
+                    probe.push(ProbeEvent::Bank {
+                        cycle: cycles - 1,
+                        min_consumed: min_consumed as u64,
+                        max_consumed: max_consumed as u64,
+                        input_fifo_bytes: lanes.iter().map(|l| l.input_fifo.len() as u64).sum(),
+                        output_fifo_records: lanes
+                            .iter()
+                            .map(|l| l.output_fifo.len() as u64)
+                            .sum::<u64>()
+                            + self.bank_output.len() as u64,
+                        interrupts: self.interrupts,
+                    });
+                    for (index, lane) in lanes.iter().enumerate() {
+                        let obs = lane.sim.observe();
+                        probe.push(ProbeEvent::Array {
+                            cycle: cycles - 1,
+                            array: index as u32,
+                            active_states: obs.active_states,
+                            powered_tiles: obs.powered_tiles,
+                            stalled: lane.sim.stalled(),
+                        });
+                    }
+                }
+            }
+
+            for lane in lanes.iter_mut() {
+                // Polling arbiter: one byte per lane per cycle into its FIFO.
+                if !lane.input_fifo.is_full() && lane.fetch_pos < fetch_limit {
+                    lane.input_fifo
+                        .push((lane.fetch_pos, chunk[lane.fetch_pos - base]))
+                        .unwrap_or_else(|_| unreachable!("checked not full"));
+                    lane.fetch_pos += 1;
+                }
+                // Array cycle.
+                let pending_before = lane.pending.len();
+                if lane.sim.stalled() {
+                    lane.sim.tick(
+                        compiled,
+                        None,
+                        lane.consumed,
+                        &mut self.meter,
+                        &mut lane.pending,
+                    );
+                    lane.stalled_cycles += 1;
+                } else if let Some(&(offset, byte)) = lane.input_fifo.front() {
+                    lane.input_fifo.pop();
+                    lane.sim.tick(
+                        compiled,
+                        Some(byte),
+                        offset,
+                        &mut self.meter,
+                        &mut lane.pending,
+                    );
+                    lane.consumed = offset + 1;
+                } else if lane.consumed < end {
+                    lane.starved_cycles += 1;
+                }
+                lane.produced += (lane.pending.len() - pending_before) as u64;
+                // Reports: pending → array output FIFO (2-deep).
+                while let Some(&event) = lane.pending.first() {
+                    match lane.output_fifo.push(event) {
+                        Ok(()) => {
+                            lane.pending.remove(0);
+                        }
+                        Err(_) => {
+                            self.backpressure += 1;
+                            break;
+                        }
+                    }
+                }
+            }
+            // Bus: one report per lane per cycle into the bank output buffer.
+            for lane in lanes.iter_mut() {
+                if let Some(event) = lane.output_fifo.pop() {
+                    if self.bank_output.is_full() {
+                        // Interrupt: the host drains the whole buffer (§3.3).
+                        self.interrupts += 1;
+                        while let Some(e) = self.bank_output.pop() {
+                            collected.push(e);
+                        }
+                    }
+                    self.bank_output
+                        .push(event)
+                        .unwrap_or_else(|_| unreachable!("just drained"));
+                    self.meter.charge(Category::Buffer, self.cost.buffer_pj);
+                }
+            }
+            // FIFO high-water marks, under the same occupancy definitions as
+            // the cycle-sampled probe above (but tracked every cycle).
+            let input_occupancy: u64 = lanes.iter().map(|l| l.input_fifo.len() as u64).sum();
+            let output_occupancy: u64 = lanes
+                .iter()
+                .map(|l| l.output_fifo.len() as u64)
+                .sum::<u64>()
+                + self.bank_output.len() as u64;
+            self.max_input_fifo_bytes = self.max_input_fifo_bytes.max(input_occupancy);
+            self.max_output_fifo_records = self.max_output_fifo_records.max(output_occupancy);
+        }
+        // The host collects every report still buffered.
+        for lane in lanes.iter_mut() {
+            collected.append(&mut lane.pending);
+            while let Some(e) = lane.output_fifo.pop() {
+                collected.push(e);
+            }
+        }
+        while let Some(e) = self.bank_output.pop() {
+            collected.push(e);
+        }
+        collected.sort_unstable_by_key(|m| (m.end, m.pattern));
+        collected.dedup();
+        // `$`-anchored patterns report only at the stream's end: hold back
+        // the ones ending here, and drop the held ones the chunk overtook.
+        if !chunk.is_empty() {
+            self.tail.clear();
+        }
+        let tail = &mut self.tail;
+        collected.retain(|m| {
+            if !compiled[m.pattern].anchored_end() {
+                return true;
+            }
+            if m.end == end {
+                tail.push(*m);
+            }
+            false
+        });
+        self.delivered += collected.len() as u64;
+        collected
+    }
+
+    /// The buffer-hierarchy statistics accumulated so far.
+    pub fn stats(&self) -> BankStats {
+        BankStats {
+            stall_cycles: self.lanes.iter().map(|l| l.stalled_cycles).collect(),
+            starved_cycles: self.lanes.iter().map(|l| l.starved_cycles).collect(),
+            max_skew: self.max_skew,
+            output_interrupts: self.interrupts,
+            output_backpressure: self.backpressure,
+            max_input_fifo_bytes: self.max_input_fifo_bytes,
+            max_output_fifo_records: self.max_output_fifo_records,
+        }
+    }
+
+    /// Ends the stream where the feeds left it. Returns the `$`-anchored
+    /// matches at the stream's end, the run's [`RunResult`] and its
+    /// [`BankStats`]. The result's `metrics.matches` counts every match of
+    /// the run, but its `matches` list is empty: the feeds and this call
+    /// already handed every event out.
+    pub fn finish(self) -> (Vec<MatchEvent>, RunResult, BankStats) {
+        let stats = self.stats();
+        let StreamRun {
+            machine,
+            cost,
+            arrays,
+            area_mm2,
+            lanes,
+            mut meter,
+            len,
+            cycles,
+            delivered,
+            tail,
+            trace,
+            ..
+        } = self;
+        // Activity-scaled energy, then leakage, as in the batch path.
+        for lane in &lanes {
+            lane.sim.settle(&mut meter);
+        }
+        let runtime_s = cycles as f64 / cost.clock_hz;
+        let powered: u64 = lanes.iter().map(|l| l.sim.powered_tile_cycles()).sum();
+        let mut leak_w = cost.bank_overhead_leak_w(arrays as u32);
+        leak_w += cost.array_leak_w * arrays as f64;
+        let tile_leak_j = cost.tile_leak_w * (powered as f64 / cost.clock_hz);
+        meter.charge(Category::Leakage, (leak_w * runtime_s + tile_leak_j) * 1e12);
+
+        let metrics = Metrics {
+            input_chars: len as u64,
+            cycles,
+            clock_hz: cost.clock_hz,
+            energy_uj: meter.total_uj(),
+            area_mm2,
+            matches: delivered + tail.len() as u64,
+        };
+        let result = RunResult {
+            machine,
+            metrics,
+            energy: meter,
+            matches: Vec::new(),
+            stall_cycles: stats.stall_cycles.iter().sum(),
+        };
+        if let Some(Trace {
+            mut probe,
+            registry,
+        }) = trace
+        {
+            for (index, lane) in lanes.iter().enumerate() {
+                probe.push(ProbeEvent::ArrayEnd {
+                    array: index as u32,
+                    // A lane is busy for each consumed byte plus each stall
+                    // cycle; starved cycles are idle waiting, not work.
+                    cycles: lane.consumed as u64 + lane.stalled_cycles,
+                    stall_cycles: lane.stalled_cycles,
+                    powered_tile_cycles: lane.sim.powered_tile_cycles(),
+                    matches: lane.produced,
+                });
+            }
+            probe.push(ProbeEvent::RunEnd {
+                input_bytes: len as u64,
+                cycles,
+                stall_cycles: result.stall_cycles,
+                powered_tile_cycles: powered,
+                matches: result.metrics.matches,
+            });
+            probe.finish();
+            crate::record_run_metrics(&registry, &result, powered);
+            BankMetrics::on(&registry, machine).record(&stats);
+        }
+        (tail, result, stats)
+    }
+}
+
+/// Streams `input` through the bank buffer hierarchy: one
+/// [`StreamRun::feed`] of the whole input, then [`StreamRun::finish`].
 ///
 /// The mapping must have passed the verify gate, exactly as for the batch
 /// [`crate::simulate`] entry point; debug builds assert this at the door.
@@ -86,7 +458,7 @@ pub fn simulate_streaming(
     input: &[u8],
     machine: Machine,
 ) -> (RunResult, BankStats) {
-    simulate_streaming_inner(compiled, mapping, input, machine, None)
+    one_shot(StreamRun::new(compiled, mapping, machine), compiled, input)
 }
 
 /// Like [`simulate_streaming`], with cycle-sampled probe events (per-lane
@@ -101,226 +473,22 @@ pub fn simulate_streaming_traced(
     telemetry: &Telemetry,
     label: &str,
 ) -> (RunResult, BankStats) {
-    simulate_streaming_inner(compiled, mapping, input, machine, Some((telemetry, label)))
+    let trace = Trace {
+        probe: telemetry.probe(label),
+        registry: telemetry.registry().clone(),
+    };
+    let run = StreamRun::open(compiled, mapping, machine, Some(trace));
+    one_shot(run, compiled, input)
 }
 
-fn simulate_streaming_inner(
-    compiled: &[Compiled],
-    mapping: &Mapping,
-    input: &[u8],
-    machine: Machine,
-    telemetry: Option<(&Telemetry, &str)>,
-) -> (RunResult, BankStats) {
-    crate::debug_assert_verified(compiled, mapping);
-    let arch = ArchConfig::default();
-    let cost = CostModel::for_machine(machine);
-    let mut meter = EnergyMeter::new();
-    let mut lanes: Vec<ArrayLane<'_>> = mapping
-        .arrays
-        .iter()
-        .map(|plan| ArrayLane {
-            sim: Array::new(compiled, plan, &cost),
-            input_fifo: Fifo::new(arch.array_input_entries as usize),
-            output_fifo: Fifo::new(arch.array_output_entries as usize),
-            fetch_pos: 0,
-            consumed: 0,
-            stalled_cycles: 0,
-            starved_cycles: 0,
-            produced: 0,
-            pending: Vec::new(),
-        })
-        .collect();
-    let window = 2 * arch.bank_input_entries as usize; // ping-pong pages
-    let mut bank_output: Fifo<MatchEvent> = Fifo::new(arch.bank_output_entries as usize);
-    let mut collected: Vec<MatchEvent> = Vec::new();
-    let mut cycles: u64 = 0;
-    let mut interrupts: u64 = 0;
-    let mut backpressure: u64 = 0;
-    let mut max_skew = 0usize;
-    let mut max_input_fifo_bytes = 0u64;
-    let mut max_output_fifo_records = 0u64;
-    let mut probe = telemetry.map(|(tel, label)| tel.probe(label));
-
-    let done = |lanes: &[ArrayLane<'_>]| {
-        lanes
-            .iter()
-            .all(|l| l.consumed == input.len() && !l.sim.stalled())
-    };
-
-    while !lanes.is_empty() && !done(&lanes) {
-        cycles += 1;
-        // The bank window: DMA cannot recycle a page until every array has
-        // drained it, so the slowest lane bounds everyone's fetch range.
-        let min_consumed = lanes.iter().map(|l| l.consumed).min().unwrap_or(0);
-        let max_consumed = lanes.iter().map(|l| l.consumed).max().unwrap_or(0);
-        max_skew = max_skew.max(max_consumed - min_consumed);
-        let fetch_limit = (min_consumed + window).min(input.len());
-
-        if let Some(probe) = probe.as_mut() {
-            if (cycles - 1).is_multiple_of(u64::from(probe.sample_every())) {
-                probe.push(ProbeEvent::Bank {
-                    cycle: cycles - 1,
-                    min_consumed: min_consumed as u64,
-                    max_consumed: max_consumed as u64,
-                    input_fifo_bytes: lanes.iter().map(|l| l.input_fifo.len() as u64).sum(),
-                    output_fifo_records: lanes
-                        .iter()
-                        .map(|l| l.output_fifo.len() as u64)
-                        .sum::<u64>()
-                        + bank_output.len() as u64,
-                    interrupts,
-                });
-                for (index, lane) in lanes.iter().enumerate() {
-                    let obs = lane.sim.observe();
-                    probe.push(ProbeEvent::Array {
-                        cycle: cycles - 1,
-                        array: index as u32,
-                        active_states: obs.active_states,
-                        powered_tiles: obs.powered_tiles,
-                        stalled: lane.sim.stalled(),
-                    });
-                }
-            }
-        }
-
-        for lane in lanes.iter_mut() {
-            // Polling arbiter: one byte per lane per cycle into its FIFO.
-            if !lane.input_fifo.is_full() && lane.fetch_pos < fetch_limit {
-                lane.input_fifo
-                    .push((lane.fetch_pos, input[lane.fetch_pos]))
-                    .unwrap_or_else(|_| unreachable!("checked not full"));
-                lane.fetch_pos += 1;
-            }
-            // Array cycle.
-            let pending_before = lane.pending.len();
-            if lane.sim.stalled() {
-                lane.sim
-                    .tick(None, lane.consumed, &mut meter, &mut lane.pending);
-                lane.stalled_cycles += 1;
-            } else if let Some(&(offset, byte)) = lane.input_fifo.front() {
-                lane.input_fifo.pop();
-                lane.sim
-                    .tick(Some(byte), offset, &mut meter, &mut lane.pending);
-                lane.consumed = offset + 1;
-            } else if lane.consumed < input.len() {
-                lane.starved_cycles += 1;
-            }
-            lane.produced += (lane.pending.len() - pending_before) as u64;
-            // Reports: pending → array output FIFO (2-deep).
-            while let Some(&event) = lane.pending.first() {
-                match lane.output_fifo.push(event) {
-                    Ok(()) => {
-                        lane.pending.remove(0);
-                    }
-                    Err(_) => {
-                        backpressure += 1;
-                        break;
-                    }
-                }
-            }
-        }
-        // Bus: one report per lane per cycle into the bank output buffer.
-        for lane in lanes.iter_mut() {
-            if let Some(event) = lane.output_fifo.pop() {
-                if bank_output.is_full() {
-                    // Interrupt: the host drains the whole buffer (§3.3).
-                    interrupts += 1;
-                    while let Some(e) = bank_output.pop() {
-                        collected.push(e);
-                    }
-                }
-                bank_output
-                    .push(event)
-                    .unwrap_or_else(|_| unreachable!("just drained"));
-                meter.charge(Category::Buffer, cost.buffer_pj);
-            }
-        }
-        // FIFO high-water marks, under the same occupancy definitions as
-        // the cycle-sampled probe above (but tracked every cycle).
-        let input_occupancy: u64 = lanes.iter().map(|l| l.input_fifo.len() as u64).sum();
-        let output_occupancy: u64 = lanes
-            .iter()
-            .map(|l| l.output_fifo.len() as u64)
-            .sum::<u64>()
-            + bank_output.len() as u64;
-        max_input_fifo_bytes = max_input_fifo_bytes.max(input_occupancy);
-        max_output_fifo_records = max_output_fifo_records.max(output_occupancy);
+fn one_shot(mut run: StreamRun, compiled: &[Compiled], input: &[u8]) -> (RunResult, BankStats) {
+    let mut matches = run.feed(compiled, input);
+    let (tail, mut result, stats) = run.finish();
+    if !tail.is_empty() {
+        matches.extend(tail);
+        matches.sort_unstable_by_key(|m| (m.end, m.pattern));
     }
-    // Final drain.
-    for lane in lanes.iter_mut() {
-        collected.append(&mut lane.pending);
-        while let Some(e) = lane.output_fifo.pop() {
-            collected.push(e);
-        }
-    }
-    while let Some(e) = bank_output.pop() {
-        collected.push(e);
-    }
-    collected.sort_unstable_by_key(|m| (m.end, m.pattern));
-    collected.dedup();
-    // `$`-anchored patterns report only at the stream's end.
-    collected.retain(|m| !compiled[m.pattern].anchored_end() || m.end == input.len());
-
-    // Activity-scaled energy, then leakage, as in the batch path.
-    for lane in &lanes {
-        lane.sim.settle(&mut meter);
-    }
-    let runtime_s = cycles as f64 / cost.clock_hz;
-    let powered: u64 = lanes.iter().map(|l| l.sim.powered_tile_cycles()).sum();
-    let mut leak_w = cost.bank_overhead_leak_w(mapping.arrays.len() as u32);
-    leak_w += cost.array_leak_w * mapping.arrays.len() as f64;
-    let tile_leak_j = cost.tile_leak_w * (powered as f64 / cost.clock_hz);
-    meter.charge(Category::Leakage, (leak_w * runtime_s + tile_leak_j) * 1e12);
-
-    let stats = BankStats {
-        stall_cycles: lanes.iter().map(|l| l.stalled_cycles).collect(),
-        starved_cycles: lanes.iter().map(|l| l.starved_cycles).collect(),
-        max_skew,
-        output_interrupts: interrupts,
-        output_backpressure: backpressure,
-        max_input_fifo_bytes,
-        max_output_fifo_records,
-    };
-    let metrics = Metrics {
-        input_chars: input.len() as u64,
-        cycles,
-        clock_hz: cost.clock_hz,
-        energy_uj: meter.total_uj(),
-        area_mm2: cost.area_mm2(mapping),
-        matches: collected.len() as u64,
-    };
-    let result = RunResult {
-        machine,
-        metrics,
-        energy: meter,
-        matches: collected,
-        stall_cycles: stats.stall_cycles.iter().sum(),
-    };
-    if let Some(mut probe) = probe {
-        for (index, lane) in lanes.iter().enumerate() {
-            probe.push(ProbeEvent::ArrayEnd {
-                array: index as u32,
-                // A lane is busy for each consumed byte plus each stall
-                // cycle; starved cycles are idle waiting, not work.
-                cycles: lane.consumed as u64 + lane.stalled_cycles,
-                stall_cycles: lane.stalled_cycles,
-                powered_tile_cycles: lane.sim.powered_tile_cycles(),
-                matches: lane.produced,
-            });
-        }
-        probe.push(ProbeEvent::RunEnd {
-            input_bytes: input.len() as u64,
-            cycles,
-            stall_cycles: result.stall_cycles,
-            powered_tile_cycles: powered,
-            matches: result.metrics.matches,
-        });
-        probe.finish();
-    }
-    if let Some((tel, _)) = telemetry {
-        crate::record_run_metrics(tel, &result, powered);
-        crate::record_bank_stats(tel, machine, &stats);
-    }
+    result.matches = matches;
     (result, stats)
 }
 
@@ -416,6 +584,36 @@ mod tests {
             stats.output_interrupts > 0,
             "expected interrupts: {stats:?}"
         );
+    }
+
+    #[test]
+    fn dollar_matches_wait_for_the_stream_end() {
+        let sim = Simulator::new(Machine::Rap);
+        let patterns = [rap_regex::parse_pattern("abc$").expect("parses")];
+        let compiled = sim.compile_parsed(&patterns).expect("compiles");
+        let mapping = sim.map(&compiled);
+        let end_after = |chunks: &[&[u8]]| {
+            let mut run = StreamRun::new(&compiled, &mapping, Machine::Rap);
+            for chunk in chunks {
+                assert!(
+                    run.feed(&compiled, chunk).is_empty(),
+                    "a `$` match mid-stream"
+                );
+            }
+            let (tail, result, _) = run.finish();
+            assert_eq!(result.metrics.matches, tail.len() as u64);
+            tail
+        };
+        // A later chunk overtakes the held match; an empty one does not.
+        assert_eq!(
+            end_after(&[b"zzabc", b"zabc"]),
+            vec![MatchEvent { pattern: 0, end: 9 }]
+        );
+        assert_eq!(
+            end_after(&[b"zzabc", b""]),
+            vec![MatchEvent { pattern: 0, end: 5 }]
+        );
+        assert!(end_after(&[b"zzabc", b"z"]).is_empty());
     }
 
     #[test]

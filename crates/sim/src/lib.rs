@@ -32,7 +32,7 @@ pub mod reconfig;
 pub mod replicate;
 mod result;
 
-pub use bank::{simulate_streaming, simulate_streaming_traced, BankStats};
+pub use bank::{simulate_streaming, simulate_streaming_traced, BankStats, StreamRun};
 pub use cost::CostModel;
 pub use reconfig::{extract_arrays, pick_quiescence, simulate_hot_swap, Extraction, HotSwapRun};
 pub use replicate::{max_match_span, simulate_replicated, ReplicatedRun};
@@ -43,7 +43,7 @@ use rap_circuit::{EnergyMeter, Machine, Metrics};
 use rap_compiler::{CompileError, Compiled, Compiler, CompilerConfig, Mode};
 use rap_mapper::{map_workload, MapperConfig, Mapping};
 use rap_regex::Regex;
-use rap_telemetry::{ProbeEvent, Telemetry};
+use rap_telemetry::{Counter, Gauge, ProbeEvent, Registry, Telemetry};
 use std::fmt;
 use std::sync::Arc;
 
@@ -365,10 +365,9 @@ pub fn simulate_traced(
 
 /// Records one finished run's totals into the telemetry registry, labeled
 /// by machine. Shared by the batch and streaming paths.
-pub(crate) fn record_run_metrics(telemetry: &Telemetry, result: &RunResult, powered: u64) {
+pub(crate) fn record_run_metrics(reg: &Registry, result: &RunResult, powered: u64) {
     let machine = result.machine.to_string();
     let labels: [(&str, &str); 1] = [("machine", &machine)];
-    let reg = telemetry.registry();
     reg.counter("rap_sim_runs_total", &labels).inc();
     reg.counter("rap_sim_input_bytes_total", &labels)
         .add(result.metrics.input_chars);
@@ -382,25 +381,42 @@ pub(crate) fn record_run_metrics(telemetry: &Telemetry, result: &RunResult, powe
         .add(result.metrics.matches);
 }
 
-/// Records one streaming run's buffer-hierarchy stats into the telemetry
-/// registry, labeled by machine: output interrupts and backpressure as
-/// counters, FIFO high-water marks as max-tracking gauges. This is the
-/// Prometheus-visible face of [`BankStats`] — the scan service reads it
-/// as its backpressure signal.
-pub fn record_bank_stats(telemetry: &Telemetry, machine: Machine, stats: &BankStats) {
-    let machine = machine.to_string();
-    let labels: [(&str, &str); 1] = [("machine", &machine)];
-    let reg = telemetry.registry();
-    reg.counter("rap_sim_output_interrupts_total", &labels)
-        .add(stats.output_interrupts);
-    reg.counter("rap_sim_output_backpressure_total", &labels)
-        .add(stats.output_backpressure);
-    reg.gauge("rap_sim_input_fifo_hwm_bytes", &labels)
-        .set_max(stats.max_input_fifo_bytes);
-    reg.gauge("rap_sim_output_fifo_hwm_records", &labels)
-        .set_max(stats.max_output_fifo_records);
-    reg.gauge("rap_sim_bank_skew_hwm_bytes", &labels)
-        .set_max(stats.max_skew as u64);
+/// The Prometheus-visible face of [`BankStats`], one machine's handles on
+/// a registry: output interrupts and backpressure as counters, FIFO
+/// high-water marks as max-tracking gauges. The scan service keeps one
+/// set and reads it as its backpressure signal.
+#[derive(Clone, Debug)]
+pub struct BankMetrics {
+    interrupts: Counter,
+    backpressure: Counter,
+    input_fifo_hwm: Gauge,
+    output_fifo_hwm: Gauge,
+    skew_hwm: Gauge,
+}
+
+impl BankMetrics {
+    /// Registers (or recalls) `machine`'s bank cells on `reg`.
+    pub fn on(reg: &Registry, machine: Machine) -> BankMetrics {
+        let machine = machine.to_string();
+        let labels: [(&str, &str); 1] = [("machine", &machine)];
+        BankMetrics {
+            interrupts: reg.counter("rap_sim_output_interrupts_total", &labels),
+            backpressure: reg.counter("rap_sim_output_backpressure_total", &labels),
+            input_fifo_hwm: reg.gauge("rap_sim_input_fifo_hwm_bytes", &labels),
+            output_fifo_hwm: reg.gauge("rap_sim_output_fifo_hwm_records", &labels),
+            skew_hwm: reg.gauge("rap_sim_bank_skew_hwm_bytes", &labels),
+        }
+    }
+
+    /// Adds one run's (or one stretch of a run's) interrupts and
+    /// backpressure, and raises the high-water marks to its own.
+    pub fn record(&self, stats: &BankStats) {
+        self.interrupts.add(stats.output_interrupts);
+        self.backpressure.add(stats.output_backpressure);
+        self.input_fifo_hwm.set_max(stats.max_input_fifo_bytes);
+        self.output_fifo_hwm.set_max(stats.max_output_fifo_records);
+        self.skew_hwm.set_max(stats.max_skew as u64);
+    }
 }
 
 fn simulate_inner(
@@ -423,6 +439,7 @@ fn simulate_inner(
         let mut sim = array::Array::new(compiled, plan, &cost);
         let outcome = array::run_array(
             &mut sim,
+            compiled,
             input,
             &mut meter,
             probe.as_mut().map(|p| (p, index as u32)),
@@ -475,7 +492,7 @@ fn simulate_inner(
         probe.finish();
     }
     if let Some((tel, _)) = telemetry {
-        record_run_metrics(tel, &result, powered_tile_cycles);
+        record_run_metrics(tel.registry(), &result, powered_tile_cycles);
     }
     result
 }

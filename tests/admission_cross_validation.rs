@@ -212,10 +212,13 @@ mod interleaved_streaming {
     use rap::serve::{SendOutcome, ServeConfig, Server};
     use rap::Simulator;
 
-    /// Compile-safe sources over a tiny alphabet, including one
-    /// `$`-anchored pattern to exercise end-of-stream deferral.
-    const POOL: [&str; 9] = [
-        "abc", "a[ab]c", "ab", "ba+c", "c{3,9}a", "a.{2,6}b", "cab", "b[abc]a", "ca$",
+    /// Compile-safe sources over a tiny alphabet, including a
+    /// `$`-anchored pattern (end-of-stream deferral), a `^`-anchored one
+    /// (matches fixed to the stream's start) and an unbounded loop (a
+    /// match may span the whole stream).
+    const POOL: [&str; 11] = [
+        "abc", "a[ab]c", "ab", "ba+c", "c{3,9}a", "a.{2,6}b", "cab", "b[abc]a", "ca$", "^ab",
+        "a.*c",
     ];
 
     /// A tenant: 1–3 pool patterns, an input stream, and a cycle of
