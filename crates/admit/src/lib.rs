@@ -36,10 +36,10 @@
 
 use rap_analyze::{check_overlap, Overlap, SoundnessConfig};
 use rap_arch::config::ArchConfig;
-use rap_bound::{analyze_bounds, BoundAnalysis, BoundOptions};
+use rap_bound::{analyze_bounds, BankBound, BoundAnalysis, BoundOptions};
 use rap_compiler::Compiled;
 use rap_diag::{Location, RuleCode, Severity};
-use rap_mapper::{ArrayKind, ArrayPlan, MapperConfig, Mapping};
+use rap_mapper::{ArrayPlan, MapperConfig, Mapping};
 use rap_regex::Pattern;
 use rap_sim::MatchEvent;
 
@@ -283,44 +283,6 @@ impl AdmissionAnalysis {
     }
 }
 
-/// Rewrites one array plan's pattern indices into the composed
-/// namespace.
-fn offset_array(plan: &ArrayPlan, offset: usize) -> ArrayPlan {
-    let mut out = plan.clone();
-    match &mut out.kind {
-        ArrayKind::Nfa { placements } | ArrayKind::Nbva { placements, .. } => {
-            for p in placements {
-                p.pattern += offset;
-            }
-        }
-        ArrayKind::Lnfa { bins } => {
-            for bin in bins {
-                for m in &mut bin.members {
-                    m.pattern += offset;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Counter/BV columns one tenant's images occupy.
-fn bv_columns(images: &[Compiled]) -> u64 {
-    images
-        .iter()
-        .filter_map(|image| match image {
-            Compiled::Nbva(c) => Some(
-                c.bv_allocs
-                    .iter()
-                    .flatten()
-                    .map(|a| u64::from(a.columns))
-                    .sum::<u64>(),
-            ),
-            Compiled::Nfa(_) | Compiled::Lnfa(_) => None,
-        })
-        .sum()
-}
-
 /// Statically analyzes whether `tenants` can co-reside on one fabric of
 /// `arch`-shaped banks, and certifies the composition when they can.
 ///
@@ -505,8 +467,7 @@ pub fn admit(
             }
         }
         let shared = residents.len() > 1;
-        let capacity = u64::from(lanes) * u64::from(arch.array_output_entries)
-            + u64::from(arch.bank_output_entries);
+        let capacity = BankBound::new(u64::from(lanes), arch).output_fifo_records;
         let fanin_budget = u64::from(apb) * u64::from(arch.global_ports_per_tile);
         if shared && burst > capacity {
             report.push(
@@ -554,7 +515,11 @@ pub fn admit(
     }
 
     // S004: summed counter/BV columns against the fabric budget.
-    let total_bv: u64 = ordered.iter().map(|t| bv_columns(t.images)).sum();
+    let total_bv: u64 = ordered
+        .iter()
+        .flat_map(|t| t.images)
+        .map(Compiled::bv_columns)
+        .sum();
     let bv_budget = options.bv_column_budget.unwrap_or_else(|| {
         u64::from(slot_count) * u64::from(arch.tiles_per_array) * u64::from(arch.tile_columns)
     });
@@ -686,7 +651,7 @@ pub fn admit(
         let arrays: Vec<ArrayPlan> = occupancy
             .iter()
             .flatten()
-            .map(|&(c, a)| offset_array(&ordered[c].mapping.arrays[a], offsets[c]))
+            .map(|&(c, a)| ordered[c].mapping.arrays[a].remap_patterns(|p| p + offsets[c]))
             .collect();
         let config = MapperConfig {
             arch: *arch,
@@ -896,7 +861,8 @@ mod tests {
     fn bv_budget_exhaustion_is_rejected() {
         let config = MapperConfig::default();
         let a = owned("alpha", &["a[bc]{2,24}d"], &config);
-        assert!(bv_columns(&a.images) > 0, "workload allocates BV columns");
+        let columns: u64 = a.images.iter().map(Compiled::bv_columns).sum();
+        assert!(columns > 0, "workload allocates BV columns");
         let options = AdmitOptions {
             bv_column_budget: Some(0),
             ..AdmitOptions::default()
@@ -905,7 +871,7 @@ mod tests {
         assert!(!analysis.admitted());
         assert!(!analysis.report.by_rule(Rule::BvColumnsExhausted).is_empty());
         assert_eq!(analysis.bv_budget, 0);
-        assert_eq!(analysis.bv_columns, bv_columns(&a.images));
+        assert_eq!(analysis.bv_columns, columns);
     }
 
     #[test]

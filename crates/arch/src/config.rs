@@ -117,29 +117,6 @@ impl ArchConfig {
         self.try_bv_columns(bits, depth)
             .unwrap_or_else(|e| panic!("{e}"))
     }
-
-    /// Upper bound on the STE count a regex may use after unfolding in NBVA
-    /// mode (64528 in the paper — each of the 127 usable column groups can
-    /// compress `cam_rows` states, plus the CC column itself... the paper
-    /// derives 4064 × 15 + remainder; we expose the same headline figure as
-    /// a capacity check: states representable in one array).
-    pub fn max_nbva_unfolded_states(&self) -> u64 {
-        // One tile holds up to (tile_columns - 1) BV columns × cam_rows
-        // unfolded states plus its CC column; an array has tiles_per_array
-        // tiles, but BVs cannot span tiles, so the bound per regex is the
-        // array capacity with every tile maxed out.
-        u64::from(self.max_bv_bits()) * u64::from(self.tiles_per_array)
-            - u64::from(self.tiles_per_array - 1) * u64::from(self.cam_rows)
-    }
-
-    /// Ring hops between two tile indices on the LNFA ring (shortest
-    /// direction on the ring of `tiles_per_array` tiles).
-    pub fn ring_hops(&self, from_tile: u32, to_tile: u32) -> u32 {
-        let n = self.tiles_per_array;
-        assert!(from_tile < n && to_tile < n, "tile index out of range");
-        let d = from_tile.abs_diff(to_tile);
-        d.min(n - d)
-    }
 }
 
 #[cfg(test)]
@@ -195,22 +172,5 @@ mod tests {
         );
         assert_eq!(err.to_string(), "BV depth 64 outside 1..=32");
         assert!(c.try_bv_columns(16, 0).is_err());
-    }
-
-    #[test]
-    fn ring_distance_wraps() {
-        let c = ArchConfig::default();
-        assert_eq!(c.ring_hops(0, 1), 1);
-        assert_eq!(c.ring_hops(0, 15), 1); // wraps around
-        assert_eq!(c.ring_hops(2, 10), 8);
-        assert_eq!(c.ring_hops(5, 5), 0);
-    }
-
-    #[test]
-    fn nbva_capacity_scale() {
-        // The paper quotes "regexes with at most 64528 STEs after unfolding".
-        let c = ArchConfig::default();
-        let cap = c.max_nbva_unfolded_states();
-        assert_eq!(cap, 64544); // 4064×16 − 15×32; within 0.03% of the paper
     }
 }

@@ -316,7 +316,7 @@ fn main() {
             .composed
             .as_ref()
             .expect("admitted composition");
-        let execution = rap_swap::execute(plan, resident, &input, swap_at, Machine::Rap, None);
+        let execution = rap_swap::execute(plan, resident, &input, swap_at, Machine::Rap);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         if execution.observed_drain_cycles > plan.drain.cycles {

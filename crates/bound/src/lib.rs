@@ -33,6 +33,7 @@ pub mod interval;
 pub use interval::{counter_interval, Interval};
 
 use rap_analyze::{check_soundness, state_activity, SoundnessConfig, UnitActivity};
+use rap_arch::config::ArchConfig;
 use rap_automata::nbva::{ReadAction, StateKind};
 use rap_compiler::{Compiled, Mode};
 use rap_diag::{Location, RuleCode, Severity};
@@ -180,6 +181,20 @@ pub struct BankBound {
     pub max_skew: u64,
 }
 
+impl BankBound {
+    /// The occupancy bound of `lanes` array lanes sharing one bank of
+    /// `arch`'s buffer geometry: every FIFO full at once.
+    pub fn new(lanes: u64, arch: &ArchConfig) -> BankBound {
+        BankBound {
+            lanes,
+            input_fifo_bytes: lanes * u64::from(arch.array_input_entries),
+            output_fifo_records: lanes * u64::from(arch.array_output_entries)
+                + u64::from(arch.bank_output_entries),
+            max_skew: 2 * u64::from(arch.bank_input_entries),
+        }
+    }
+}
+
 /// The abstract value of one reachable NBVA counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CounterBound {
@@ -311,14 +326,7 @@ pub fn analyze_bounds(
         arrays.push(bound);
     }
 
-    let lanes = mapping.arrays.len() as u64;
-    let bank = BankBound {
-        lanes,
-        input_fifo_bytes: lanes * u64::from(arch.array_input_entries),
-        output_fifo_records: lanes * u64::from(arch.array_output_entries)
-            + u64::from(arch.bank_output_entries),
-        max_skew: 2 * u64::from(arch.bank_input_entries),
-    };
+    let bank = BankBound::new(mapping.arrays.len() as u64, arch);
     report.push(
         Rule::BankOccupancy,
         Rule::BankOccupancy.severity(),

@@ -106,14 +106,6 @@ impl EnergyMeter {
         self.total_pj() * 1e-6
     }
 
-    /// Adds every subtotal of `other` into `self`.
-    pub fn merge(&mut self, other: &EnergyMeter) {
-        for (category, pj) in other.iter() {
-            self.pj[category as usize] += pj;
-            self.charged |= 1 << category as u8;
-        }
-    }
-
     /// Iterates over the charged `(category, picojoules)` pairs in report
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (Category, f64)> + '_ {
@@ -145,18 +137,6 @@ mod tests {
         let mut m = EnergyMeter::new();
         m.charge(Category::BitVector, 2_000_000.0);
         assert!((m.total_uj() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_sums_categories() {
-        let mut a = EnergyMeter::new();
-        a.charge(Category::Wire, 1.0);
-        let mut b = EnergyMeter::new();
-        b.charge(Category::Wire, 2.0);
-        b.charge(Category::Leakage, 5.0);
-        a.merge(&b);
-        assert_eq!(a.category_pj(Category::Wire), 3.0);
-        assert_eq!(a.category_pj(Category::Leakage), 5.0);
     }
 
     #[test]

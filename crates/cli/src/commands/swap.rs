@@ -14,13 +14,14 @@ rap swap — certify a live tenant hot-swap on an admitted composition
 
 Admits the named resident suites onto one shared fabric, then runs the
 rap-swap static hot-swap analyzer for replacing the --out tenant with the
---in suite while the others keep streaming: footprint disjointness (Q001),
-bank/port interference deltas (Q002/Q003), counter-column budget (Q004),
-drain-bound certification (Q005), match-ID demux continuity (Q006),
-post-swap re-verification (Q007), and reconfiguration-cost overrun
-against the drain window (Q008). A certified swap prints the ReconfigPlan
-(drain bound, reconfiguration cost, slot assignment); a rejection lists
-the violated rules and exits non-zero.
+--in suite while the others keep streaming: footprint choice (Q001),
+drain-bound certification (Q005), a re-admission of the post-swap tenants
+with every staying tenant pinned to its slots and match IDs (placement
+Q001, bank/port interference Q002/Q003, counter-column budget Q004,
+match-ID demux continuity Q006), post-swap re-verification (Q007), and
+reconfiguration-cost overrun against the drain window (Q008). A certified
+swap prints the ReconfigPlan (drain bound, reconfiguration cost, slot
+assignment); a rejection lists the violated rules and exits non-zero.
 
 USAGE:
     rap swap <suite> [<suite>...] --out <suite> --in <suite> [FLAGS]

@@ -187,6 +187,20 @@ impl Compiled {
         }
     }
 
+    /// CAM columns the image's counter bit vectors occupy (0 outside NBVA
+    /// mode): what a fabric-wide counter/BV column budget is charged.
+    pub fn bv_columns(&self) -> u64 {
+        match self {
+            Compiled::Nbva(c) => c
+                .bv_allocs
+                .iter()
+                .flatten()
+                .map(|a| u64::from(a.columns))
+                .sum(),
+            Compiled::Nfa(_) | Compiled::Lnfa(_) => 0,
+        }
+    }
+
     /// Whether the image is `$`-anchored (reports only at stream end).
     pub fn anchored_end(&self) -> bool {
         match self {

@@ -130,6 +130,28 @@ impl ArrayPlan {
             }
         }
     }
+
+    /// A copy of this plan with every pattern index rewritten through
+    /// `remap` (moving an array between pattern namespaces, e.g. into or
+    /// out of a multi-tenant composition).
+    pub fn remap_patterns(&self, remap: impl Fn(usize) -> usize) -> ArrayPlan {
+        let mut out = self.clone();
+        match &mut out.kind {
+            ArrayKind::Nfa { placements } | ArrayKind::Nbva { placements, .. } => {
+                for p in placements {
+                    p.pattern = remap(p.pattern);
+                }
+            }
+            ArrayKind::Lnfa { bins } => {
+                for bin in bins {
+                    for m in &mut bin.members {
+                        m.pattern = remap(m.pattern);
+                    }
+                }
+            }
+        }
+        out
+    }
 }
 
 /// A complete mapping of a workload onto arrays.

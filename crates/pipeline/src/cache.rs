@@ -196,10 +196,14 @@ pub(crate) fn compose_key(parts: &[(&str, CacheKey)]) -> CacheKey {
 
 /// Derives the content address of a post-swap composed plan from the
 /// resident composition's key and the replacement tenant. Unlike
-/// [`compose_key`] this is order-*sensitive*: the certificate pins the
-/// replacement to the outgoing tenant's pattern window and match-ID
-/// base, so swapping different tenants of the same resident set yields
-/// different artifacts.
+/// [`compose_key`] this is order-*sensitive*: the certificate pins every
+/// staying tenant to its resident slots and match-ID range and the
+/// replacement to the outgoing tenant's match-ID base, so swapping
+/// different tenants of the same resident set yields different
+/// artifacts. The `pinned-readmission` tag names the certificate's
+/// layout (a pinned `rap_admit::admit` composition, patterns in
+/// tenant-name order), so a store holding certificates of another
+/// layout never answers for this one.
 pub(crate) fn swap_key(
     resident: CacheKey,
     outgoing: &str,
@@ -208,6 +212,7 @@ pub(crate) fn swap_key(
 ) -> CacheKey {
     let mut h = StableHasher::new();
     h.write_str("swap");
+    h.write_str("pinned-readmission");
     h.write(&resident.0.to_le_bytes());
     h.write_str(outgoing);
     h.write_str(incoming_name);
@@ -227,6 +232,22 @@ pub struct CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn swap_key_names_the_certificate_layout() {
+        // The same inputs hashed without the layout tag: a store written
+        // under that scheme must not answer for a pinned re-admission.
+        let (resident, incoming) = (CacheKey(1), CacheKey(2));
+        let mut untagged = StableHasher::new();
+        untagged.write_str("swap");
+        untagged.write(&resident.0.to_le_bytes());
+        untagged.write_str("bravo");
+        untagged.write_str("charlie");
+        untagged.write(&incoming.0.to_le_bytes());
+        let key = swap_key(resident, "bravo", "charlie", incoming);
+        assert_ne!(key, untagged.finish());
+        assert_ne!(key, swap_key(resident, "alpha", "charlie", incoming));
+    }
 
     #[test]
     fn fnv_vectors_are_stable() {

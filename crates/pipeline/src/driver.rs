@@ -482,7 +482,7 @@ impl Pipeline {
     /// keeps scanning. The replacement's solo plan is built (or
     /// recalled) through the ordinary cached plan path, then
     /// [`rap_swap::analyze_swap`] issues or refuses the certificate. On
-    /// certification the spliced post-swap composition re-enters the
+    /// certification the re-admitted post-swap composition re-enters the
     /// typed chain (assemble → map-from-parts → verify) and is
     /// cached/persisted under a swap-specific key derived from the
     /// resident composition's key and the replacement's.
@@ -490,7 +490,7 @@ impl Pipeline {
     /// # Errors
     ///
     /// Propagates the replacement's compile/verify failures, and
-    /// verification failure of the spliced plan itself (which would
+    /// verification failure of the post-swap plan itself (which would
     /// indicate a swap-analyzer soundness bug).
     ///
     /// # Panics
@@ -1023,7 +1023,7 @@ mod tests {
         let plan = outcome.plan.as_ref().expect("certified");
         let cert = outcome.analysis.plan.as_ref().expect("certified");
         assert!(cert.drain.cycles > 0);
-        // The cached artifact is the spliced composition, verified.
+        // The cached artifact is the re-admitted composition, verified.
         assert_eq!(plan.compiled().images().len(), cert.composed.images.len());
         let report = pipe.report();
         assert_eq!(report.swaps_certified, 1);

@@ -34,7 +34,7 @@ mod result;
 
 pub use bank::{simulate_streaming, simulate_streaming_traced, BankStats, StreamRun};
 pub use cost::CostModel;
-pub use reconfig::{extract_arrays, pick_quiescence, simulate_hot_swap, Extraction, HotSwapRun};
+pub use reconfig::{extract_arrays, simulate_hot_swap, Extraction, HotSwapRun};
 pub use replicate::{max_match_span, simulate_replicated, ReplicatedRun};
 pub use result::{MatchEvent, RunResult};
 

@@ -15,15 +15,12 @@
 //!
 //! The quiescence *window* — how long after the swap offset the retired
 //! arrays still hold live state — is observed from the drain segment's
-//! cycle count, and [`pick_quiescence`] recovers the same figure from
-//! the cycle-sampled telemetry probes when the caller prefers to
-//! schedule from the journal (the serve/bench layers do).
+//! cycle count.
 
 use rap_compiler::Compiled;
-use rap_mapper::{ArrayKind, ArrayPlan, Mapping};
-use rap_telemetry::{ProbeEvent, RunTrace, Telemetry};
+use rap_mapper::{ArrayPlan, Mapping};
 
-use crate::{simulate, simulate_traced, Machine, MatchEvent};
+use crate::{simulate, Machine, MatchEvent};
 
 /// A sub-workload carved out of a larger mapped plan: the chosen arrays
 /// with their pattern indices compacted, plus the translation table back
@@ -36,26 +33,6 @@ pub struct Extraction {
     pub mapping: Mapping,
     /// `patterns[new] = old`: translation back to the donor namespace.
     pub patterns: Vec<usize>,
-}
-
-/// Rewrites every pattern index in an array plan through `remap`.
-fn remap_array(plan: &ArrayPlan, remap: impl Fn(usize) -> usize) -> ArrayPlan {
-    let mut out = plan.clone();
-    match &mut out.kind {
-        ArrayKind::Nfa { placements } | ArrayKind::Nbva { placements, .. } => {
-            for p in placements {
-                p.pattern = remap(p.pattern);
-            }
-        }
-        ArrayKind::Lnfa { bins } => {
-            for bin in bins {
-                for m in &mut bin.members {
-                    m.pattern = remap(m.pattern);
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Carves the sub-plan consisting of `arrays` (indices into
@@ -81,7 +58,7 @@ pub fn extract_arrays(images: &[Compiled], mapping: &Mapping, arrays: &[usize]) 
     };
     let sub_arrays: Vec<ArrayPlan> = arrays
         .iter()
-        .map(|&a| remap_array(&mapping.arrays[a], remap))
+        .map(|&a| mapping.arrays[a].remap_patterns(remap))
         .collect();
     Extraction {
         images: old_patterns.iter().map(|&p| images[p].clone()).collect(),
@@ -109,17 +86,12 @@ pub struct HotSwapRun {
     /// Cycle at which the swap window closes: `swap_at` plus the
     /// observed drain.
     pub quiesce_cycle: u64,
-    /// Slowest segment's cycle count (the run's critical path).
-    pub cycles: u64,
 }
 
 /// Applies a certified swap mid-stream: the `retired` arrays of the
 /// pre-swap plan stop consuming at `swap_at` and drain, the remaining
 /// (stable) arrays scan the whole stream uninterrupted, and the `fresh`
-/// arrays of the post-swap plan attach at `swap_at`. When telemetry is
-/// attached, the three segments are traced under `label` with
-/// `-stable`/`-drain`/`-fresh` suffixes, so the cycle-sampled probes of
-/// the drain segment feed [`pick_quiescence`].
+/// arrays of the post-swap plan attach at `swap_at`.
 ///
 /// # Panics
 ///
@@ -136,25 +108,13 @@ pub fn simulate_hot_swap(
     input: &[u8],
     swap_at: usize,
     machine: Machine,
-    telemetry: Option<(&Telemetry, &str)>,
 ) -> HotSwapRun {
     assert!(swap_at <= input.len(), "swap offset beyond the stream");
-    let run_segment = |ex: &Extraction, segment: &[u8], suffix: &str| {
+    let run_segment = |ex: &Extraction, segment: &[u8]| {
         if ex.mapping.arrays.is_empty() {
             return Vec::new();
         }
-        let result = match telemetry {
-            Some((tel, label)) => simulate_traced(
-                &ex.images,
-                &ex.mapping,
-                segment,
-                machine,
-                tel,
-                &format!("{label}{suffix}"),
-            ),
-            None => simulate(&ex.images, &ex.mapping, segment, machine),
-        };
-        result
+        simulate(&ex.images, &ex.mapping, segment, machine)
             .matches
             .iter()
             .map(|m| MatchEvent {
@@ -171,26 +131,19 @@ pub fn simulate_hot_swap(
     let retired_ex = extract_arrays(pre_images, pre_mapping, retired);
     let fresh_ex = extract_arrays(post_images, post_mapping, fresh);
 
-    let mut pre_matches = run_segment(&stable_ex, input, "-stable");
-    let stable_cycles = input.len() as u64;
+    let mut pre_matches = run_segment(&stable_ex, input);
 
     // Drain segment: the retired arrays see the stream end at the swap
     // offset ($-anchored outgoing patterns report there — the drained
     // tenant's stream truly ends at the swap).
     let mut drain_cycles = 0u64;
     if !retired_ex.mapping.arrays.is_empty() {
-        let prefix = &input[..swap_at];
-        let result = match telemetry {
-            Some((tel, label)) => simulate_traced(
-                &retired_ex.images,
-                &retired_ex.mapping,
-                prefix,
-                machine,
-                tel,
-                &format!("{label}-drain"),
-            ),
-            None => simulate(&retired_ex.images, &retired_ex.mapping, prefix, machine),
-        };
+        let result = simulate(
+            &retired_ex.images,
+            &retired_ex.mapping,
+            &input[..swap_at],
+            machine,
+        );
         drain_cycles = result.metrics.cycles.saturating_sub(swap_at as u64);
         pre_matches.extend(result.matches.iter().map(|m| MatchEvent {
             pattern: retired_ex.patterns[m.pattern],
@@ -200,43 +153,18 @@ pub fn simulate_hot_swap(
     pre_matches.sort_unstable_by_key(|m| (m.end, m.pattern));
 
     // Fresh segment: globalize the suffix-relative end offsets.
-    let mut fresh_matches = run_segment(&fresh_ex, &input[swap_at..], "-fresh");
+    let mut fresh_matches = run_segment(&fresh_ex, &input[swap_at..]);
     for m in &mut fresh_matches {
         m.end += swap_at;
     }
     fresh_matches.sort_unstable_by_key(|m| (m.end, m.pattern));
 
-    let quiesce_cycle = swap_at as u64 + drain_cycles;
     HotSwapRun {
         pre_matches,
         fresh_matches,
         observed_drain_cycles: drain_cycles,
-        quiesce_cycle,
-        cycles: stable_cycles.max(quiesce_cycle),
+        quiesce_cycle: swap_at as u64 + drain_cycles,
     }
-}
-
-/// The quiescence scheduler's journal-side view: recovers the cycle at
-/// which every retired array went idle from the cycle-sampled probes of
-/// a hot swap's drain segment (the trace labeled `<label>-drain`).
-/// Returns `None` when no such trace (or no terminal event) exists —
-/// e.g. when the swap retired nothing or tracing was off.
-pub fn pick_quiescence(traces: &[RunTrace], label: &str) -> Option<u64> {
-    let want = format!("{label}-drain");
-    let mut quiesce: Option<u64> = None;
-    for trace in traces.iter().filter(|t| t.label == want) {
-        for event in &trace.events {
-            let cycle = match event {
-                ProbeEvent::ArrayEnd { cycles, .. } => Some(*cycles),
-                ProbeEvent::Array { cycle, .. } | ProbeEvent::Bank { cycle, .. } => Some(*cycle),
-                ProbeEvent::RunEnd { cycles, .. } => Some(*cycles),
-            };
-            if let Some(c) = cycle {
-                quiesce = Some(quiesce.map_or(c, |q| q.max(c)));
-            }
-        }
-    }
-    quiesce
 }
 
 #[cfg(test)]
@@ -288,7 +216,7 @@ mod tests {
         let first = mapping.arrays.len();
         mapping
             .arrays
-            .extend(b.1.arrays.iter().map(|p| remap_array(p, |i| i + offset)));
+            .extend(b.1.arrays.iter().map(|p| p.remap_patterns(|i| i + offset)));
         let second: Vec<usize> = (first..mapping.arrays.len()).collect();
         (images, mapping, second)
     }
@@ -309,7 +237,6 @@ mod tests {
             input,
             swap_at,
             Machine::Rap,
-            None,
         );
         // The stable pattern (pattern 0 on both sides) sees the whole
         // stream, bit-identically to an unswapped run.
@@ -329,32 +256,5 @@ mod tests {
         assert!(!run.fresh_matches.is_empty(), "beacon matches post-swap");
         assert!(run.fresh_matches.iter().all(|m| m.end > swap_at));
         assert!(run.quiesce_cycle >= swap_at as u64);
-    }
-
-    #[test]
-    fn quiescence_scheduler_reads_the_drain_trace() {
-        let telemetry = Telemetry::new(rap_telemetry::TelemetryConfig::default());
-        let (pre_images, pre_mapping, retired) = compose(plan(&["needle"]), plan(&["haystack"]));
-        let (post_images, post_mapping) = plan(&["needle"]);
-        let input = b"a needle in the haystack and another needle after it";
-        let run = simulate_hot_swap(
-            &pre_images,
-            &pre_mapping,
-            &retired,
-            &post_images,
-            &post_mapping,
-            &[],
-            input,
-            30,
-            Machine::Rap,
-            Some((&telemetry, "swap")),
-        );
-        let traces = telemetry.drain_traces();
-        let picked = pick_quiescence(&traces, "swap").expect("drain trace present");
-        // The journal-side schedule agrees with the simulator's figure:
-        // the drain trace's terminal event carries the segment's cycle
-        // count, which is exactly swap offset + observed drain.
-        assert_eq!(picked, run.quiesce_cycle);
-        assert!(picked >= 30);
     }
 }

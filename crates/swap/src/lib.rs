@@ -16,44 +16,48 @@
 //! | `Q003-port-interference` | error | a post-swap shared bank's summed fan-in exceeds its port budget |
 //! | `Q004-column-budget` | error | post-swap counter/BV columns exceed the fabric budget |
 //! | `Q005-drain-unbounded` | error | the outgoing tenant's match span is unbounded: no finite drain bound exists |
-//! | `Q006-demux-discontinuity` | error | the replacement cannot reuse the outgoing match-ID namespace without colliding with a staying tenant |
-//! | `Q007-readmission-failed` | error | the spliced post-swap composition fails the verify/admission gate |
+//! | `Q006-demux-discontinuity` | error | the replacement's inherited match-ID range or its name collides with a staying tenant |
+//! | `Q007-readmission-failed` | error | the re-admitted post-swap composition fails the verify gate |
 //! | `Q008-reconfig-overrun` | warning | reprogramming the footprint takes longer than the certified drain window |
 //!
-//! The analysis is a **delta** against the resident composition: staying
-//! tenants' per-array loads are read off one `rap-bound` pass over the
-//! resident composed plan (their slots, match IDs, and images are never
-//! re-derived), and only the *replacement* tenant's solo bounds are
-//! computed fresh. The certificate preserves every staying tenant's
-//! slots and match-ID range verbatim — that is what makes the swap
-//! invisible to them — and splices the replacement into the outgoing
-//! tenant's pattern-index window.
+//! The analysis is a **pinned re-admission**: the swap chooses the
+//! replacement's footprint (Q001), bounds the outgoing tenant's drain
+//! (Q005), and then hands the post-swap tenant set to one
+//! [`rap_admit::admit`] call. Every staying tenant is pinned to its
+//! current slots and match-ID base, and the replacement to the chosen
+//! footprint and the outgoing tenant's base, so admission's placement,
+//! interference, column and namespace checks (S001–S004, S006) are the
+//! swap's Q001–Q004 and Q006 findings; its warnings are dropped.
+//! Staying tenants' images are borrowed out of the resident plan, never
+//! recompiled. Pinning is what makes the swap invisible to them: they
+//! keep their slots and match-ID ranges verbatim, so their arrays scan
+//! on untouched.
 //!
 //! The drain bound is derived from certified quantities only: the
 //! outgoing tenant's `max_match_span` (how many bytes an in-flight match
-//! can still need), its B003 input-FIFO residency plus one ping-pong
-//! page (bytes admitted but unscanned at the swap), a conservative
-//! bit-vector stall allowance, and its B002 output-FIFO occupancy
-//! flushed at one record per cycle. Reconfiguration cost is accounted
-//! through the `rap-circuit` component models: one CAM row write and one
-//! local-switch row write per cycle per tile (both fit the 2.08 GHz
-//! clock period), local/global controller energy per tile/array.
+//! can still need), the bytes its lanes may hold admitted but unscanned
+//! at the swap (the input FIFOs plus the ping-pong window, see
+//! [`BankBound`]), a conservative bit-vector stall allowance, and its
+//! worst-case output-FIFO occupancy flushed at one record per cycle.
+//! Reconfiguration cost is accounted through the `rap-circuit` component
+//! models: one CAM row write and one local-switch row write per cycle
+//! per tile (both fit the 2.08 GHz clock period), local/global
+//! controller energy per tile/array.
 //!
 //! [`execute`] spends a certificate on `rap-sim`'s partial
 //! reconfiguration mechanism and returns per-tenant match streams, so
 //! callers can check the certified promise — staying tenants
 //! bit-identical to an unswapped run — end to end.
 
-use rap_admit::{ComposedPlan, TenantSummary};
+use rap_admit::{admit, AdmitOptions, ComposedPlan, TenantSummary};
 use rap_arch::config::ArchConfig;
-use rap_bound::{analyze_bounds, BoundOptions};
+use rap_bound::BankBound;
 use rap_circuit::models::{CAM_32X128, GLOBAL_CONTROLLER, LOCAL_CONTROLLER, SRAM_128X128};
 use rap_circuit::Machine;
 use rap_compiler::Compiled;
 use rap_diag::{Location, RuleCode, Severity};
-use rap_mapper::{ArrayKind, ArrayPlan, Mapping};
-use rap_sim::{extract_arrays, max_match_span, simulate_hot_swap, MatchEvent};
-use rap_telemetry::Telemetry;
+use rap_mapper::Mapping;
+use rap_sim::{max_match_span, simulate_hot_swap, MatchEvent};
 
 pub use rap_admit::Tenant;
 
@@ -71,13 +75,12 @@ pub enum Rule {
     FootprintSlots,
     /// Q002: after the swap, a bank shared by two or more tenants has a
     /// worst-case simultaneous match burst exceeding its total output
-    /// FIFO capacity (delta over the resident composition's certified
-    /// per-array bounds).
+    /// FIFO capacity (re-admission's S002).
     BankInterference,
     /// Q003: after the swap, a shared bank's summed per-tile
-    /// global-switch fan-in exceeds its port budget.
+    /// global-switch fan-in exceeds its port budget (S003).
     PortInterference,
-    /// Q004: post-swap counter/BV columns exceed the fabric budget.
+    /// Q004: post-swap counter/BV columns exceed the fabric budget (S004).
     ColumnBudget,
     /// Q005: the outgoing tenant's match span is unbounded (cyclic
     /// automaton): the cycles to quiesce its arrays cannot be bounded,
@@ -85,10 +88,10 @@ pub enum Rule {
     DrainUnbounded,
     /// Q006: the replacement's match-ID namespace (the outgoing
     /// tenant's base, kept for demux continuity) collides with a
-    /// staying tenant's range.
+    /// staying tenant's range, or its name is a staying tenant's (S006).
     DemuxDiscontinuity,
-    /// Q007: the spliced post-swap composition fails the static verify
-    /// gate — the certificate cannot be issued.
+    /// Q007: the re-admitted post-swap composition fails the static
+    /// verify gate — the certificate cannot be issued.
     ReadmissionFailed,
     /// Q008: reprogramming the swap footprint outlasts the certified
     /// drain window; the freed slots idle while the stream continues.
@@ -137,6 +140,21 @@ impl Rule {
             Rule::ReconfigOverrun,
         ]
     }
+
+    /// The rule reporting an error of the pinned re-admission; `None`
+    /// for admission's warnings, which a swap does not surface.
+    fn of_admission(rule: rap_admit::Rule) -> Option<Rule> {
+        match rule {
+            rap_admit::Rule::PlacementOverlap => Some(Rule::FootprintSlots),
+            rap_admit::Rule::BankOversubscribed => Some(Rule::BankInterference),
+            rap_admit::Rule::FaninOverBudget => Some(Rule::PortInterference),
+            rap_admit::Rule::BvColumnsExhausted => Some(Rule::ColumnBudget),
+            rap_admit::Rule::MatchIdCollision => Some(Rule::DemuxDiscontinuity),
+            rap_admit::Rule::OutputOvercommit
+            | rap_admit::Rule::ReconfigInfeasible
+            | rap_admit::Rule::PrefixOverlap => None,
+        }
+    }
 }
 
 impl RuleCode for Rule {
@@ -163,10 +181,12 @@ pub struct DrainBound {
     /// The outgoing tenant's certified maximum match span in bytes.
     pub span_bytes: u64,
     /// Bytes possibly admitted but unscanned at the swap offset: the
-    /// B003 input-FIFO residency plus one ping-pong input page.
+    /// outgoing lanes' input FIFOs plus the ping-pong input window,
+    /// `lanes × array_input_entries + 2 × bank_input_entries`.
     pub window_bytes: u64,
-    /// Match records to flush from the outgoing arrays' output FIFOs
-    /// (the B002 worst-case occupancy), at one record per cycle.
+    /// Match records to flush from the outgoing lanes' output FIFOs and
+    /// the bank buffer, `lanes × array_output_entries +
+    /// bank_output_entries`, at one record per cycle.
     pub output_records: u64,
     /// Conservative per-byte cycle allowance: 1 plus the outgoing
     /// arrays' placed counter/BV columns (a bit-vector processing phase
@@ -218,9 +238,12 @@ pub struct ReconfigPlan {
     pub drain: DrainBound,
     /// The reconfiguration cost.
     pub cost: ReconfigCost,
-    /// The post-swap certificate: staying tenants keep their slots and
-    /// match-ID ranges verbatim; the replacement owns the outgoing
-    /// tenant's pattern window and match-ID base.
+    /// The post-swap certificate, as `rap_admit::admit` issued it for the
+    /// pinned tenant set: staying tenants keep their slots and match-ID
+    /// ranges verbatim, the replacement holds [`ReconfigPlan::slots`]
+    /// and the outgoing tenant's match-ID base. Like every admitted
+    /// composition, its pattern namespace is laid out in tenant-name
+    /// order.
     pub composed: ComposedPlan,
 }
 
@@ -242,139 +265,72 @@ impl SwapAnalysis {
     }
 }
 
-/// Counter/BV columns a set of images occupies (same accounting as
-/// rap-admit's S004).
-fn bv_columns(images: &[Compiled]) -> u64 {
-    images
-        .iter()
-        .filter_map(|image| match image {
-            Compiled::Nbva(c) => Some(
-                c.bv_allocs
-                    .iter()
-                    .flatten()
-                    .map(|a| u64::from(a.columns))
-                    .sum::<u64>(),
-            ),
-            Compiled::Nfa(_) | Compiled::Lnfa(_) => None,
-        })
-        .sum()
-}
-
-/// Rewrites every pattern index in an array plan by a signed offset.
-fn shift_array(plan: &ArrayPlan, delta: isize) -> ArrayPlan {
-    let mut out = plan.clone();
-    let shift = |p: usize| -> usize {
-        usize::try_from(p as isize + delta).expect("pattern index stays non-negative")
-    };
-    match &mut out.kind {
-        ArrayKind::Nfa { placements } | ArrayKind::Nbva { placements, .. } => {
-            for p in placements {
-                p.pattern = shift(p.pattern);
-            }
-        }
-        ArrayKind::Lnfa { bins } => {
-            for bin in bins {
-                for m in &mut bin.members {
-                    m.pattern = shift(m.pattern);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Maps each occupied slot of a composed plan to its array index (the
-/// composed mapping lists arrays in slot order).
-fn slot_ranks(tenants: &[TenantSummary]) -> Vec<(u32, usize)> {
-    let mut slots: Vec<u32> = tenants
+/// Array indices (into a composed mapping, which lists arrays in slot
+/// order) of the slots `tenant` holds among `tenants`.
+fn tenant_arrays(tenants: &[TenantSummary], tenant: &TenantSummary) -> Vec<usize> {
+    let mut occupied: Vec<u32> = tenants
         .iter()
         .flat_map(|t| t.slots.iter().copied())
         .collect();
-    slots.sort_unstable();
-    slots.into_iter().enumerate().map(|(r, s)| (s, r)).collect()
-}
-
-/// Array indices (into the composed mapping) of one tenant's slots.
-fn tenant_arrays(tenants: &[TenantSummary], tenant: usize) -> Vec<usize> {
-    let ranks = slot_ranks(tenants);
-    let rank_of = |slot: u32| -> usize {
-        ranks
-            .iter()
-            .find(|(s, _)| *s == slot)
-            .expect("tenant slot is occupied")
-            .1
-    };
-    let mut out: Vec<usize> = tenants[tenant].slots.iter().map(|&s| rank_of(s)).collect();
-    out.sort_unstable();
-    out
+    occupied.sort_unstable();
+    tenant
+        .slots
+        .iter()
+        .map(|slot| {
+            occupied
+                .binary_search(slot)
+                .expect("tenant slot is occupied")
+        })
+        .collect()
 }
 
 /// Statically analyzes replacing resident tenant `outgoing` with
 /// `incoming` on the fabric the resident [`ComposedPlan`] occupies, and
 /// certifies a [`ReconfigPlan`] when the swap is safe.
 ///
-/// The `incoming` tenant's `match_base` and `slot` fields are ignored:
-/// the analyzer pins the replacement to the outgoing tenant's match-ID
-/// base (demux continuity) and to a contiguous run of freed/free slots
-/// (footprint disjointness).
+/// The replacement needs a contiguous run of slots, preferring the
+/// outgoing tenant's base so a same-shape update reprograms in place.
+/// The post-swap tenant set is then re-admitted through one
+/// [`rap_admit::admit`] call on that fabric, with every staying tenant
+/// pinned to its slots and match-ID base and the replacement to the
+/// chosen run and the outgoing tenant's base; the `incoming` tenant's own
+/// `match_base` and `slot` fields are ignored. The certificate is the
+/// admitted composition, re-verified.
 ///
 /// # Panics
 ///
 /// Panics when the resident plan's summaries are inconsistent with its
-/// mapping (not produced by `rap_admit::admit`).
+/// mapping, or a staying tenant holds non-contiguous slots (neither
+/// happens to a plan produced by `rap_admit::admit` or by this function).
 pub fn analyze_swap(
     resident: &ComposedPlan,
     outgoing: &str,
-    incoming: &rap_admit::Tenant<'_>,
+    incoming: &Tenant<'_>,
     arch: &ArchConfig,
     options: &SwapOptions,
 ) -> SwapAnalysis {
     let mut report = Report::default();
-    let staying_names: Vec<String> = resident
+    let staying: Vec<&TenantSummary> = resident
         .tenants
         .iter()
         .filter(|t| t.name != outgoing)
-        .map(|t| t.name.clone())
         .collect();
+    let staying_names: Vec<String> = staying.iter().map(|t| t.name.clone()).collect();
+    let reject = |report: Report| SwapAnalysis {
+        report,
+        staying: staying_names.clone(),
+        plan: None,
+    };
 
-    let Some(out_idx) = resident.tenants.iter().position(|t| t.name == outgoing) else {
+    let Some(leaving) = resident.tenants.iter().find(|t| t.name == outgoing) else {
         report.push(
             Rule::FootprintSlots,
             Rule::FootprintSlots.severity(),
             Location::default(),
             format!("tenant {outgoing:?} is not resident in the composition"),
         );
-        return SwapAnalysis {
-            report,
-            staying: staying_names,
-            plan: None,
-        };
+        return reject(report);
     };
-
-    // Geometry: the replacement must have been mapped for the resident
-    // fabric's shape (same contract as rap-admit's S001a).
-    if incoming.mapping.config.arch != *arch || resident.mapping.config.arch != *arch {
-        report.push(
-            Rule::FootprintSlots,
-            Rule::FootprintSlots.severity(),
-            Location::default(),
-            format!(
-                "tenant {:?} was mapped for a different array geometry than \
-                 the resident fabric",
-                incoming.name
-            ),
-        );
-    }
-    if incoming.mapping.config.bvm != resident.mapping.config.bvm {
-        report.push(
-            Rule::FootprintSlots,
-            Rule::FootprintSlots.severity(),
-            Location::default(),
-            "replacement was mapped with a different bit-vector-module \
-             configuration than the resident composition"
-                .to_string(),
-        );
-    }
     let need = incoming.mapping.arrays.len();
     if need == 0 || incoming.images.is_empty() {
         report.push(
@@ -400,21 +356,17 @@ pub fn analyze_swap(
         .unwrap_or_else(|| (max_slot + 1).div_ceil(apb).max(1));
     let slot_count = banks * apb;
 
-    // Footprint: slots available to the replacement are the outgoing
-    // tenant's (freed at quiescence) plus the fabric's free slots. The
-    // replacement needs a contiguous run — preferring the freed base so
-    // a same-shape update is a pure in-place reprogram.
-    let freed: Vec<u32> = resident.tenants[out_idx].slots.clone();
-    let staying_slots: Vec<u32> = resident
-        .tenants
+    // Footprint: the outgoing tenant's slots (freed at quiescence) plus
+    // the fabric's free slots, as one contiguous run.
+    let held: Vec<u32> = staying
         .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != out_idx)
-        .flat_map(|(_, t)| t.slots.iter().copied())
+        .flat_map(|t| t.slots.iter().copied())
         .collect();
-    let available = |slot: u32| slot < slot_count && !staying_slots.contains(&slot);
-    let run_fits = |base: u32| (0..need as u32).all(|a| available(base + a));
-    let base = freed
+    let run_fits = |base: u32| {
+        (base..base + need as u32).all(|slot| slot < slot_count && !held.contains(&slot))
+    };
+    let base = leaving
+        .slots
         .iter()
         .copied()
         .min()
@@ -430,29 +382,22 @@ pub fn analyze_swap(
                  the {slot_count}-slot fabric's freed+free set holds no such \
                  run (staying tenants hold {} slot(s))",
                 incoming.name,
-                staying_slots.len()
+                held.len()
             ),
         );
-        return SwapAnalysis {
-            report,
-            staying: staying_names,
-            plan: None,
-        };
+        return reject(report);
     };
     let slots: Vec<u32> = (base..base + need as u32).collect();
-    let freed_slots: Vec<u32> = freed
+    let freed_slots: Vec<u32> = leaving
+        .slots
         .iter()
         .copied()
         .filter(|s| !slots.contains(s))
         .collect();
 
-    // Drain bound: certified quantities of the *outgoing* sub-plan,
-    // carved out of the resident composition (not re-derived from the
-    // tenant's sources).
-    let retired_arrays = tenant_arrays(&resident.tenants, out_idx);
-    let outgoing_ex = extract_arrays(&resident.images, &resident.mapping, &retired_arrays);
-    let span = max_match_span(&outgoing_ex.images);
-    let drain = match span {
+    // Drain bound over the outgoing tenant's images and lanes.
+    let leaving_images = &resident.images[leaving.pattern_range.0..leaving.pattern_range.1];
+    let drain = match max_match_span(leaving_images) {
         None => {
             report.push(
                 Rule::DrainUnbounded,
@@ -467,148 +412,79 @@ pub fn analyze_swap(
             None
         }
         Some(span) => {
-            let out_bounds = analyze_bounds(
-                &outgoing_ex.images,
-                &[],
-                &outgoing_ex.mapping,
-                &BoundOptions::bounds_only(),
-            );
-            let window_bytes =
-                out_bounds.bank.input_fifo_bytes + 2 * u64::from(arch.bank_input_entries);
-            let output_records = out_bounds.bank.output_fifo_records;
-            let stall_allowance = 1 + bv_columns(&outgoing_ex.images);
-            let cycles = (window_bytes + span as u64) * stall_allowance + output_records;
+            let buffers = BankBound::new(leaving.slots.len() as u64, arch);
+            let window_bytes = buffers.input_fifo_bytes + buffers.max_skew;
+            let stall_allowance = 1 + leaving_images.iter().map(Compiled::bv_columns).sum::<u64>();
             Some(DrainBound {
                 span_bytes: span as u64,
                 window_bytes,
-                output_records,
+                output_records: buffers.output_fifo_records,
                 stall_allowance,
-                cycles,
+                cycles: (window_bytes + span as u64) * stall_allowance
+                    + buffers.output_fifo_records,
             })
         }
     };
 
-    // Demux continuity: the replacement inherits the outgoing match-ID
-    // base so staying tenants' namespaces survive verbatim; the
-    // inherited range must not collide with a staying range.
-    let in_base = resident.tenants[out_idx].match_ids.0;
-    let in_ids = (in_base, in_base + incoming.images.len() as u64);
-    for (i, t) in resident.tenants.iter().enumerate() {
-        if i == out_idx {
-            continue;
-        }
-        if in_ids.0 < t.match_ids.1 && t.match_ids.0 < in_ids.1 {
-            report.push(
-                Rule::DemuxDiscontinuity,
-                Rule::DemuxDiscontinuity.severity(),
-                Location::default(),
-                format!(
-                    "replacement match-ID range [{}, {}) (inherited from \
-                     {outgoing:?} for demux continuity) collides with staying \
-                     tenant {:?} [{}, {})",
-                    in_ids.0, in_ids.1, t.name, t.match_ids.0, t.match_ids.1
-                ),
+    // Re-admission: staying tenants pinned where they are, their images
+    // borrowed from the resident plan and their arrays re-based to a
+    // solo namespace; the replacement pinned to the footprint and the
+    // outgoing tenant's match-ID base (demux continuity).
+    let solo_mappings: Vec<Mapping> = staying
+        .iter()
+        .map(|t| {
+            assert!(
+                t.slots.windows(2).all(|w| w[1] == w[0] + 1),
+                "staying tenant {:?} holds non-contiguous slots {:?}",
+                t.name,
+                t.slots
             );
-        }
-    }
-
-    // Interference delta: staying loads from ONE bound pass over the
-    // resident composition; only the replacement's solo bounds are new.
-    let resident_bounds = analyze_bounds(
-        &resident.images,
-        &[],
-        &resident.mapping,
-        &BoundOptions::bounds_only(),
-    );
-    let incoming_bounds = analyze_bounds(
-        incoming.images,
-        &[],
-        incoming.mapping,
-        &BoundOptions::bounds_only(),
-    );
-    let ranks = slot_ranks(&resident.tenants);
-    let rank_of = |slot: u32| ranks.iter().find(|(s, _)| *s == slot).map(|&(_, r)| r);
-    for bank in 0..banks {
-        let lo = bank * apb;
-        let hi = lo + apb;
-        let mut lanes = 0u64;
-        let mut burst = 0u64;
-        let mut fanin = 0u64;
-        let mut residents: Vec<usize> = Vec::new();
-        for (i, t) in resident.tenants.iter().enumerate() {
-            if i == out_idx {
-                continue;
+            let lo = t.pattern_range.0;
+            Mapping {
+                arrays: tenant_arrays(&resident.tenants, t)
+                    .into_iter()
+                    .map(|a| resident.mapping.arrays[a].remap_patterns(|p| p - lo))
+                    .collect(),
+                config: resident.mapping.config,
             }
-            for &slot in t.slots.iter().filter(|&&s| s >= lo && s < hi) {
-                let rank = rank_of(slot).expect("staying slot is occupied");
-                let bound = &resident_bounds.arrays[rank];
-                lanes += 1;
-                burst += bound.reporters;
-                fanin += u64::from(bound.peak_fanin);
-                if !residents.contains(&i) {
-                    residents.push(i);
-                }
-            }
-        }
-        for (a, &slot) in slots.iter().enumerate() {
-            if slot >= lo && slot < hi {
-                let bound = &incoming_bounds.arrays[a];
-                lanes += 1;
-                burst += bound.reporters;
-                fanin += u64::from(bound.peak_fanin);
-                if !residents.contains(&usize::MAX) {
-                    residents.push(usize::MAX);
-                }
-            }
-        }
-        if residents.len() < 2 {
-            continue; // single-tenant banks reproduce solo behaviour
-        }
-        let capacity =
-            lanes * u64::from(arch.array_output_entries) + u64::from(arch.bank_output_entries);
-        if burst > capacity {
-            report.push(
-                Rule::BankInterference,
-                Rule::BankInterference.severity(),
-                Location::default(),
-                format!(
-                    "bank {bank}: post-swap worst-case burst of {burst} match \
-                     record(s) exceeds the {capacity}-record output capacity"
-                ),
-            );
-        }
-        let fanin_budget = u64::from(apb) * u64::from(arch.global_ports_per_tile);
-        if fanin_budget > 0 && fanin > fanin_budget {
-            report.push(
-                Rule::PortInterference,
-                Rule::PortInterference.severity(),
-                Location::default(),
-                format!(
-                    "bank {bank}: post-swap summed global-switch fan-in \
-                     {fanin} exceeds the {fanin_budget}-port bank budget"
-                ),
-            );
-        }
-    }
-
-    // Column budget delta.
-    let out_lo = resident.tenants[out_idx].pattern_range.0;
-    let out_hi = resident.tenants[out_idx].pattern_range.1;
-    let outgoing_bv = bv_columns(&resident.images[out_lo..out_hi]);
-    let post_bv = bv_columns(&resident.images) - outgoing_bv + bv_columns(incoming.images);
-    let bv_budget = options.bv_column_budget.unwrap_or_else(|| {
-        u64::from(slot_count) * u64::from(arch.tiles_per_array) * u64::from(arch.tile_columns)
+        })
+        .collect();
+    let mut tenants: Vec<Tenant<'_>> = staying
+        .iter()
+        .zip(&solo_mappings)
+        .map(|(t, mapping)| Tenant {
+            name: &t.name,
+            images: &resident.images[t.pattern_range.0..t.pattern_range.1],
+            patterns: &[],
+            mapping,
+            match_base: Some(t.match_ids.0),
+            slot: t.slots.first().copied(),
+        })
+        .collect();
+    tenants.push(Tenant {
+        match_base: Some(leaving.match_ids.0),
+        slot: Some(base),
+        ..*incoming
     });
-    if post_bv > bv_budget {
-        report.push(
-            Rule::ColumnBudget,
-            Rule::ColumnBudget.severity(),
-            Location::default(),
-            format!(
-                "post-swap composition requests {post_bv} counter/BV \
-                 column(s) but the fabric budget is {bv_budget}"
-            ),
-        );
+    let admission = admit(
+        &tenants,
+        arch,
+        &AdmitOptions {
+            banks: Some(banks),
+            bv_column_budget: options.bv_column_budget,
+            overlap: None,
+            reconfig: false,
+        },
+    );
+    for d in admission.report.diagnostics {
+        if let Some(rule) = Rule::of_admission(d.rule) {
+            report.push(
+                rule,
+                rule.severity(),
+                d.location,
+                format!("post-swap composition: {}", d.message),
+            );
+        }
     }
 
     // Reconfiguration cost through the circuit models.
@@ -656,130 +532,36 @@ pub fn analyze_swap(
     }
 
     if !report.is_legal() {
-        return SwapAnalysis {
-            report,
-            staying: staying_names,
-            plan: None,
-        };
+        return reject(report);
     }
     let drain = drain.expect("legal report implies a bounded drain");
+    let composed = admission
+        .composed
+        .expect("an error-free re-admission carries a certificate");
 
-    // Splice the certificate: staying tenants keep arrays, slots, and
-    // match IDs verbatim (pattern indices shift only for tenants whose
-    // window sits after the outgoing one); the replacement fills the
-    // outgoing pattern window.
-    let n_in = incoming.images.len();
-    let delta = n_in as isize - (out_hi - out_lo) as isize;
-    let mut images: Vec<Compiled> = Vec::with_capacity(resident.images.len());
-    images.extend_from_slice(&resident.images[..out_lo]);
-    images.extend(incoming.images.iter().cloned());
-    images.extend_from_slice(&resident.images[out_hi..]);
-
-    // Build the post-swap occupancy: (slot, array plan) pairs.
-    let mut placed: Vec<(u32, ArrayPlan)> = Vec::new();
-    for (i, t) in resident.tenants.iter().enumerate() {
-        if i == out_idx {
-            continue;
-        }
-        let arrays = tenant_arrays(&resident.tenants, i);
-        let shift = if t.pattern_range.0 >= out_hi {
-            delta
-        } else {
-            0
-        };
-        for (&slot, &rank) in t.slots.iter().zip(arrays.iter()) {
-            placed.push((slot, shift_array(&resident.mapping.arrays[rank], shift)));
-        }
-    }
-    for (a, &slot) in slots.iter().enumerate() {
-        placed.push((
-            slot,
-            shift_array(&incoming.mapping.arrays[a], out_lo as isize),
-        ));
-    }
-    placed.sort_by_key(|(slot, _)| *slot);
-    let mapping = Mapping {
-        arrays: placed.into_iter().map(|(_, p)| p).collect(),
-        config: rap_mapper::MapperConfig {
-            arch: *arch,
-            bin_size: resident
-                .mapping
-                .config
-                .bin_size
-                .max(incoming.mapping.config.bin_size),
-            bvm: resident.mapping.config.bvm,
-            validate: false,
-        },
-    };
-
-    // Post-swap summaries: resident order, replacement in the outgoing
-    // tenant's position.
-    let occupied_after = staying_slots.len() + need;
-    let free_after = u64::from(slot_count).saturating_sub(occupied_after as u64);
-    let tenants: Vec<TenantSummary> = resident
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            if i == out_idx {
-                TenantSummary {
-                    name: incoming.name.to_string(),
-                    patterns: n_in,
-                    arrays: need,
-                    pattern_range: (out_lo, out_lo + n_in),
-                    match_ids: in_ids,
-                    slots: slots.clone(),
-                    hot_swappable: need as u64 <= free_after,
-                }
-            } else {
-                let (lo, hi) = t.pattern_range;
-                let shift = if lo >= out_hi { delta } else { 0 };
-                TenantSummary {
-                    pattern_range: (
-                        usize::try_from(lo as isize + shift).expect("range stays non-negative"),
-                        usize::try_from(hi as isize + shift).expect("range stays non-negative"),
-                    ),
-                    hot_swappable: t.arrays as u64 <= free_after,
-                    ..t.clone()
-                }
-            }
-        })
-        .collect();
-
-    // Re-admission gate: the spliced plan must pass the same static
+    // Re-verification gate: the certificate must pass the same static
     // verifier every solo plan passes before simulation.
-    let verdict = rap_verify::verify(&images, &mapping, arch);
+    let verdict = rap_verify::verify(&composed.images, &composed.mapping, arch);
     if !verdict.is_legal() {
         report.push(
             Rule::ReadmissionFailed,
             Rule::ReadmissionFailed.severity(),
             Location::default(),
             format!(
-                "spliced post-swap composition fails the verify gate with {} \
-                 finding(s)",
+                "re-admitted post-swap composition fails the verify gate \
+                 with {} finding(s)",
                 verdict.len()
             ),
         );
-        return SwapAnalysis {
-            report,
-            staying: staying_names,
-            plan: None,
-        };
+        return reject(report);
     }
 
-    let composed = ComposedPlan {
-        images,
-        mapping,
-        tenants,
-    };
-    let fresh_arrays = {
-        let idx = composed
-            .tenants
-            .iter()
-            .position(|t| t.name == incoming.name)
-            .expect("replacement is in the post-swap summaries");
-        tenant_arrays(&composed.tenants, idx)
-    };
+    let fresh = composed
+        .tenants
+        .iter()
+        .find(|t| t.name == incoming.name)
+        .expect("replacement is in the post-swap summaries");
+    let fresh_arrays = tenant_arrays(&composed.tenants, fresh);
     SwapAnalysis {
         report,
         staying: staying_names,
@@ -789,7 +571,7 @@ pub fn analyze_swap(
             banks,
             slots,
             freed_slots,
-            retired_arrays,
+            retired_arrays: tenant_arrays(&resident.tenants, leaving),
             fresh_arrays,
             drain,
             cost,
@@ -829,7 +611,6 @@ pub fn execute(
     input: &[u8],
     swap_at: usize,
     machine: Machine,
-    telemetry: Option<(&Telemetry, &str)>,
 ) -> SwapExecution {
     let run = simulate_hot_swap(
         &resident.images,
@@ -841,7 +622,6 @@ pub fn execute(
         input,
         swap_at,
         machine,
-        telemetry,
     );
     let out_idx = resident
         .tenants
@@ -924,6 +704,16 @@ mod tests {
         analysis.composed.expect("certified")
     }
 
+    /// Asserts that the swap was refused with a `rule` finding.
+    fn assert_rejects(analysis: &SwapAnalysis, rule: Rule) {
+        assert!(!analysis.certified());
+        assert!(
+            !analysis.report.by_rule(rule).is_empty(),
+            "{}",
+            analysis.report
+        );
+    }
+
     #[test]
     fn rule_codes_are_stable() {
         let codes: Vec<&str> = Rule::all().iter().map(|r| r.code()).collect();
@@ -985,7 +775,7 @@ mod tests {
         let plan = analysis.plan.expect("certified");
         let input = b"a needle in the haystack, then a beacon, then a neeedle".to_vec();
         let swap_at = 25;
-        let exec = execute(&plan, &resident, &input, swap_at, Machine::Rap, None);
+        let exec = execute(&plan, &resident, &input, swap_at, Machine::Rap);
 
         // Staying tenant: bit-identical to the unswapped composed run.
         let unswapped =
@@ -1059,6 +849,83 @@ mod tests {
             assert!(!analysis.certified());
             assert!(!analysis.report.by_rule(Rule::FootprintSlots).is_empty());
         }
+    }
+
+    #[test]
+    fn bursty_replacement_sharing_a_bank_rejects_with_q002() {
+        let config = MapperConfig::default();
+        let a = owned("alpha", &["needle"], &config);
+        let b = owned("bravo", &["haystack"], &config);
+        let resident = compose(&[&a, &b], &config);
+        // ~90 literals report in one cycle at worst: more records than
+        // the shared bank's lane FIFOs plus bank buffer can hold.
+        let sources: Vec<String> = (0..90).map(|i| format!("lit{i:03}")).collect();
+        let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
+        let loud = owned("charlie", &refs, &config);
+        let analysis = analyze_swap(
+            &resident,
+            "bravo",
+            &view(&loud),
+            &config.arch,
+            &SwapOptions::default(),
+        );
+        assert_rejects(&analysis, Rule::BankInterference);
+    }
+
+    #[test]
+    fn column_hungry_replacement_rejects_with_q004() {
+        let config = MapperConfig::default();
+        let a = owned("alpha", &["needle"], &config);
+        let b = owned("bravo", &["haystack"], &config);
+        let resident = compose(&[&a, &b], &config);
+        let c = owned("charlie", &["a[bc]{2,24}d"], &config);
+        let analysis = analyze_swap(
+            &resident,
+            "bravo",
+            &view(&c),
+            &config.arch,
+            &SwapOptions {
+                bv_column_budget: Some(1),
+                ..SwapOptions::default()
+            },
+        );
+        assert_rejects(&analysis, Rule::ColumnBudget);
+    }
+
+    #[test]
+    fn wider_replacement_colliding_with_a_staying_range_rejects_with_q006() {
+        let config = MapperConfig::default();
+        let a = owned("alpha", &["needle"], &config);
+        let b = owned("bravo", &["haystack"], &config);
+        let resident = compose(&[&a, &b], &config);
+        // alpha holds match IDs [0, 1) and bravo [1, 2): a two-pattern
+        // replacement inheriting alpha's base runs into bravo's range.
+        let c = owned("charlie", &["beacon", "lantern"], &config);
+        let analysis = analyze_swap(
+            &resident,
+            "alpha",
+            &view(&c),
+            &config.arch,
+            &SwapOptions::default(),
+        );
+        assert_rejects(&analysis, Rule::DemuxDiscontinuity);
+    }
+
+    #[test]
+    fn replacement_taking_a_staying_name_rejects_with_q006() {
+        let config = MapperConfig::default();
+        let a = owned("alpha", &["needle"], &config);
+        let b = owned("bravo", &["haystack"], &config);
+        let resident = compose(&[&a, &b], &config);
+        let impostor = owned("alpha", &["beacon"], &config);
+        let analysis = analyze_swap(
+            &resident,
+            "bravo",
+            &view(&impostor),
+            &config.arch,
+            &SwapOptions::default(),
+        );
+        assert_rejects(&analysis, Rule::DemuxDiscontinuity);
     }
 
     #[test]

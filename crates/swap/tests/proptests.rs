@@ -124,8 +124,37 @@ proptest! {
             prop_assert!(!swap.report.is_empty(), "rejected swap with no finding");
             return Ok(());
         };
+        // Staying tenants keep their slots and match-ID ranges; the
+        // replacement inherits the outgoing tenant's match-ID base.
+        let summary = |name: &str| {
+            plan.composed
+                .tenants
+                .iter()
+                .find(|t| t.name == name)
+                .expect("tenant is in the certificate")
+        };
+        for before in resident.tenants.iter().filter(|t| t.name != outgoing) {
+            let after = summary(&before.name);
+            prop_assert_eq!(&after.slots, &before.slots, "{} moved", &before.name);
+            prop_assert_eq!(after.match_ids, before.match_ids, "{} renumbered", &before.name);
+        }
+        let leaving = resident
+            .tenants
+            .iter()
+            .find(|t| t.name == outgoing)
+            .expect("outgoing tenant is resident");
+        prop_assert_eq!(summary("tenant-incoming").match_ids.0, leaving.match_ids.0);
+        // One first-slot pin per tenant suffices: admission and swap
+        // both hand every tenant a contiguous run of slots.
+        for t in resident.tenants.iter().chain(&plan.composed.tenants) {
+            prop_assert!(
+                t.slots.windows(2).all(|w| w[1] == w[0] + 1),
+                "{} holds non-contiguous slots {:?}", &t.name, &t.slots
+            );
+        }
+
         let swap_at = at % (input.len() + 1);
-        let exec = execute(plan, resident, &input, swap_at, Machine::Rap, None);
+        let exec = execute(plan, resident, &input, swap_at, Machine::Rap);
 
         // Staying tenants: bit-identical to the unswapped resident run.
         let unswapped = rap_sim::simulate(
