@@ -1,113 +1,186 @@
-//! Subset-construction DFA over byte equivalence classes — the third tier
-//! of the software stack.
+//! Partitioned DFAs over one mintermized byte alphabet — the fast path
+//! of the CPU baseline.
 //!
-//! Hyperscan's fastest general path is a determinized automaton
-//! (McClellan); it falls back to NFA simulation when determinization
-//! blows up. This module mirrors that: [`Dfa::determinize`] builds a dense
-//! transition table for the *union* of a pattern set (per-state accept
-//! lists keep the pattern identities), with two standard space controls:
+//! Hyperscan compiles a rule set into several McClellan DFAs, each under a
+//! state cap, and keeps what does not determinize on an NFA path. This
+//! module builds the same structure:
 //!
-//! * **alphabet compression** — bytes that no character class
-//!   distinguishes share a column, so a table row is `#classes` wide, not
-//!   256;
-//! * a **state cap** — determinization aborts (returns `None`) once the
-//!   subset construction exceeds `max_states`, and the caller keeps those
-//!   patterns on the NFA path.
+//! * **one alphabet** — the bytes are mintermized over the character
+//!   classes of every DFA-routed pattern: two bytes share a class unless
+//!   some pattern tells them apart. Every table row is `#classes` wide, and
+//!   because all DFAs share the alphabet a scan classifies each byte once;
+//! * **per-pattern DFAs** — each pattern is determinized on its own by
+//!   subset construction;
+//! * **product folding** — for NFAs over disjoint state sets, the subset
+//!   DFA of their unanchored union is the reachable product of their
+//!   subset DFAs. A set of patterns is therefore determinized by folding
+//!   the per-pattern DFAs together pairwise, which indexes state pairs
+//!   instead of hashing state sets;
+//! * **compact tables** — a finished DFA is a `u16` next-state table whose
+//!   accepting states are numbered last, with flat accept lists, so the
+//!   scan loop is one load per byte plus one compare.
 //!
-//! The scan loop is one load per byte plus an accept check.
+//! [`Dfa::determinize`] folds a whole pattern set into one table.
+//! [`HybridEngine`] folds greedily into several tables under a state cap
+//! and leaves the patterns whose own DFA is too large to the prefiltered
+//! NBVA interpreter.
 
+use crate::interp::PrefilteredNfa;
 use crate::{normalize, Engine, Hit};
 use rap_automata::nfa::Nfa;
-use rap_regex::Regex;
+use rap_regex::{CharClass, Regex};
 use std::collections::HashMap;
 
-/// A dense DFA for a multi-pattern union.
+/// Most states a `u16` table addresses (`u16::MAX` marks an unset entry
+/// while folding).
+const MAX_TABLE_STATES: usize = u16::MAX as usize;
+
+/// Largest product (`|left| × |right|` state pairs) whose pair index is a
+/// dense matrix, which covers every fold of the default hybrid (2048 ×
+/// 256); larger folds use a hash map.
+const DENSE_PAIRS: usize = 1 << 19;
+
+/// A partition of the byte alphabet into classes that no character class
+/// splits.
 #[derive(Clone, Debug)]
-pub struct Dfa {
-    /// `next[state * classes + class]` → state.
-    next: Vec<u32>,
-    /// Byte → equivalence class.
-    class_of: [u16; 256],
-    /// Number of equivalence classes.
-    classes: usize,
-    /// Pattern ids accepting in each state (sorted, deduplicated).
-    accepts: Vec<Vec<u32>>,
+struct Alphabet {
+    /// Byte → class.
+    class_of: [u8; 256],
+    /// The smallest member byte of each class.
+    reps: Vec<u8>,
 }
 
-impl Dfa {
-    /// Determinizes the union of `patterns`, giving up when more than
-    /// `max_states` subset states are needed.
-    pub fn determinize(patterns: &[Regex], max_states: usize) -> Option<Dfa> {
-        let nfas: Vec<Nfa> = patterns.iter().map(Nfa::from_regex).collect();
-        // Global state ids: (pattern base + local id).
-        let mut base = Vec::with_capacity(nfas.len());
-        let mut total = 0usize;
-        for nfa in &nfas {
-            base.push(total);
-            total += nfa.len();
+impl Alphabet {
+    /// The minterms of `ccs`: the coarsest partition of the bytes that
+    /// every class in `ccs` respects.
+    fn minterms<'a>(ccs: impl IntoIterator<Item = &'a CharClass>) -> Alphabet {
+        let mut class_of = [0u8; 256];
+        let mut size = vec![256u16];
+        for cc in ccs {
+            let mut inside = vec![0u16; size.len()];
+            for b in cc.iter() {
+                inside[class_of[b as usize] as usize] += 1;
+            }
+            // A class `cc` cuts in two keeps its id outside `cc`; the part
+            // inside gets a fresh one. Class 0 is never fresh.
+            let mut fresh = vec![0u8; size.len()];
+            for c in 0..inside.len() {
+                if inside[c] > 0 && inside[c] < size[c] {
+                    fresh[c] = size.len() as u8;
+                    size[c] -= inside[c];
+                    size.push(inside[c]);
+                }
+            }
+            for b in cc.iter() {
+                let c = class_of[b as usize] as usize;
+                if fresh[c] != 0 {
+                    class_of[b as usize] = fresh[c];
+                }
+            }
         }
-        // Byte equivalence classes: two bytes are equivalent iff every
-        // state's character class treats them identically.
-        let class_of = byte_classes(&nfas);
-        let classes = (*class_of.iter().max().expect("256 entries") + 1) as usize;
-        let mut representative = vec![0u8; classes];
+        let mut reps = vec![0u8; size.len()];
         for b in (0..=255u8).rev() {
-            representative[class_of[b as usize] as usize] = b;
+            reps[class_of[b as usize] as usize] = b;
+        }
+        Alphabet { class_of, reps }
+    }
+
+    /// Number of classes.
+    fn classes(&self) -> usize {
+        self.reps.len()
+    }
+
+    /// Maps `input` to its class string.
+    fn classify(&self, input: &[u8]) -> Vec<u8> {
+        input.iter().map(|&b| self.class_of[b as usize]).collect()
+    }
+}
+
+/// One pattern's subset DFA over its own minterms. State 0 is the empty
+/// active set, where an unanchored run starts.
+#[derive(Debug)]
+struct PatternDfa {
+    /// Index of the pattern in the caller's list.
+    pattern: u32,
+    /// The pattern's distinct character classes.
+    ccs: Vec<CharClass>,
+    alphabet: Alphabet,
+    /// `next[state * classes + class]` → state.
+    next: Vec<u16>,
+    accepting: Vec<bool>,
+}
+
+impl PatternDfa {
+    /// Determinizes the unanchored run of `nfa`, or returns `None` once
+    /// more than `max_states` (at most [`MAX_TABLE_STATES`]) states are
+    /// needed.
+    fn determinize(nfa: &Nfa, pattern: u32, max_states: usize) -> Option<PatternDfa> {
+        let states = nfa.states();
+        let mut ccs: Vec<CharClass> = states.iter().map(|s| s.cc).collect();
+        ccs.sort_unstable_by_key(|cc| *cc.as_words());
+        ccs.dedup();
+        let alphabet = Alphabet::minterms(&ccs);
+        let classes = alphabet.classes();
+
+        // State sets are bitsets of `words` words; `member[k]` holds the
+        // states whose class contains class `k`.
+        let words = states.len().div_ceil(64);
+        let bit = |q: usize| (q / 64, 1u64 << (q % 64));
+        let mut member = vec![0u64; classes * words];
+        let mut finals = vec![0u64; words];
+        for (q, s) in states.iter().enumerate() {
+            let (w, m) = bit(q);
+            for (k, &rep) in alphabet.reps.iter().enumerate() {
+                if s.cc.contains(rep) {
+                    member[k * words + w] |= m;
+                }
+            }
+            if s.is_final {
+                finals[w] |= m;
+            }
+        }
+        let mut armed = vec![0u64; words];
+        for &q in nfa.initial() {
+            let (w, m) = bit(q as usize);
+            armed[w] |= m;
         }
 
-        // The subset construction runs over *available* sets: the DFA
-        // state reached after a byte is the set of NFA states that matched
-        // it; the always-armed initial states are merged into every
-        // successor set (unanchored semantics).
-        let mut states: Vec<Vec<u32>> = vec![Vec::new()]; // state 0 = start (empty active set)
-        let mut index: HashMap<Vec<u32>, u32> = HashMap::new();
-        index.insert(Vec::new(), 0);
-        let mut next: Vec<u32> = Vec::new();
-        let mut accepts: Vec<Vec<u32>> = vec![Vec::new()];
-        let mut cursor = 0usize;
-        while cursor < states.len() {
-            let current = states[cursor].clone();
-            for &byte in representative.iter().take(classes) {
-                let mut target: Vec<u32> = Vec::new();
-                // Successors of the current active set...
-                for &g in &current {
-                    let (p, local) = locate(&base, g);
-                    for &q in &nfas[p].states()[local].succ {
-                        push_unique(&mut target, base[p] as u32 + q);
+        // Subset construction over available sets: the successors of the
+        // active set plus the always-armed initial states, kept where the
+        // byte's class matches.
+        let mut sets: Vec<u64> = vec![0; words];
+        let mut index: HashMap<Vec<u64>, u16> = HashMap::from([(vec![0; words], 0)]);
+        let mut next = Vec::new();
+        let mut accepting = vec![false];
+        let mut avail = vec![0u64; words];
+        let mut target = vec![0u64; words];
+        let mut cursor = 0;
+        while cursor < accepting.len() {
+            avail.copy_from_slice(&armed);
+            for w in 0..words {
+                let mut bits = sets[cursor * words + w];
+                while bits != 0 {
+                    for &r in &states[w * 64 + bits.trailing_zeros() as usize].succ {
+                        let (rw, m) = bit(r as usize);
+                        avail[rw] |= m;
                     }
+                    bits &= bits - 1;
                 }
-                // ...plus the always-armed initial states.
-                for (p, nfa) in nfas.iter().enumerate() {
-                    for &q in nfa.initial() {
-                        push_unique(&mut target, base[p] as u32 + q);
-                    }
+            }
+            for k in 0..classes {
+                for w in 0..words {
+                    target[w] = avail[w] & member[k * words + w];
                 }
-                // Keep those whose class matches the byte.
-                target.retain(|&g| {
-                    let (p, local) = locate(&base, g);
-                    nfas[p].states()[local].cc.contains(byte)
-                });
-                target.sort_unstable();
                 let id = match index.get(&target) {
                     Some(&id) => id,
                     None => {
-                        if states.len() >= max_states {
+                        if accepting.len() >= max_states.min(MAX_TABLE_STATES) {
                             return None;
                         }
-                        let id = states.len() as u32;
-                        let mut acc: Vec<u32> = target
-                            .iter()
-                            .filter(|&&g| {
-                                let (p, local) = locate(&base, g);
-                                nfas[p].states()[local].is_final
-                            })
-                            .map(|&g| locate(&base, g).0 as u32)
-                            .collect();
-                        acc.sort_unstable();
-                        acc.dedup();
+                        let id = accepting.len() as u16;
+                        accepting.push(target.iter().zip(&finals).any(|(t, f)| t & f != 0));
+                        sets.extend_from_slice(&target);
                         index.insert(target.clone(), id);
-                        states.push(target);
-                        accepts.push(acc);
                         id
                     }
                 };
@@ -115,42 +188,276 @@ impl Dfa {
             }
             cursor += 1;
         }
-        Some(Dfa {
+        Some(PatternDfa {
+            pattern,
+            ccs,
+            alphabet,
             next,
-            class_of,
-            classes,
-            accepts,
+            accepting,
+        })
+    }
+
+    /// Number of states.
+    fn len(&self) -> usize {
+        self.accepting.len()
+    }
+}
+
+/// Product-state ids by component pair: a dense matrix while the product
+/// space is small, a hash map beyond that.
+enum PairIndex {
+    Dense { ids: Vec<u16>, right: usize },
+    Sparse(HashMap<(u16, u16), u16>),
+}
+
+impl PairIndex {
+    fn new(left: usize, right: usize) -> PairIndex {
+        if left * right <= DENSE_PAIRS {
+            PairIndex::Dense {
+                ids: vec![u16::MAX; left * right],
+                right,
+            }
+        } else {
+            PairIndex::Sparse(HashMap::new())
+        }
+    }
+
+    fn get(&self, p: u16, q: u16) -> Option<u16> {
+        match self {
+            PairIndex::Dense { ids, right } => {
+                let id = ids[p as usize * right + q as usize];
+                (id != u16::MAX).then_some(id)
+            }
+            PairIndex::Sparse(map) => map.get(&(p, q)).copied(),
+        }
+    }
+
+    fn insert(&mut self, p: u16, q: u16, id: u16) {
+        match self {
+            PairIndex::Dense { ids, right } => ids[p as usize * *right + q as usize] = id,
+            PairIndex::Sparse(map) => {
+                map.insert((p, q), id);
+            }
+        }
+    }
+}
+
+/// A DFA under construction over a shared alphabet: states in discovery
+/// order, state 0 the start, accept lists flat.
+#[derive(Debug)]
+struct Product {
+    /// `next[state * classes + class]` → state.
+    next: Vec<u16>,
+    /// Pattern ids accepting in state `s`: `ids[offsets[s]..offsets[s + 1]]`.
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Product {
+    /// The one-state DFA of the empty pattern set.
+    fn empty(classes: usize) -> Product {
+        Product {
+            next: vec![0; classes],
+            offsets: vec![0, 0],
+            ids: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn accepts(&self, state: u16) -> &[u32] {
+        let s = state as usize;
+        &self.ids[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+    }
+
+    /// The reachable product of this DFA and `dfa` over `alphabet` (a
+    /// refinement of `dfa`'s own), or `None` once it needs more than
+    /// `max_states` states.
+    fn fold(&self, dfa: &PatternDfa, alphabet: &Alphabet, max_states: usize) -> Option<Product> {
+        let classes = alphabet.classes();
+        let width = dfa.alphabet.classes();
+        // Column of each shared class in `dfa`'s table.
+        let cols: Vec<usize> = alphabet
+            .reps
+            .iter()
+            .map(|&b| dfa.alphabet.class_of[b as usize] as usize)
+            .collect();
+        let mut index = PairIndex::new(self.len(), dfa.len());
+        index.insert(0, 0, 0);
+        let mut pairs = vec![(0u16, 0u16)];
+        let mut out = Product {
+            next: Vec::with_capacity(self.next.len()),
+            offsets: vec![0],
+            ids: Vec::new(),
+        };
+        let mut cursor = 0;
+        while cursor < pairs.len() {
+            let (p, q) = pairs[cursor];
+            out.ids.extend_from_slice(self.accepts(p));
+            if dfa.accepting[q as usize] {
+                out.ids.push(dfa.pattern);
+            }
+            out.offsets.push(out.ids.len() as u32);
+            let left = &self.next[p as usize * classes..][..classes];
+            let right = &dfa.next[q as usize * width..][..width];
+            for (&p2, &col) in left.iter().zip(&cols) {
+                let q2 = right[col];
+                let id = match index.get(p2, q2) {
+                    Some(id) => id,
+                    None => {
+                        if pairs.len() >= max_states.min(MAX_TABLE_STATES) {
+                            return None;
+                        }
+                        let id = pairs.len() as u16;
+                        index.insert(p2, q2, id);
+                        pairs.push((p2, q2));
+                        id
+                    }
+                };
+                out.next.push(id);
+            }
+            cursor += 1;
+        }
+        Some(out)
+    }
+
+    /// Renumbers the accepting states last and freezes the tables.
+    fn finish(self) -> Table {
+        let n = self.len();
+        let classes = self.next.len() / n;
+        let accepting = |s: usize| self.offsets[s] != self.offsets[s + 1];
+        let order: Vec<usize> = (0..n)
+            .filter(|&s| !accepting(s))
+            .chain((0..n).filter(|&s| accepting(s)))
+            .collect();
+        // The start state accepts nothing, so it keeps id 0.
+        debug_assert_eq!(order[0], 0);
+        let mut rank = vec![0u16; n];
+        for (new, &old) in order.iter().enumerate() {
+            rank[old] = new as u16;
+        }
+        let accept_from = order.iter().take_while(|&&s| !accepting(s)).count();
+        let mut next = Vec::with_capacity(self.next.len());
+        for &old in &order {
+            next.extend(
+                self.next[old * classes..][..classes]
+                    .iter()
+                    .map(|&t| rank[t as usize]),
+            );
+        }
+        let mut offsets = Vec::with_capacity(n - accept_from + 1);
+        let mut ids = Vec::with_capacity(self.ids.len());
+        offsets.push(0);
+        for &old in &order[accept_from..] {
+            ids.extend_from_slice(self.accepts(old as u16));
+            offsets.push(ids.len() as u32);
+        }
+        Table {
+            next,
+            accept_from,
+            offsets,
+            ids,
+        }
+    }
+}
+
+/// A frozen DFA over a shared alphabet. States `accept_from..` accept.
+#[derive(Clone, Debug)]
+struct Table {
+    /// `next[state * classes + class]` → state.
+    next: Vec<u16>,
+    accept_from: usize,
+    /// Pattern ids accepting in state `accept_from + i`:
+    /// `ids[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Table {
+    /// Pushes the hits of accepting state `state` ending at `end`.
+    fn report(&self, state: usize, end: usize, out: &mut Vec<Hit>) {
+        let a = state - self.accept_from;
+        for &p in &self.ids[self.offsets[a] as usize..self.offsets[a + 1] as usize] {
+            out.push(Hit {
+                pattern: p as usize,
+                end,
+            });
+        }
+    }
+}
+
+/// Tables walked in lockstep. Their state chains are independent, so the
+/// CPU overlaps their table loads instead of waiting on one at a time.
+const LANES: usize = 4;
+
+/// Runs every table over a classified input, pushing their hits.
+fn walk(tables: &[Table], input: &[u8], classes: usize, out: &mut Vec<Hit>) {
+    for group in tables.chunks(LANES) {
+        let mut states = [0usize; LANES];
+        for (i, &class) in input.iter().enumerate() {
+            for (table, state) in group.iter().zip(&mut states) {
+                *state = table.next[*state * classes + class as usize] as usize;
+                if *state >= table.accept_from {
+                    table.report(*state, i + 1, out);
+                }
+            }
+        }
+    }
+}
+
+/// A dense DFA for a multi-pattern union.
+#[derive(Clone, Debug)]
+pub struct Dfa {
+    alphabet: Alphabet,
+    table: Table,
+}
+
+impl Dfa {
+    /// Determinizes the union of `patterns` by folding their per-pattern
+    /// DFAs, giving up when more than `max_states` states are needed. A
+    /// table addresses at most `u16::MAX` states whatever `max_states` is.
+    pub fn determinize(patterns: &[Regex], max_states: usize) -> Option<Dfa> {
+        let dfas = patterns
+            .iter()
+            .enumerate()
+            .map(|(i, re)| PatternDfa::determinize(&Nfa::from_regex(re), i as u32, max_states))
+            .collect::<Option<Vec<_>>>()?;
+        let alphabet = Alphabet::minterms(dfas.iter().flat_map(|d| &d.ccs));
+        let mut product = Product::empty(alphabet.classes());
+        for dfa in &dfas {
+            product = product.fold(dfa, &alphabet, max_states)?;
+        }
+        Some(Dfa {
+            table: product.finish(),
+            alphabet,
         })
     }
 
     /// Number of DFA states.
     pub fn len(&self) -> usize {
-        self.accepts.len()
+        self.table.next.len() / self.alphabet.classes()
     }
 
     /// Whether the DFA has no states (never: there is always a start state).
     pub fn is_empty(&self) -> bool {
-        self.accepts.is_empty()
+        self.len() == 0
     }
 
     /// Number of byte equivalence classes.
     pub fn alphabet_classes(&self) -> usize {
-        self.classes
+        self.alphabet.classes()
     }
 
-    /// Scans `input`, pushing hits with `base`-adjusted offsets.
+    /// Scans `input`, pushing its hits onto `out`.
     pub fn scan_into(&self, input: &[u8], out: &mut Vec<Hit>) {
-        let mut state = 0u32;
-        for (i, &b) in input.iter().enumerate() {
-            let class = self.class_of[b as usize] as usize;
-            state = self.next[state as usize * self.classes + class];
-            for &p in &self.accepts[state as usize] {
-                out.push(Hit {
-                    pattern: p as usize,
-                    end: i + 1,
-                });
-            }
-        }
+        walk(
+            std::slice::from_ref(&self.table),
+            &self.alphabet.classify(input),
+            self.alphabet.classes(),
+            out,
+        );
     }
 }
 
@@ -166,104 +473,86 @@ impl Engine for Dfa {
     }
 }
 
-/// Maps a global state id back to (pattern index, local state index).
-fn locate(base: &[usize], global: u32) -> (usize, usize) {
-    let g = global as usize;
-    let p = base.partition_point(|&b| b <= g) - 1;
-    (p, g - base[p])
-}
-
-fn push_unique(v: &mut Vec<u32>, x: u32) {
-    if !v.contains(&x) {
-        v.push(x);
-    }
-}
-
-/// Partitions the byte alphabet so that equivalent bytes share a class.
-fn byte_classes(nfas: &[Nfa]) -> [u16; 256] {
-    // Signature of a byte = the set of (state, matches?) bits; bucket by
-    // signature incrementally using a split-refine over class ids.
-    let mut class_of = [0u16; 256];
-    let mut next_class = 1u16;
-    for nfa in nfas {
-        for s in nfa.states() {
-            // Refine: bytes currently sharing a class but disagreeing on
-            // this character class get split.
-            let mut mapping: HashMap<(u16, bool), u16> = HashMap::new();
-            let mut fresh = next_class;
-            for (b, class) in class_of.iter_mut().enumerate() {
-                let key = (*class, s.cc.contains(b as u8));
-                let id = *mapping.entry(key).or_insert_with(|| {
-                    let id = fresh;
-                    fresh += 1;
-                    id
-                });
-                *class = id;
-            }
-            next_class = fresh;
-        }
-    }
-    // Renumber densely from 0.
-    let mut dense: HashMap<u16, u16> = HashMap::new();
-    for c in class_of.iter_mut() {
-        let n = dense.len() as u16;
-        *c = *dense.entry(*c).or_insert(n);
-    }
-    class_of
-}
-
-/// The hybrid software engine: one union DFA for everything that
-/// determinizes within the state cap, the prefiltered NBVA interpreter
-/// for the rest — Hyperscan's architecture in miniature.
+/// The hybrid software engine, Hyperscan's architecture in miniature:
+/// greedily partitioned DFAs for every pattern whose own DFA is small, the
+/// prefiltered NBVA interpreter for the rest.
 #[derive(Clone, Debug)]
 pub struct HybridEngine {
-    dfa: Option<Dfa>,
-    dfa_idx: Vec<usize>,
-    fallback: crate::interp::PrefilteredNfa,
+    /// The alphabet every partition's table is laid out over.
+    alphabet: Alphabet,
+    partitions: Vec<Table>,
+    dfa_count: usize,
+    fallback: PrefilteredNfa,
+    /// Pattern index of each fallback pattern.
     fallback_idx: Vec<usize>,
 }
 
 impl HybridEngine {
-    /// Default subset-state budget (per Hyperscan's McClellan limits,
-    /// scaled down).
-    pub const DEFAULT_MAX_STATES: usize = 4096;
+    /// Default state cap per partition (Hyperscan's McClellan limit,
+    /// scaled down). It is set by memory: the engines of the seven
+    /// 300-pattern benchmark suites retain about 22 MB at 2048 states
+    /// and 38 MB at 4096.
+    pub const DEFAULT_MAX_STATES: usize = 2048;
 
-    /// Builds the engine. Patterns whose *individual* DFA already exceeds
-    /// a proportional share of the budget are routed to the NFA path, then
-    /// the union of the rest is determinized (retrying without the largest
-    /// contributors is beyond this reproduction's scope — a failed union
-    /// sends everything to the NFA path).
+    /// Builds the engine with at most `max_states` states per partition.
+    ///
+    /// A pattern goes to the DFA path when its own DFA has at most an
+    /// eighth of `max_states` states (but at least 16, or `max_states`
+    /// when that is smaller). A pattern with more than twice that many
+    /// unfolded positions is assumed not to fit and goes to the NFA path
+    /// without building its automaton. The per-pattern DFAs are folded,
+    /// smallest first, into the open partition, which is closed when the
+    /// product would exceed `max_states`.
     pub fn new(patterns: &[Regex], max_states: usize) -> HybridEngine {
-        // Heuristic split: big or loop-heavy patterns determinize badly.
-        let mut dfa_idx = Vec::new();
+        let cap = max_states.min(MAX_TABLE_STATES);
+        let budget = (cap / 8).max(cap.min(16));
+        let mut dfas = Vec::new();
         let mut fallback_idx = Vec::new();
         for (i, re) in patterns.iter().enumerate() {
-            if re.unfolded_size() <= 64 {
-                dfa_idx.push(i);
+            let dfa = if re.unfolded_size() <= 2 * budget as u64 {
+                PatternDfa::determinize(&Nfa::from_regex(re), i as u32, budget)
             } else {
-                fallback_idx.push(i);
+                None
+            };
+            match dfa {
+                Some(dfa) => dfas.push(dfa),
+                None => fallback_idx.push(i),
             }
         }
-        let dfa_patterns: Vec<Regex> = dfa_idx.iter().map(|&i| patterns[i].clone()).collect();
-        let dfa = Dfa::determinize(&dfa_patterns, max_states);
-        if dfa.is_none() {
-            // Union blow-up: run everything on the NFA path.
-            fallback_idx = (0..patterns.len()).collect();
-            dfa_idx.clear();
+        dfas.sort_by_key(PatternDfa::len);
+
+        let alphabet = Alphabet::minterms(dfas.iter().flat_map(|d| &d.ccs));
+        let mut partitions = Vec::new();
+        let mut open = Product::empty(alphabet.classes());
+        for dfa in &dfas {
+            open = match open.fold(dfa, &alphabet, cap) {
+                Some(product) => product,
+                None => {
+                    partitions.push(open.finish());
+                    Product::empty(alphabet.classes())
+                        .fold(dfa, &alphabet, cap)
+                        .expect("a DFA within the budget fits an empty partition")
+                }
+            };
         }
+        if !dfas.is_empty() {
+            partitions.push(open.finish());
+        }
+
         let fallback_patterns: Vec<Regex> =
             fallback_idx.iter().map(|&i| patterns[i].clone()).collect();
         HybridEngine {
-            dfa,
-            dfa_idx,
-            fallback: crate::interp::PrefilteredNfa::new(&fallback_patterns),
+            alphabet,
+            partitions,
+            dfa_count: dfas.len(),
+            fallback: PrefilteredNfa::new(&fallback_patterns),
             fallback_idx,
         }
     }
 
     /// Number of patterns on the DFA path.
     pub fn dfa_count(&self) -> usize {
-        self.dfa_idx.len()
+        self.dfa_count
     }
 }
 
@@ -274,19 +563,20 @@ impl Engine for HybridEngine {
 
     fn scan(&self, input: &[u8]) -> Vec<Hit> {
         let mut hits = Vec::new();
-        if let Some(dfa) = &self.dfa {
-            let mut raw = Vec::new();
-            dfa.scan_into(input, &mut raw);
-            hits.extend(raw.into_iter().map(|h| Hit {
-                pattern: self.dfa_idx[h.pattern],
-                end: h.end,
-            }));
+        if !self.partitions.is_empty() {
+            let classified = self.alphabet.classify(input);
+            walk(
+                &self.partitions,
+                &classified,
+                self.alphabet.classes(),
+                &mut hits,
+            );
         }
-        for h in self.fallback.scan(input) {
-            hits.push(Hit {
+        if !self.fallback_idx.is_empty() {
+            hits.extend(self.fallback.scan(input).into_iter().map(|h| Hit {
                 pattern: self.fallback_idx[h.pattern],
                 end: h.end,
-            });
+            }));
         }
         normalize(hits)
     }
@@ -351,16 +641,61 @@ mod tests {
     }
 
     #[test]
+    fn minterms_split_overlapping_classes() {
+        let ccs = [CharClass::range(b'a', b'f'), CharClass::range(b'd', b'z')];
+        let alphabet = Alphabet::minterms(&ccs);
+        // [a-c], [d-f], [g-z] and the rest.
+        assert_eq!(alphabet.classes(), 4);
+        let class = |b: u8| alphabet.class_of[b as usize];
+        assert_eq!(class(b'a'), class(b'c'));
+        assert_eq!(class(b'd'), class(b'f'));
+        assert_eq!(class(b'g'), class(b'z'));
+        assert_eq!(class(b'0'), class(0xff));
+        assert_ne!(class(b'c'), class(b'd'));
+        assert_ne!(class(b'f'), class(b'g'));
+        assert_ne!(class(b'z'), class(b'0'));
+    }
+
+    #[test]
+    fn union_is_the_product_of_pattern_dfas() {
+        // Two literals: their union DFA is the Aho–Corasick automaton of
+        // {"ab", "cd"}, 5 states, not the 3 × 3 product space.
+        let dfa = Dfa::determinize(&regexes(&["ab", "cd"]), 64).expect("determinizes");
+        assert_eq!(dfa.len(), 5);
+    }
+
+    #[test]
+    fn large_folds_agree_with_interpreter() {
+        // The last fold pairs 3645 × 192 states, past the dense index.
+        let res = regexes(&["a.{6}b", "c.{6}d", "e.{6}f"]);
+        let dfa = Dfa::determinize(&res, 100_000).expect("determinizes");
+        let input = b"a123456b c1a3e5gd eaaaaaaf acebdf.ace1234bdf aceaceacebdfbdf";
+        assert_eq!(dfa.scan(input), NfaEngine::new(&res).scan(input));
+    }
+
+    #[test]
     fn hybrid_routes_and_agrees() {
-        let patterns = ["abc", "q{200}r", "x.*y", "hello"];
+        let patterns = ["abc", "q{1000}r", "x.*y", "hello"];
         let res = regexes(&patterns);
         let hybrid = HybridEngine::new(&res, HybridEngine::DEFAULT_MAX_STATES);
-        // q{200}r is too big for the DFA path.
+        // q{1000}r is too big for the DFA path.
         assert_eq!(hybrid.dfa_count(), 3);
         let mut input = b"abc hello xqqy ".to_vec();
-        input.extend(std::iter::repeat_n(b'q', 200));
+        input.extend(std::iter::repeat_n(b'q', 1000));
         input.push(b'r');
         assert_eq!(hybrid.scan(&input), NfaEngine::new(&res).scan(&input));
+    }
+
+    #[test]
+    fn hybrid_closes_full_partitions() {
+        // Each pattern fits the 32-state budget of a 256-state cap; their
+        // union does not fit one partition.
+        let res = regexes(&["a.{3}b", "c.{3}d", "e.{3}f", "g.{3}h"]);
+        let hybrid = HybridEngine::new(&res, 256);
+        assert_eq!(hybrid.dfa_count(), 4);
+        assert!(hybrid.partitions.len() >= 2, "{}", hybrid.partitions.len());
+        let input = b"axxxb cyyyd ezzzf gwwwh aceg.bdfh";
+        assert_eq!(hybrid.scan(input), NfaEngine::new(&res).scan(input));
     }
 
     #[test]

@@ -5,14 +5,21 @@
 //! crate implements the *algorithms* those systems are built on and
 //! measures their real throughput on this machine:
 //!
+//! * [`HybridEngine`] — the Hyperscan stand-in and Fig. 13's CPU
+//!   baseline: each pattern whose own subset DFA is small is folded into
+//!   one of several DFA partitions under a state cap ([`dfa`]), all over
+//!   one mintermized byte alphabet; the rest run on [`PrefilteredNfa`], an
+//!   Aho–Corasick-prefiltered NBVA interpreter.
+//! * [`BatchEngine`] — a HybridSA-style data-parallel scanner and Fig. 13's
+//!   GPU stand-in: it splits the input into overlapping chunks processed
+//!   concurrently (standing in for the GPU's thread blocks), each running
+//!   a [`ShiftAndEngine`], with non-linearizable patterns on the
+//!   prefiltered interpreter.
 //! * [`ShiftAndEngine`] — a multi-pattern bit-parallel Shift-And scanner
 //!   (the core of Hyperscan's literal/fdr paths and of HybridSA): all
 //!   linearizable patterns are packed into one wide bit vector with shared
 //!   shift/AND steps; non-linearizable patterns fall back to NFA
 //!   simulation.
-//! * [`BatchEngine`] — a HybridSA-style data-parallel scanner that splits
-//!   the input into overlapping chunks processed concurrently (standing in
-//!   for the GPU's thread blocks), with the same fallback.
 //! * [`NfaEngine`] — plain multi-pattern NFA interpretation, the ground
 //!   truth.
 //!

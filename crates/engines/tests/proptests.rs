@@ -87,6 +87,25 @@ proptest! {
     }
 
     #[test]
+    fn hybrid_with_tiny_cap_equals_interpreter(
+        patterns in prop::collection::vec(arb_pattern(), 2..7),
+        input in arb_input(),
+        max_states in 2usize..65,
+    ) {
+        // A cap this small splits the DFA path into several partitions,
+        // some holding a single pattern, and sends the patterns over the
+        // per-pattern budget to the NFA path.
+        let expect = NfaEngine::new(&patterns).scan(&input);
+        let hybrid = HybridEngine::new(&patterns, max_states);
+        prop_assert_eq!(
+            hybrid.scan(&input), expect,
+            "cap {}, patterns {:?}",
+            max_states,
+            patterns.iter().map(ToString::to_string).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
     fn batch_equals_interpreter(
         patterns in prop::collection::vec(arb_pattern(), 1..4),
         input in arb_input(),

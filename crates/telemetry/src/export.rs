@@ -89,7 +89,8 @@ fn event_json(label: &str, event: &ProbeEvent) -> String {
 /// Renders run traces as JSONL: one `run_start` line per trace (carrying
 /// the drop count), then one line per event. Traces are rendered in the
 /// caller-supplied order; [`crate::Telemetry::drain_traces`] sorts by
-/// label so parallel-grid interleaving doesn't perturb the bytes.
+/// label, then content, so parallel-grid interleaving doesn't perturb the
+/// bytes.
 pub fn traces_to_jsonl(traces: &[RunTrace]) -> String {
     let mut out = String::new();
     for trace in traces {

@@ -127,14 +127,15 @@ impl Telemetry {
     }
 
     /// Takes all completed run traces out of the journal, sorted by run
-    /// label (then original arrival order for equal labels) so that
+    /// label and, for equal labels, by their rendered JSONL, so that
     /// parallel-grid scheduling cannot perturb the export.
     pub fn drain_traces(&self) -> Vec<RunTrace> {
         let mut traces = match self.journal.lock() {
             Ok(mut journal) => std::mem::take(&mut *journal),
             Err(_) => Vec::new(),
         };
-        traces.sort_by(|a, b| a.label.cmp(&b.label));
+        let jsonl = |t: &RunTrace| traces_to_jsonl(std::slice::from_ref(t));
+        traces.sort_by(|a, b| a.label.cmp(&b.label).then_with(|| jsonl(a).cmp(&jsonl(b))));
         traces
     }
 
@@ -207,6 +208,26 @@ mod tests {
             tel.drain_jsonl()
         };
         assert_eq!(render(), render());
+    }
+
+    #[test]
+    fn same_label_traces_drain_in_content_order() {
+        let render = |cycles: [u64; 2]| {
+            let tel = Telemetry::default();
+            for cycle in cycles {
+                let mut probe = tel.probe("rap/snort");
+                probe.push(ProbeEvent::Array {
+                    cycle,
+                    array: 0,
+                    active_states: 1,
+                    powered_tiles: 1,
+                    stalled: false,
+                });
+                probe.finish();
+            }
+            tel.drain_jsonl()
+        };
+        assert_eq!(render([3, 7]), render([7, 3]));
     }
 
     #[test]
