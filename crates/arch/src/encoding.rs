@@ -9,12 +9,9 @@
 //! `highs × lows` products, **two products per CAM column**: literal bytes,
 //! digit classes, `.`, `[a-z]`-style ranges and small alternations all fit
 //! a single column (the paper's "84% of LNFAs are single-code" regime),
-//! while complex classes like `\w` spill over several columns.
-//!
-//! **One-hot code.** LNFAs whose classes do not fit a single 32-bit code
-//! are matched in the 128×128 local switch instead (§3.2): each class
-//! occupies two 128-bit switch columns; the input byte's MSB selects the
-//! column and its low 7 bits one-hot-activate a row.
+//! while complex classes like `\w` spill over several columns. LNFAs whose
+//! classes do not fit a single code are matched in the local switch
+//! instead (§3.2); `rap-sim`'s chain kernel charges that path.
 
 use rap_regex::CharClass;
 use serde::{Deserialize, Serialize};
@@ -158,27 +155,6 @@ pub fn single_code(cc: &CharClass) -> Option<CcCode> {
     }
 }
 
-/// The 256-bit one-hot image of a class, split into the two 128-bit local
-/// switch columns of §3.2: `[0]` covers bytes 0–127 (MSB = 0), `[1]` covers
-/// bytes 128–255. Each half is two `u64` words, least-significant bit =
-/// lowest byte of the half.
-pub fn one_hot(cc: &CharClass) -> [[u64; 2]; 2] {
-    let mut halves = [[0u64; 2]; 2];
-    for b in cc.iter() {
-        let half = (b >> 7) as usize;
-        let idx = (b & 0x7f) as usize;
-        halves[half][idx / 64] |= 1 << (idx % 64);
-    }
-    halves
-}
-
-/// Whether a one-hot image matches a byte.
-pub fn one_hot_matches(image: &[[u64; 2]; 2], byte: u8) -> bool {
-    let half = (byte >> 7) as usize;
-    let idx = (byte & 0x7f) as usize;
-    image[half][idx / 64] & (1 << (idx % 64)) != 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,21 +229,5 @@ mod tests {
             let code = single_code(&cc).expect("fits one code");
             assert_eq!(code.to_class(), cc);
         }
-    }
-
-    #[test]
-    fn one_hot_roundtrip() {
-        let cc = CharClass::from_bytes([0x00, 0x41, 0x7f, 0x80, 0xfe]);
-        let image = one_hot(&cc);
-        for b in 0..=255u8 {
-            assert_eq!(one_hot_matches(&image, b), cc.contains(b), "byte {b:#04x}");
-        }
-    }
-
-    #[test]
-    fn one_hot_half_selection() {
-        let image = one_hot(&CharClass::single(0x80));
-        assert_eq!(image[0], [0, 0]);
-        assert_eq!(image[1], [1, 0]);
     }
 }

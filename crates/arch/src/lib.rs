@@ -6,11 +6,10 @@
 //!
 //! * [`config::ArchConfig`] — every architectural parameter of §3.3 (tile
 //!   geometry, array/bank fan-out, buffer depths, ring width, …),
-//! * [`encoding`] — the character-class encodings: the 32-bit per-column
+//! * [`encoding`] — the character-class encoding: the 32-bit per-column
 //!   CAM code (a product of high-/low-nibble sets, standing in for CAMA's
-//!   multi-zero prefix scheme) and the 256-bit one-hot code used when LNFAs
-//!   fall back to the local switch,
-//! * [`buffers`] — the two-level input/output buffering of §3.3.
+//!   multi-zero prefix scheme),
+//! * [`buffers`] — the per-array FIFOs of the §3.3 buffer hierarchy.
 //!
 //! The tile itself — CAM search and crossbar routing over 128-bit words —
 //! is executed by the simulator's kernels (`rap-sim`'s `array` module).

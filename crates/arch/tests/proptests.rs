@@ -2,7 +2,7 @@
 //! be exact for arbitrary classes.
 
 use proptest::prelude::*;
-use rap_arch::encoding::{encode_class, one_hot, one_hot_matches, product_cover, single_code};
+use rap_arch::encoding::{encode_class, product_cover, single_code};
 use rap_regex::CharClass;
 
 fn arb_class() -> impl Strategy<Value = CharClass> {
@@ -52,14 +52,4 @@ proptest! {
             prop_assert_eq!(code.to_class(), cc);
         }
     }
-
-    /// The one-hot switch image matches exactly the class.
-    #[test]
-    fn one_hot_is_exact(cc in arb_class()) {
-        let image = one_hot(&cc);
-        for b in 0..=255u8 {
-            prop_assert_eq!(one_hot_matches(&image, b), cc.contains(b), "byte {:#04x}", b);
-        }
-    }
-
 }

@@ -91,6 +91,25 @@ impl EnergyMeter {
         self.charged |= 1 << category as u8;
     }
 
+    /// Charges `pj` picojoules to `category` `times` times over, one
+    /// addition per charge, so the subtotal equals that many
+    /// [`EnergyMeter::charge`] calls bit for bit even when `pj` is not
+    /// exactly representable.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a negative or non-finite `pj`.
+    pub fn charge_repeated(&mut self, category: Category, pj: f64, times: u64) {
+        if times == 0 {
+            return;
+        }
+        self.charge(category, pj);
+        let subtotal = &mut self.pj[category as usize];
+        for _ in 1..times {
+            *subtotal += pj;
+        }
+    }
+
     /// Subtotal of one category, in picojoules.
     pub fn category_pj(&self, category: Category) -> f64 {
         self.pj[category as usize]
@@ -130,6 +149,23 @@ mod tests {
         assert_eq!(m.category_pj(Category::LocalSwitch), 1.5);
         assert_eq!(m.category_pj(Category::Wire), 0.0);
         assert!((m.total_pj() - 9.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn repeated_charges_equal_single_charges() {
+        let (mut once, mut repeated) = (EnergyMeter::new(), EnergyMeter::new());
+        once.charge(Category::Buffer, 0.1);
+        repeated.charge(Category::Buffer, 0.1);
+        for _ in 0..1_000 {
+            once.charge(Category::Buffer, 0.2);
+        }
+        repeated.charge_repeated(Category::Buffer, 0.2, 1_000);
+        repeated.charge_repeated(Category::Wire, 0.2, 0);
+        assert_eq!(
+            once.category_pj(Category::Buffer).to_bits(),
+            repeated.category_pj(Category::Buffer).to_bits()
+        );
+        assert_eq!(once, repeated, "zero repeats mark nothing");
     }
 
     #[test]

@@ -59,24 +59,6 @@ impl Metrics {
         }
         self.throughput_gchps() / self.area_mm2
     }
-
-    /// Sums two runs that share the hardware over the same input (e.g. the
-    /// per-array contributions of one bank): energies and areas add, cycles
-    /// take the maximum (arrays run in parallel), input chars must agree.
-    pub fn combine_parallel(&self, other: &Metrics) -> Metrics {
-        assert_eq!(
-            self.clock_hz, other.clock_hz,
-            "cannot combine runs at different clocks"
-        );
-        Metrics {
-            input_chars: self.input_chars.max(other.input_chars),
-            cycles: self.cycles.max(other.cycles),
-            clock_hz: self.clock_hz,
-            energy_uj: self.energy_uj + other.energy_uj,
-            area_mm2: self.area_mm2 + other.area_mm2,
-            matches: self.matches + other.matches,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -130,28 +112,5 @@ mod tests {
         assert_eq!(x.power_w(), 0.0);
         assert_eq!(x.energy_efficiency(), 0.0);
         assert_eq!(x.compute_density(), 0.0);
-    }
-
-    #[test]
-    fn combine_parallel_adds_energy_maxes_cycles() {
-        let a = m();
-        let mut b = m();
-        b.cycles = 150_000;
-        b.energy_uj = 12.0;
-        b.area_mm2 = 1.0;
-        let c = a.combine_parallel(&b);
-        assert_eq!(c.cycles, 150_000);
-        assert!((c.energy_uj - 200.0).abs() < 1e-12);
-        assert!((c.area_mm2 - 4.67).abs() < 1e-12);
-        assert_eq!(c.matches, 24);
-    }
-
-    #[test]
-    #[should_panic(expected = "different clocks")]
-    fn combine_clock_mismatch_panics() {
-        let a = m();
-        let mut b = m();
-        b.clock_hz = 1.0e9;
-        let _ = a.combine_parallel(&b);
     }
 }

@@ -22,9 +22,9 @@ use rap_circuit::Machine;
 use rap_compiler::{Compiled, Mode};
 use rap_mapper::Mapping;
 use rap_regex::{Pattern, Regex};
-use rap_sim::{BankStats, MatchEvent, RunResult, SimError, Simulator, StreamRun};
+use rap_sim::{BankStats, Lowered, MatchEvent, RunResult, SimError, Simulator, StreamRun};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Stage 1 artifact: a parse-validated pattern set with its source text.
 ///
@@ -349,6 +349,7 @@ impl MappedPlan {
                 mapping: self.mapping,
                 advisories: report,
                 bounds: None,
+                lowered: OnceLock::new(),
             })
         } else {
             Err(EvalError::IllegalMapping {
@@ -364,12 +365,18 @@ impl MappedPlan {
 /// There is no public constructor — the only way to obtain one is
 /// [`MappedPlan::verify`] — so holding a `VerifiedPlan` *is* the proof
 /// that the plan is hardware-legal.
+///
+/// The plan keeps its simulator images ([`rap_sim::Lowered`]) once the
+/// first `simulate*` or [`VerifiedPlan::stream`] call has built them, so
+/// repeated simulation of one plan lowers its arrays once. Clones share
+/// the images; they are never persisted and never part of a cache key.
 #[derive(Clone, Debug)]
 pub struct VerifiedPlan {
     compiled: CompiledSet,
     mapping: Mapping,
     advisories: rap_verify::Report,
     bounds: Option<rap_bound::BoundAnalysis>,
+    lowered: OnceLock<Arc<Lowered>>,
 }
 
 impl VerifiedPlan {
@@ -413,14 +420,26 @@ impl VerifiedPlan {
         self.bounds.as_ref()
     }
 
+    /// The simulator images, if a `simulate*` or [`VerifiedPlan::stream`]
+    /// call has built them yet.
+    pub fn lowered(&self) -> Option<&Arc<Lowered>> {
+        self.lowered.get()
+    }
+
+    /// The simulator images, built on first use.
+    fn image(&self) -> &Arc<Lowered> {
+        self.lowered.get_or_init(|| {
+            Arc::new(Lowered::new(
+                &self.compiled.images,
+                &self.mapping,
+                self.compiled.machine,
+            ))
+        })
+    }
+
     /// Stage transition: runs the cycle-accurate simulator over `input`.
     pub fn simulate(&self, input: &[u8]) -> RunResult {
-        rap_sim::simulate(
-            &self.compiled.images,
-            &self.mapping,
-            input,
-            self.compiled.machine,
-        )
+        self.image().simulate(&self.compiled.images, input)
     }
 
     /// Like [`VerifiedPlan::simulate`], with cycle-sampled probe events
@@ -432,25 +451,15 @@ impl VerifiedPlan {
         telemetry: &rap_telemetry::Telemetry,
         label: &str,
     ) -> RunResult {
-        rap_sim::simulate_traced(
-            &self.compiled.images,
-            &self.mapping,
-            input,
-            self.compiled.machine,
-            telemetry,
-            label,
-        )
+        self.image()
+            .simulate_traced(&self.compiled.images, input, telemetry, label)
     }
 
     /// Like [`VerifiedPlan::simulate`], but through the §3.3 bank buffer
     /// hierarchy, returning buffer statistics alongside the result.
     pub fn simulate_streaming(&self, input: &[u8]) -> (RunResult, BankStats) {
-        rap_sim::simulate_streaming(
-            &self.compiled.images,
-            &self.mapping,
-            input,
-            self.compiled.machine,
-        )
+        self.image()
+            .simulate_streaming(&self.compiled.images, input)
     }
 
     /// Stage transition: opens a resumable §3.3 bank run over this plan
@@ -459,7 +468,7 @@ impl VerifiedPlan {
     /// [`VerifiedPlan::simulate_streaming`] over the whole stream.
     pub fn stream(self: &Arc<Self>) -> PlanStream {
         PlanStream {
-            run: StreamRun::new(&self.compiled.images, &self.mapping, self.compiled.machine),
+            run: StreamRun::on(Arc::clone(self.image()), &self.compiled.images),
             plan: Arc::clone(self),
         }
     }

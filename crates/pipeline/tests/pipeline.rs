@@ -1,7 +1,8 @@
 //! End-to-end properties of the staged pipeline: cache hits are
 //! bit-identical to cold compiles, the parallel grid driver computes
-//! exactly what the serial path computes, and the verify gate rejects
-//! corrupted placements (the only road to simulation is a verified plan).
+//! exactly what the serial path computes, the verify gate rejects
+//! corrupted placements (the only road to simulation is a verified plan),
+//! and a plan's simulator images are built once and never persisted.
 
 use proptest::prelude::*;
 use rap_circuit::Machine;
@@ -11,7 +12,7 @@ use rap_pipeline::{
     build_plan, ArtifactTier, BenchConfig, CacheKey, DiskTier, EvalError, MappedPlan, PatternSet,
     Persist, Pipeline, RunSummary, StoreConfig, TierLoad, VerifiedPlan,
 };
-use rap_sim::Simulator;
+use rap_sim::{RunResult, Simulator};
 use rap_workloads::Suite;
 use serde::Serialize as _;
 use std::sync::Arc;
@@ -192,6 +193,96 @@ fn semantically_tampered_payload_is_rejected_through_verify() {
         matches!(tier.load(key), TierLoad::Miss),
         "subsequent loads are plain misses"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Everything a run models: cycles, stalls, matches, every energy
+/// category's bits, and the quiescent-cycle work counter.
+fn fingerprint(r: &RunResult) -> String {
+    let energy: Vec<(String, u64)> = r
+        .energy
+        .iter()
+        .map(|(category, pj)| (category.to_string(), pj.to_bits()))
+        .collect();
+    format!(
+        "{} {} {} {:?} {:?}",
+        r.metrics.cycles, r.stall_cycles, r.quiescent_cycles, r.matches, energy
+    )
+}
+
+/// A verified plan's simulator images are built by its first simulation,
+/// never by `verify()`; a second simulation and the plan's clones reuse
+/// them; they are not persisted. A plan simulated twice, cloned, traced,
+/// streamed, or reloaded from the disk store returns identical results.
+#[test]
+fn lowered_images_are_built_once_and_never_persisted() {
+    let dir = std::env::temp_dir().join(format!(
+        "rap-pipeline-lowered-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let tier = DiskTier::<VerifiedPlan>::open(StoreConfig::at(&dir)).expect("store opens");
+    let pipe = Pipeline::new(tiny());
+    for (i, (suite, machine)) in [
+        (Suite::Snort, Machine::Rap),
+        (Suite::ClamAv, Machine::Rap),
+        (Suite::Yara, Machine::Ca),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let corpus = pipe.corpus(suite);
+        let input = corpus.input();
+        let sim = pipe.simulator_for(machine, suite);
+        let plan = build_plan(&sim, corpus.patterns(), None).expect("plan builds");
+        assert!(plan.lowered().is_none(), "verify() lowers nothing");
+        let unlowered = plan.clone();
+
+        let first = plan.simulate(input);
+        let image = Arc::clone(plan.lowered().expect("the first simulate lowers"));
+        let second = plan.simulate(input);
+        assert_eq!(fingerprint(&second), fingerprint(&first));
+        let reused = plan.lowered().expect("still lowered");
+        assert!(
+            Arc::ptr_eq(reused, &image),
+            "a second simulate reuses the image"
+        );
+
+        let clone = plan.clone();
+        assert!(Arc::ptr_eq(clone.lowered().expect("shared"), &image));
+        assert_eq!(fingerprint(&clone.simulate(input)), fingerprint(&first));
+        assert!(
+            unlowered.lowered().is_none(),
+            "a clone taken earlier lowers its own"
+        );
+        assert_eq!(fingerprint(&unlowered.simulate(input)), fingerprint(&first));
+
+        let telemetry = rap_telemetry::Telemetry::new(rap_telemetry::TelemetryConfig::default());
+        let traced = plan.simulate_traced(input, &telemetry, "lifetime");
+        assert_eq!(fingerprint(&traced), fingerprint(&first));
+
+        let plan = Arc::new(plan);
+        let (whole, _) = plan.simulate_streaming(input);
+        assert_eq!(whole.matches, first.matches);
+        let mut stream = plan.stream();
+        let mut fed = stream.feed(&input[..input.len() / 3]);
+        fed.extend(stream.feed(&input[input.len() / 3..]));
+        let (tail, streamed, _) = stream.finish();
+        fed.extend(tail);
+        assert_eq!(fed, first.matches);
+        assert_eq!(streamed.quiescent_cycles, first.quiescent_cycles);
+        assert!(Arc::ptr_eq(plan.lowered().expect("shared"), &image));
+
+        let key = CacheKey(i as u128 + 1);
+        tier.store(key, &plan);
+        let TierLoad::Hit(reloaded) = tier.load(key) else {
+            panic!("the stored plan reloads");
+        };
+        assert!(reloaded.lowered().is_none(), "images are never persisted");
+        assert_eq!(fingerprint(&reloaded.simulate(input)), fingerprint(&first));
+        assert_eq!(reloaded.to_payload(), plan.to_payload());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

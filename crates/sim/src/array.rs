@@ -1,25 +1,43 @@
 //! Word-level array kernels: every cycle steps whole tiles, the way the
 //! paper's tile computes (§2.2, §3.1).
 //!
-//! * The **tile kernel** ([`TileArray`]) runs NFA and NBVA arrays; an NFA
-//!   array is an NBVA array without bit-vector (BV) states. Each tile
-//!   keeps a 128-bit active word. The CAM search is a match column per
-//!   input byte, one bit per state whose class holds the byte, built the
-//!   first time the byte arrives from the array's distinct character
-//!   classes. State transition ORs the crossbar row of every emitting state
-//!   into the next cycle's candidates: one word for the tile's own local
-//!   crossbar plus one entry per other tile reached through the global
-//!   crossbar. BV states live in a short side list that applies the
-//!   `set1`/`shft`/read actions and starts the bit-vector-processing phase,
-//!   which stalls the array for `depth` cycles (or BVAP's fixed latency).
-//! * The **chain kernel** ([`ChainArray`]) runs LNFA arrays. Every chain of
-//!   every bin is packed into one Shift-And register, so a cycle is
-//!   `states = ((states << 1) | starts) & label[byte]` over a few words.
+//! * The **tile kernel** ([`TileRun`] over a [`TileImage`]) runs NFA and
+//!   NBVA arrays; an NFA array is an NBVA array without bit-vector (BV)
+//!   states. Each tile keeps a 128-bit active word. The CAM search is a
+//!   match column per input byte, one bit per state whose class holds the
+//!   byte, built the first time the byte arrives from the array's distinct
+//!   character classes. State transition ORs the crossbar row of every
+//!   emitting state into the next cycle's candidates: one word for the
+//!   tile's own local crossbar plus one entry per other tile reached
+//!   through the global crossbar. BV states live in a short side list that
+//!   applies the `set1`/`shft`/read actions and starts the
+//!   bit-vector-processing phase, which stalls the array for `depth`
+//!   cycles (or BVAP's fixed latency).
+//! * The **chain kernel** ([`ChainRun`] over a [`ChainImage`]) runs LNFA
+//!   arrays. Every chain of every bin is packed into one Shift-And
+//!   register, so a cycle is `states = ((states << 1) | starts) &
+//!   label[byte]` over a few words.
 //!
-//! Crossbar rows and match columns are *lowered lazily*: a row the first
-//! time its state activates, a column the first time its byte arrives. A
-//! run therefore never pays for the edges of states it never visits, and
-//! nothing lowered outlives the run.
+//! Each kernel is split in two. The **image** ([`ArrayImage`]) is
+//! everything derived from the plan alone: slot tables, per-tile initial,
+//! final and vector words, the class alphabet, chain positions and the
+//! wake set. It is immutable, built once per plan and shared by every run
+//! of it (see [`crate::Lowered`]). The **run** ([`Array`]) owns what a
+//! stream changes: live words, bit vectors, counters, and the tables
+//! lowered lazily — a crossbar row the first time its state activates, a
+//! match column or Shift-And label the first time its byte arrives. A run
+//! therefore never pays for the edges of states it never visits.
+//!
+//! A tile array whose tiles hold no active or live state and no pending
+//! stall is *quiet*. A byte outside its **wake set** (the union of its
+//! initial states' classes) cannot activate anything, so a quiet array
+//! skips the tick: it counts the idle levels and charges the per-cycle
+//! wire and buffer energy, and nothing else. [`run_array`] skips whole
+//! idle runs at once when no probe is attached. The same argument holds
+//! tile by tile: a tick routes only the *busy* tiles (those holding a
+//! state) and searches only those, the tiles they route to, and the tiles
+//! whose initial states the byte wakes; every other tile's words stay
+//! zero and it is counted idle.
 //!
 //! Energy is charged against the circuit models with activity factors
 //! (active states per tile, cross-tile signals, candidate states) taken
@@ -47,19 +65,22 @@ use rap_mapper::{ArrayKind, ArrayPlan, Bin, Placement};
 use rap_regex::CharClass;
 use rap_telemetry::{ProbeEvent, SimProbe};
 use std::collections::BTreeMap;
+use std::mem::{size_of, size_of_val};
 
 /// States per tile word: a tile has 128 columns and every state takes at
 /// least one.
 const TILE_BITS: usize = 128;
 
 /// What one array produced: its private cycle count (stalls included), its
-/// match reports, and the tile-cycles that were actually powered (gated
-/// tiles leak ~nothing, which is where LNFA mode's §3.2 savings and the
-/// NBVA phase's §3.3 tile-disabling come from).
+/// match reports, the tile-cycles that were actually powered (gated tiles
+/// leak ~nothing, which is where LNFA mode's §3.2 savings and the NBVA
+/// phase's §3.3 tile-disabling come from), and the cycles it spent quiet
+/// on a byte outside its wake set.
 pub(crate) struct ArrayOutcome {
     pub cycles: u64,
     pub matches: Vec<MatchEvent>,
     pub powered_tile_cycles: u64,
+    pub quiescent_cycles: u64,
 }
 
 /// A point-in-time activity sample of one array, as seen by a telemetry
@@ -72,22 +93,22 @@ pub(crate) struct ArrayObservation {
     pub powered_tiles: u64,
 }
 
-/// One array, lowered to its kernel.
-pub(crate) enum Array {
+/// One array's plan-resident image.
+pub(crate) enum ArrayImage {
     /// NFA or NBVA tiles.
-    Tile(Box<TileArray>),
+    Tile(Box<TileImage>),
     /// LNFA bins.
-    Chain(Box<ChainArray>),
+    Chain(Box<ChainImage>),
 }
 
-impl Array {
-    /// Lowers an array plan. Only per-state bookkeeping happens here;
-    /// crossbar rows and match columns are lowered on demand, from the
+impl ArrayImage {
+    /// Lowers an array plan's immutable half. Crossbar rows and match
+    /// columns are left to the runs, which lower them on demand from the
     /// `compiled` images every [`Array::tick`] is handed.
-    pub(crate) fn new(compiled: &[Compiled], plan: &ArrayPlan, cost: &CostModel) -> Array {
+    pub(crate) fn new(compiled: &[Compiled], plan: &ArrayPlan, cost: &CostModel) -> ArrayImage {
         let tiles = plan.tiles_used as usize;
         match &plan.kind {
-            ArrayKind::Nfa { placements } => Array::Tile(Box::new(TileArray::new(
+            ArrayKind::Nfa { placements } => ArrayImage::Tile(Box::new(TileImage::new(
                 compiled, placements, tiles, None, *cost,
             ))),
             ArrayKind::Nbva { depth, placements } => {
@@ -96,7 +117,7 @@ impl Array {
                 } else {
                     u64::from(*depth)
                 };
-                Array::Tile(Box::new(TileArray::new(
+                ArrayImage::Tile(Box::new(TileImage::new(
                     compiled,
                     placements,
                     tiles,
@@ -105,8 +126,37 @@ impl Array {
                 )))
             }
             ArrayKind::Lnfa { bins } => {
-                Array::Chain(Box::new(ChainArray::new(compiled, bins, tiles, *cost)))
+                ArrayImage::Chain(Box::new(ChainImage::new(compiled, bins, tiles, *cost)))
             }
+        }
+    }
+
+    /// Heap bytes the image keeps resident.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            ArrayImage::Tile(i) => size_of::<TileImage>() + i.heap_bytes(),
+            ArrayImage::Chain(i) => size_of::<ChainImage>() + i.heap_bytes(),
+        }
+    }
+}
+
+/// One run of an array: the state a stream changes, stepped against the
+/// [`ArrayImage`] it was opened on.
+pub(crate) enum Array {
+    /// NFA or NBVA tiles.
+    Tile(Box<TileRun>),
+    /// LNFA bins.
+    Chain(Box<ChainRun>),
+}
+
+impl Array {
+    /// Opens a run at stream offset 0. The BV states' rows are lowered
+    /// here, from `compiled`, because they emit without ever being
+    /// plain-active.
+    pub(crate) fn new(image: &ArrayImage, compiled: &[Compiled]) -> Array {
+        match image {
+            ArrayImage::Tile(i) => Array::Tile(Box::new(TileRun::new(i, compiled))),
+            ArrayImage::Chain(i) => Array::Chain(Box::new(ChainRun::new(i))),
         }
     }
 
@@ -122,19 +172,48 @@ impl Array {
     /// Advances one clock cycle. When not stalled, `byte` must be the next
     /// input symbol and `offset` its 0-based position; matches ending this
     /// cycle are appended to `out` (one per placed pattern or chain). When
-    /// stalled, `byte` is ignored. `compiled` must be the images the array
-    /// was built from: rows of first activations are lowered from them.
+    /// stalled, `byte` is ignored. `image` must be the one the run was
+    /// opened on and `compiled` the images it was built from: rows of
+    /// first activations are lowered from them.
     pub(crate) fn tick(
         &mut self,
+        image: &ArrayImage,
         compiled: &[Compiled],
         byte: Option<u8>,
         offset: usize,
         meter: &mut EnergyMeter,
         out: &mut Vec<MatchEvent>,
     ) {
-        match self {
-            Array::Tile(a) => a.tick(compiled, byte, offset, meter, out),
-            Array::Chain(a) => a.step(byte.expect("LNFA arrays never stall"), offset, meter, out),
+        match (self, image) {
+            (Array::Tile(a), ArrayImage::Tile(i)) => a.tick(i, compiled, byte, offset, meter, out),
+            (Array::Chain(a), ArrayImage::Chain(i)) => a.step(
+                i,
+                byte.expect("LNFA arrays never stall"),
+                offset,
+                meter,
+                out,
+            ),
+            _ => unreachable!("a run is stepped against the image it was opened on"),
+        }
+    }
+
+    /// Consumes the longest prefix of `input` that a quiet tile array
+    /// ignores (bytes outside its wake set), charging it exactly as that
+    /// many ticks would. Returns the prefix length: 0 when the array is
+    /// not quiet or is a chain array.
+    fn skip_idle(&mut self, image: &ArrayImage, input: &[u8], meter: &mut EnergyMeter) -> usize {
+        match (self, image) {
+            (Array::Tile(a), ArrayImage::Tile(i)) if a.quiet() => {
+                let n = input
+                    .iter()
+                    .position(|&b| i.wake_tiles[usize::from(b)] != 0)
+                    .unwrap_or(input.len());
+                if n > 0 {
+                    a.idle_cycles(i, n as u64, meter);
+                }
+                n
+            }
+            _ => 0,
         }
     }
 
@@ -146,21 +225,32 @@ impl Array {
         }
     }
 
+    /// Cycles so far on which the array was quiet and its byte outside
+    /// the wake set.
+    pub(crate) fn quiescent_cycles(&self) -> u64 {
+        match self {
+            Array::Tile(a) => a.quiescent,
+            Array::Chain(_) => 0,
+        }
+    }
+
     /// Samples the array's current activity for a telemetry probe. Pure
     /// observation: never charges energy or mutates state.
-    pub(crate) fn observe(&self) -> ArrayObservation {
-        match self {
-            Array::Tile(a) => a.observe(),
-            Array::Chain(a) => a.observe(),
+    pub(crate) fn observe(&self, image: &ArrayImage) -> ArrayObservation {
+        match (self, image) {
+            (Array::Tile(a), _) => a.observe(),
+            (Array::Chain(a), ArrayImage::Chain(i)) => a.observe(i),
+            _ => unreachable!("a run is observed against the image it was opened on"),
         }
     }
 
     /// Charges the activity-scaled energy counted so far. Call once, when
     /// the array's run ends.
-    pub(crate) fn settle(&self, meter: &mut EnergyMeter) {
-        match self {
-            Array::Tile(a) => a.settle(meter),
-            Array::Chain(a) => a.settle(meter),
+    pub(crate) fn settle(&self, image: &ArrayImage, meter: &mut EnergyMeter) {
+        match (self, image) {
+            (Array::Tile(a), ArrayImage::Tile(i)) => a.settle(i, meter),
+            (Array::Chain(a), ArrayImage::Chain(i)) => a.settle(i, meter),
+            _ => unreachable!("a run is settled against the image it was opened on"),
         }
     }
 }
@@ -168,12 +258,15 @@ impl Array {
 /// Drives one array over a whole input slice (stalls expanded in place)
 /// and settles its energy.
 ///
-/// When a telemetry probe is attached (as `(probe, array index)`), the
-/// loop emits an [`ProbeEvent::Array`] sample every
-/// [`SimProbe::sample_every`] cycles and one [`ProbeEvent::ArrayEnd`]
-/// summary at the end. Probing only observes — energy, cycles, and
-/// matches are identical with and without it.
+/// Without a probe, a quiet tile array jumps each idle run in one step
+/// ([`Array::skip_idle`]). When a telemetry probe is attached (as
+/// `(probe, array index)`), every cycle is stepped: the loop emits an
+/// [`ProbeEvent::Array`] sample every [`SimProbe::sample_every`] cycles
+/// and one [`ProbeEvent::ArrayEnd`] summary at the end. Probing only
+/// observes — energy, cycles, and matches are identical with and without
+/// it.
 pub(crate) fn run_array(
+    image: &ArrayImage,
     sim: &mut Array,
     compiled: &[Compiled],
     input: &[u8],
@@ -182,14 +275,17 @@ pub(crate) fn run_array(
 ) -> ArrayOutcome {
     let mut cycles = 0u64;
     let mut matches = Vec::new();
+    // Only tile arrays go quiet.
+    let skip = probe.is_none() && matches!(image, ArrayImage::Tile(_));
     let mut step = |sim: &mut Array,
+                    meter: &mut EnergyMeter,
                     byte: Option<u8>,
                     offset: usize,
                     cycles: &mut u64,
                     matches: &mut Vec<MatchEvent>| {
         if let Some((probe, array)) = probe.as_mut() {
             if (*cycles).is_multiple_of(u64::from(probe.sample_every())) {
-                let obs = sim.observe();
+                let obs = sim.observe(image);
                 probe.push(ProbeEvent::Array {
                     cycle: *cycles,
                     array: *array,
@@ -199,19 +295,36 @@ pub(crate) fn run_array(
                 });
             }
         }
-        sim.tick(compiled, byte, offset, meter, matches);
+        sim.tick(image, compiled, byte, offset, meter, matches);
         *cycles += 1;
     };
-    for (offset, &byte) in input.iter().enumerate() {
-        while sim.stalled() {
-            step(sim, None, offset, &mut cycles, &mut matches);
+    let mut offset = 0;
+    while offset < input.len() {
+        if skip {
+            let idle = sim.skip_idle(image, &input[offset..], meter);
+            if idle > 0 {
+                cycles += idle as u64;
+                offset += idle;
+                continue;
+            }
         }
-        step(sim, Some(byte), offset, &mut cycles, &mut matches);
+        while sim.stalled() {
+            step(sim, meter, None, offset, &mut cycles, &mut matches);
+        }
+        step(
+            sim,
+            meter,
+            Some(input[offset]),
+            offset,
+            &mut cycles,
+            &mut matches,
+        );
+        offset += 1;
     }
     while sim.stalled() {
-        step(sim, None, input.len(), &mut cycles, &mut matches);
+        step(sim, meter, None, input.len(), &mut cycles, &mut matches);
     }
-    sim.settle(meter);
+    sim.settle(image, meter);
     if let Some((probe, array)) = probe {
         probe.push(ProbeEvent::ArrayEnd {
             array,
@@ -225,6 +338,7 @@ pub(crate) fn run_array(
         cycles,
         matches,
         powered_tile_cycles: sim.powered_tile_cycles(),
+        quiescent_cycles: sim.quiescent_cycles(),
     }
 }
 
@@ -266,38 +380,45 @@ fn tile_cycles(powered: &[u64]) -> u64 {
         .sum()
 }
 
-/// The distinct character classes of an array (its shared class alphabet,
-/// as in Mata), each with the storage positions it labels, and the
-/// per-byte table built from them: match columns in the tile kernel,
-/// Shift-And labels in the chain kernel. A byte's entry is built, and
-/// stored, the first time the byte arrives.
-struct Alphabet<W> {
-    /// Words per class mask and per table entry.
-    width: usize,
-    /// Class bitmap → index into `classes`.
-    index: BTreeMap<[u64; 4], usize>,
-    classes: Vec<CharClass>,
-    /// `width` words per class: the positions it labels.
-    masks: Vec<W>,
-    /// The class labelled last.
-    last: usize,
-    /// Per byte: offset of its entry in `table` (`u32::MAX` until the
-    /// byte arrives).
-    offsets: [u32; 256],
-    /// `width` words per arrived byte: the positions whose class holds it.
-    table: Vec<W>,
+/// Heap bytes behind a vector.
+fn vec_bytes<T>(v: &[T]) -> usize {
+    size_of_val(v)
 }
 
-impl<W: Copy + Default + std::ops::BitOrAssign> Alphabet<W> {
-    fn new(width: usize) -> Alphabet<W> {
-        Alphabet {
+/// The distinct character classes of an array (its shared class alphabet,
+/// as in Mata), each with the storage positions it labels: the image half
+/// of the per-byte tables ([`Columns`]). A class labels few positions, so
+/// they are kept sparse, as `(word, bits)` pairs.
+struct Alphabet<W> {
+    /// Words per table entry.
+    width: usize,
+    classes: Vec<CharClass>,
+    /// Class `c` labels the positions in `labels[spans[c]..spans[c + 1]]`.
+    spans: Vec<u32>,
+    labels: Vec<(u32, W)>,
+}
+
+/// Builds an [`Alphabet`] one labelled position at a time, over dense
+/// masks that [`AlphabetBuilder::finish`] then sparsifies.
+struct AlphabetBuilder<W> {
+    width: usize,
+    classes: Vec<CharClass>,
+    /// Class bitmap → index into `classes`.
+    index: BTreeMap<[u64; 4], usize>,
+    /// The class labelled last.
+    last: usize,
+    /// `width` words per class: the positions it labels.
+    masks: Vec<W>,
+}
+
+impl<W: Copy + Default + PartialEq + std::ops::BitOrAssign> AlphabetBuilder<W> {
+    fn new(width: usize) -> AlphabetBuilder<W> {
+        AlphabetBuilder {
             width,
-            index: BTreeMap::new(),
             classes: Vec::new(),
-            masks: Vec::new(),
+            index: BTreeMap::new(),
             last: usize::MAX,
-            offsets: [u32::MAX; 256],
-            table: Vec::new(),
+            masks: Vec::new(),
         }
     }
 
@@ -305,30 +426,79 @@ impl<W: Copy + Default + std::ops::BitOrAssign> Alphabet<W> {
     fn add(&mut self, cc: CharClass, word: usize, bit: W) {
         // Runs of one class (unfolded repetitions) skip the lookup.
         if self.classes.get(self.last) != Some(&cc) {
+            let (classes, masks, width) = (&mut self.classes, &mut self.masks, self.width);
             self.last = *self.index.entry(*cc.as_words()).or_insert_with(|| {
-                self.classes.push(cc);
-                self.masks
-                    .resize(self.classes.len() * self.width, W::default());
-                self.classes.len() - 1
+                classes.push(cc);
+                masks.resize(classes.len() * width, W::default());
+                classes.len() - 1
             });
         }
         self.masks[self.last * self.width + word] |= bit;
     }
 
-    /// Offset of `byte`'s entry in [`Alphabet::table`]: the OR of the
-    /// masks of every class holding the byte.
-    fn lookup(&mut self, byte: u8) -> usize {
-        let width = self.width;
+    /// Keeps each class's nonzero mask words.
+    fn finish(mut self) -> Alphabet<W> {
+        let mut spans = Vec::with_capacity(self.classes.len() + 1);
+        let mut labels = Vec::new();
+        spans.push(0);
+        for class in self.masks.chunks(self.width.max(1)) {
+            for (word, &bits) in class.iter().enumerate() {
+                if bits != W::default() {
+                    labels.push((word as u32, bits));
+                }
+            }
+            spans.push(labels.len() as u32);
+        }
+        self.classes.shrink_to_fit();
+        labels.shrink_to_fit();
+        Alphabet {
+            width: self.width,
+            classes: self.classes,
+            spans,
+            labels,
+        }
+    }
+}
+
+impl<W> Alphabet<W> {
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.classes) + vec_bytes(&self.spans) + vec_bytes(&self.labels)
+    }
+}
+
+/// The run half of an [`Alphabet`]: one entry per arrived byte (match
+/// columns in the tile kernel, Shift-And labels in the chain kernel),
+/// built and stored the first time the byte arrives.
+struct Columns<W> {
+    /// Per byte: offset of its entry in `table` (`u32::MAX` until the
+    /// byte arrives).
+    offsets: [u32; 256],
+    /// `width` words per arrived byte: the positions whose class holds it.
+    table: Vec<W>,
+}
+
+impl<W: Copy + Default + std::ops::BitOrAssign> Columns<W> {
+    fn new() -> Columns<W> {
+        Columns {
+            offsets: [u32::MAX; 256],
+            table: Vec::new(),
+        }
+    }
+
+    /// Offset of `byte`'s entry in [`Columns::table`]: the positions
+    /// labelled by every class of `alphabet` holding the byte.
+    fn lookup(&mut self, alphabet: &Alphabet<W>, byte: u8) -> usize {
         if self.offsets[usize::from(byte)] == u32::MAX {
             let base = self.table.len();
             self.offsets[usize::from(byte)] =
                 u32::try_from(base).expect("at most 256 entries of one array's width");
-            self.table.resize(base + width, W::default());
+            self.table.resize(base + alphabet.width, W::default());
             let entry = &mut self.table[base..];
-            for (c, cc) in self.classes.iter().enumerate() {
+            for (c, cc) in alphabet.classes.iter().enumerate() {
                 if cc.contains(byte) {
-                    for (o, &m) in entry.iter_mut().zip(&self.masks[c * width..]) {
-                        *o |= m;
+                    let span = alphabet.spans[c] as usize..alphabet.spans[c + 1] as usize;
+                    for &(word, bits) in &alphabet.labels[span] {
+                        entry[word as usize] |= bits;
                     }
                 }
             }
@@ -342,11 +512,11 @@ impl<W: Copy + Default + std::ops::BitOrAssign> Alphabet<W> {
 // ---------------------------------------------------------------------
 
 /// A lowered crossbar row: where one state's activation routes.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy)]
 struct Row {
     /// Successors in the state's own tile (the local crossbar).
     local: u128,
-    /// Range of [`TileArray::links`] reached through the global crossbar.
+    /// Range of [`TileRun::links`] reached through the global crossbar.
     links: (u32, u32),
 }
 
@@ -357,7 +527,19 @@ struct Link {
     mask: u128,
 }
 
-/// The words of one tile, one bit per state slot.
+/// The plan-resident words of one tile, one bit per state slot.
+#[derive(Clone, Copy, Default)]
+struct TileWords {
+    /// Initial states armed on the first byte, and those armed on every
+    /// later byte (all but the `^`-anchored ones).
+    initial: u128,
+    steady: u128,
+    /// Plain final states, and BV state slots.
+    finals: u128,
+    vectors: u128,
+}
+
+/// The run words of one tile, one bit per state slot.
 #[derive(Clone, Copy, Default)]
 struct Tile {
     /// Active plain states.
@@ -365,11 +547,11 @@ struct Tile {
     /// BV states with a live vector, and those whose read action succeeds.
     live: u128,
     emit: u128,
-    /// Always-armed initial states, and the `^`-anchored ones among them
-    /// (armed on the first byte only).
-    initial: u128,
-    anchored: u128,
-    /// Plain final states, and BV state slots.
+    /// Initial states armed on the next byte: all of them on the first
+    /// byte, then all but the `^`-anchored ones.
+    armed: u128,
+    /// The image's final and vector words, kept beside the live words the
+    /// search reads with them every cycle.
     finals: u128,
     vectors: u128,
     /// States whose row is lowered, and those among them with a cross-tile
@@ -378,164 +560,170 @@ struct Tile {
     cross: u128,
 }
 
-/// A bit-vector state, kept beside the tile words.
-struct VectorState {
+/// A bit-vector state's plan-resident half; its vector lives in the run.
+struct VectorImage {
     slot: usize,
     cc: CharClass,
     read: ReadAction,
-    vector: BitVec,
+    width: usize,
     is_final: bool,
     placement: usize,
 }
 
-/// NFA/NBVA array (§2.2, §3.1): every tile searches and routes every
-/// cycle; an NBVA array additionally stalls through bit-vector phases.
-pub(crate) struct TileArray {
+/// The image of an NFA/NBVA array (§2.2, §3.1).
+pub(crate) struct TileImage {
     cost: CostModel,
-    tiles: Vec<Tile>,
-    /// Per tile: the next cycle's candidates, routed by the crossbar; after
-    /// the CAM search, the BV states entering their vectors.
-    reach: Vec<u128>,
-    /// Pattern index of every placement.
+    words: Vec<TileWords>,
+    /// Pattern index of every placement, and the offset of its states in
+    /// [`TileImage::state_slot`].
     patterns: Vec<usize>,
-    /// Per state slot (`tile * 128 + bit`): placement, state index in its
-    /// pattern's image, and the offset of its placement's states in
-    /// [`TileArray::state_slot`].
+    placement_base: Vec<u32>,
+    /// Per state slot (`tile * 128 + bit`): placement, and state index in
+    /// its pattern's image.
     slot_placement: Vec<u32>,
     slot_state: Vec<u32>,
-    slot_base: Vec<u32>,
-    /// Per slot: index of its BV state in [`TileArray::vectors`] (empty in
+    /// Per slot: index of its BV state in [`TileImage::vectors`] (empty in
     /// an NFA array).
     slot_vector: Vec<u32>,
     /// Slot of every state, placement after placement.
     state_slot: Vec<u32>,
-    rows: Vec<Row>,
-    links: Vec<Link>,
-    vectors: Vec<VectorState>,
-    /// The CAM: per-byte match columns over the plain states.
-    columns: Alphabet<u128>,
-    /// Bytes consumed; doubles as the per-cycle report stamp.
-    consumed: u64,
-    reported: Vec<u64>,
+    vectors: Vec<VectorImage>,
+    /// The CAM's class alphabet over the plain states.
+    classes: Alphabet<u128>,
     /// Stall cycles per bit-vector phase (`None`: an NFA array).
     stall_per_phase: Option<u64>,
-    stall_remaining: u64,
-    /// Tiles with live vectors during the current phase.
-    phase_tiles: usize,
-    /// Cycles by powered tiles, tile-cycles by active states, cycles by
-    /// cross-tile signals, and stall cycles by live-vector tiles.
-    powered: Vec<u64>,
-    local_levels: Vec<u64>,
-    global_levels: Vec<u64>,
-    phase_levels: Vec<u64>,
+    /// Per byte: the tiles holding an initial state, plain or bit-vector,
+    /// whose class holds the byte. The bytes with no such tile form the
+    /// array's complement of its wake set.
+    wake_tiles: Vec<u64>,
 }
 
-impl TileArray {
+impl TileImage {
     fn new(
         compiled: &[Compiled],
         placements: &[Placement],
         tiles: usize,
         stall_per_phase: Option<u64>,
         cost: CostModel,
-    ) -> TileArray {
+    ) -> TileImage {
+        assert!(
+            tiles <= 64,
+            "tile masks cover at most 64 tiles per array, not {tiles}"
+        );
         let slots = tiles * TILE_BITS;
-        let mut a = TileArray {
+        let mut a = TileImage {
             cost,
-            tiles: vec![Tile::default(); tiles],
-            reach: vec![0; tiles],
+            words: vec![TileWords::default(); tiles],
             patterns: placements.iter().map(|p| p.pattern).collect(),
+            placement_base: Vec::with_capacity(placements.len()),
             slot_placement: vec![0; slots],
             slot_state: vec![0; slots],
-            slot_base: vec![0; slots],
             slot_vector: Vec::new(),
-            state_slot: Vec::new(),
-            rows: vec![Row::default(); slots],
-            links: Vec::new(),
+            state_slot: Vec::with_capacity(placements.iter().map(|p| p.state_tile.len()).sum()),
             vectors: Vec::new(),
-            columns: Alphabet::new(tiles),
-            consumed: 0,
-            reported: vec![0; placements.len()],
+            // Filled once every state is placed.
+            classes: AlphabetBuilder::new(tiles).finish(),
             stall_per_phase,
-            stall_remaining: 0,
-            phase_tiles: 0,
-            powered: vec![0; tiles + 1],
-            local_levels: vec![0; TILE_BITS + 1],
-            global_levels: vec![0; 257],
-            phase_levels: vec![0; tiles + 1],
+            wake_tiles: vec![0; 256],
         };
+        let mut classes = AlphabetBuilder::new(tiles);
+        // Per tile: the classes of its initial states.
+        let mut wake = vec![CharClass::empty(); tiles];
         let mut used = vec![0usize; tiles];
         for (i, p) in placements.iter().enumerate() {
             let base = a.state_slot.len();
+            a.placement_base.push(base as u32);
             // An NFA array (no stall) holds NFA images, an NBVA array NBVA
             // ones; an NFA state is an NBVA state without a vector.
-            let (initial, anchored_start) = match (&compiled[p.pattern], stall_per_phase) {
-                (Compiled::Nfa(img), None) => {
-                    for (q, s) in img.nfa.states().iter().enumerate() {
-                        let (tile, bit) = a.place(&mut used, i, base, p.state_tile[q], q);
-                        a.add_plain(tile, bit, s.cc, s.is_final);
-                    }
-                    (img.nfa.initial(), img.nfa.anchored_start())
-                }
-                (Compiled::Nbva(img), Some(_)) => {
-                    for (q, s) in img.nbva.states().iter().enumerate() {
-                        let (tile, bit) = a.place(&mut used, i, base, p.state_tile[q], q);
-                        match s.kind {
-                            StateKind::Plain => a.add_plain(tile, bit, s.cc, s.is_final),
-                            StateKind::Bv { width, read } => {
-                                a.tiles[tile].vectors |= bit;
-                                a.vectors.push(VectorState {
-                                    slot: tile * TILE_BITS + bit.trailing_zeros() as usize,
-                                    cc: s.cc,
-                                    read,
-                                    vector: BitVec::zeros(width as usize),
-                                    is_final: s.is_final,
-                                    placement: i,
-                                });
+            let (initial, anchored_start): (&[StateId], bool) =
+                match (&compiled[p.pattern], stall_per_phase) {
+                    (Compiled::Nfa(img), None) => {
+                        let states = img.nfa.states();
+                        for (q, s) in states.iter().enumerate() {
+                            let (tile, bit) = a.place(&mut used, i, p.state_tile[q], q);
+                            classes.add(s.cc, tile, bit);
+                            if s.is_final {
+                                a.words[tile].finals |= bit;
                             }
                         }
+                        for &q in img.nfa.initial() {
+                            let tile = p.state_tile[q as usize] as usize;
+                            wake[tile] = wake[tile].union(&states[q as usize].cc);
+                        }
+                        (img.nfa.initial(), img.nfa.anchored_start())
                     }
-                    (img.nbva.initial(), img.nbva.anchored_start())
-                }
-                (other, _) => panic!(
-                    "array plan references pattern {} as {} but it compiled to {}",
-                    p.pattern,
-                    if stall_per_phase.is_some() {
-                        "NBVA"
-                    } else {
-                        "NFA"
-                    },
-                    other.mode()
-                ),
-            };
+                    (Compiled::Nbva(img), Some(_)) => {
+                        let states = img.nbva.states();
+                        for (q, s) in states.iter().enumerate() {
+                            let (tile, bit) = a.place(&mut used, i, p.state_tile[q], q);
+                            match s.kind {
+                                StateKind::Plain => {
+                                    classes.add(s.cc, tile, bit);
+                                    if s.is_final {
+                                        a.words[tile].finals |= bit;
+                                    }
+                                }
+                                StateKind::Bv { width, read } => {
+                                    a.words[tile].vectors |= bit;
+                                    a.vectors.push(VectorImage {
+                                        slot: tile * TILE_BITS + bit.trailing_zeros() as usize,
+                                        cc: s.cc,
+                                        read,
+                                        width: width as usize,
+                                        is_final: s.is_final,
+                                        placement: i,
+                                    });
+                                }
+                            }
+                        }
+                        for &q in img.nbva.initial() {
+                            let tile = p.state_tile[q as usize] as usize;
+                            wake[tile] = wake[tile].union(&states[q as usize].cc);
+                        }
+                        (img.nbva.initial(), img.nbva.anchored_start())
+                    }
+                    (other, _) => panic!(
+                        "array plan references pattern {} as {} but it compiled to {}",
+                        p.pattern,
+                        if stall_per_phase.is_some() {
+                            "NBVA"
+                        } else {
+                            "NFA"
+                        },
+                        other.mode()
+                    ),
+                };
             for &q in initial {
                 let slot = a.state_slot[base + q as usize] as usize;
                 let (tile, bit) = (slot / TILE_BITS, 1u128 << (slot % TILE_BITS));
-                a.tiles[tile].initial |= bit;
-                if anchored_start {
-                    a.tiles[tile].anchored |= bit;
+                a.words[tile].initial |= bit;
+                if !anchored_start {
+                    a.words[tile].steady |= bit;
                 }
             }
         }
-        // BV states emit without ever being plain-active: lower them now.
+        a.classes = classes.finish();
+        for (t, cc) in wake.iter().enumerate() {
+            for byte in cc.iter() {
+                a.wake_tiles[usize::from(byte)] |= 1 << t;
+            }
+        }
+        a.vectors.shrink_to_fit();
         if !a.vectors.is_empty() {
             a.slot_vector = vec![0; slots];
-            for i in 0..a.vectors.len() {
-                let slot = a.vectors[i].slot;
-                a.slot_vector[slot] = i as u32;
-                a.lower(compiled, slot);
+            for (i, v) in a.vectors.iter().enumerate() {
+                a.slot_vector[v.slot] = i as u32;
             }
         }
         a
     }
 
-    /// Gives the next free slot of `tile` to state `state` of `placement`
-    /// (whose states start at `base` in [`TileArray::state_slot`]); returns
-    /// the tile and the slot's bit.
+    /// Gives the next free slot of `tile` to state `state` of `placement`;
+    /// returns the tile and the slot's bit.
     fn place(
         &mut self,
         used: &mut [usize],
         placement: usize,
-        base: usize,
         tile: u32,
         state: usize,
     ) -> (usize, u128) {
@@ -549,26 +737,147 @@ impl TileArray {
         self.state_slot.push(slot as u32);
         self.slot_placement[slot] = placement as u32;
         self.slot_state[slot] = state as u32;
-        self.slot_base[slot] = base as u32;
         (tile, 1u128 << (slot % TILE_BITS))
     }
 
-    fn add_plain(&mut self, tile: usize, bit: u128, cc: CharClass, is_final: bool) {
-        self.columns.add(cc, tile, bit);
-        if is_final {
-            self.tiles[tile].finals |= bit;
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.words)
+            + vec_bytes(&self.patterns)
+            + vec_bytes(&self.placement_base)
+            + vec_bytes(&self.slot_placement)
+            + vec_bytes(&self.slot_state)
+            + vec_bytes(&self.slot_vector)
+            + vec_bytes(&self.state_slot)
+            + vec_bytes(&self.vectors)
+            + vec_bytes(&self.wake_tiles)
+            + self.classes.heap_bytes()
+    }
+}
+
+/// One run of an NFA/NBVA array: every tile searches and routes every
+/// cycle; an NBVA array additionally stalls through bit-vector phases.
+pub(crate) struct TileRun {
+    tiles: Vec<Tile>,
+    /// Per tile: the next cycle's candidates, routed by the crossbar; after
+    /// the CAM search, the BV states entering their vectors.
+    reach: Vec<u128>,
+    /// Crossbar rows in lowering order, and per slot the index of its row
+    /// (meaningful once the slot's `lowered` bit is set). Most slots of a
+    /// run are never lowered, so the per-slot table stays one word wide.
+    rows: Vec<Row>,
+    row_of: Vec<u32>,
+    links: Vec<Link>,
+    /// The vector of every BV state, in [`TileImage::vectors`] order.
+    vectors: Vec<BitVec>,
+    /// The CAM: per-byte match columns over the plain states.
+    columns: Columns<u128>,
+    /// Bytes consumed; doubles as the per-cycle report stamp.
+    consumed: u64,
+    reported: Vec<u64>,
+    stall_remaining: u64,
+    /// Tiles with live vectors during the current phase.
+    phase_tiles: usize,
+    /// Tiles holding an active or live state after the last byte. Only
+    /// these route, and only they, the tiles they route to and the tiles
+    /// the byte wakes are searched; every other tile's words stay zero.
+    busy: u64,
+    /// Cycles spent quiet on a byte outside the wake set.
+    quiescent: u64,
+    /// Cycles by powered tiles, tile-cycles by active states, cycles by
+    /// cross-tile signals, and stall cycles by live-vector tiles.
+    powered: Vec<u64>,
+    local_levels: Vec<u64>,
+    global_levels: Vec<u64>,
+    phase_levels: Vec<u64>,
+}
+
+impl TileRun {
+    fn new(image: &TileImage, compiled: &[Compiled]) -> TileRun {
+        let tiles = image.words.len();
+        let mut run = TileRun {
+            tiles: image
+                .words
+                .iter()
+                .map(|w| Tile {
+                    armed: w.initial,
+                    finals: w.finals,
+                    vectors: w.vectors,
+                    ..Tile::default()
+                })
+                .collect(),
+            reach: vec![0; tiles],
+            rows: Vec::new(),
+            row_of: vec![0; tiles * TILE_BITS],
+            links: Vec::new(),
+            vectors: image
+                .vectors
+                .iter()
+                .map(|v| BitVec::zeros(v.width))
+                .collect(),
+            columns: Columns::new(),
+            consumed: 0,
+            reported: vec![0; image.patterns.len()],
+            stall_remaining: 0,
+            phase_tiles: 0,
+            busy: 0,
+            quiescent: 0,
+            powered: vec![0; tiles + 1],
+            local_levels: vec![0; TILE_BITS + 1],
+            global_levels: vec![0; 257],
+            phase_levels: vec![0; tiles + 1],
+        };
+        // BV states emit without ever being plain-active: lower them now.
+        for v in &image.vectors {
+            run.lower(image, compiled, v.slot);
+        }
+        run
+    }
+
+    /// Whether the array is quiet: no tile holds an active or live state
+    /// and no stall is pending. Then nothing is routed (emitting states are
+    /// live, and `reach` is empty between ticks), and a byte outside the
+    /// wake set leaves every word as it is.
+    fn quiet(&self) -> bool {
+        self.busy == 0 && self.stall_remaining == 0
+    }
+
+    /// Accounts `cycles` ticks of a quiet array on bytes outside its wake
+    /// set, exactly as the full tick would: every tile idles at activity
+    /// level 0, no signal crosses tiles (a zero wire charge, which still
+    /// marks the category), and the buffer is charged once per cycle, in
+    /// order, because its energy is not dyadic.
+    fn idle_cycles(&mut self, image: &TileImage, cycles: u64, meter: &mut EnergyMeter) {
+        let tiles = self.tiles.len();
+        self.local_levels[0] += cycles * tiles as u64;
+        self.global_levels[0] += cycles;
+        self.powered[tiles] += cycles;
+        meter.charge(Category::Wire, 0.0);
+        meter.charge_repeated(Category::Buffer, image.cost.buffer_pj, cycles);
+        if self.consumed == 0 {
+            self.disarm(image);
+        }
+        self.consumed += cycles;
+        self.quiescent += cycles;
+    }
+
+    /// Disarms the `^`-anchored initial states after the first byte.
+    fn disarm(&mut self, image: &TileImage) {
+        for (tile, words) in self.tiles.iter_mut().zip(&image.words) {
+            tile.armed = words.steady;
         }
     }
 
     /// Lowers the crossbar row of the state in `slot` from its successor
     /// list in `compiled`.
-    fn lower(&mut self, compiled: &[Compiled], slot: usize) {
+    fn lower(&mut self, image: &TileImage, compiled: &[Compiled], slot: usize) {
         let tile = slot / TILE_BITS;
         let start = self.links.len();
         let mut local = 0u128;
-        let image = &compiled[self.patterns[self.slot_placement[slot] as usize]];
-        for &succ in successors(image, self.slot_state[slot] as usize) {
-            let target = self.state_slot[self.slot_base[slot] as usize + succ as usize] as usize;
+        let placement = image.slot_placement[slot] as usize;
+        let base = image.placement_base[placement] as usize;
+        let pattern = &compiled[image.patterns[placement]];
+        for &succ in successors(pattern, image.slot_state[slot] as usize) {
+            let target = image.state_slot[base + succ as usize] as usize;
             let (t, bit) = (target / TILE_BITS, 1u128 << (target % TILE_BITS));
             if t == tile {
                 local |= bit;
@@ -579,10 +888,11 @@ impl TileArray {
             }
         }
         let end = self.links.len();
-        self.rows[slot] = Row {
+        self.row_of[slot] = self.rows.len() as u32;
+        self.rows.push(Row {
             local,
             links: (start as u32, end as u32),
-        };
+        });
         let bit = 1u128 << (slot % TILE_BITS);
         self.tiles[tile].lowered |= bit;
         if end > start {
@@ -592,6 +902,7 @@ impl TileArray {
 
     fn tick(
         &mut self,
+        image: &TileImage,
         compiled: &[Compiled],
         byte: Option<u8>,
         offset: usize,
@@ -607,66 +918,98 @@ impl TileArray {
             return;
         }
         let byte = byte.expect("non-stalled tick needs an input byte");
+        let wake = image.wake_tiles[usize::from(byte)];
+        if self.busy == 0 && wake == 0 {
+            self.idle_cycles(image, 1, meter);
+            return;
+        }
 
         // Transition fabric, driven by the configuration entering this
-        // cycle: tally its activity and route every emitting state.
-        let (mut idle_tiles, mut cross_signals) = (0, 0u32);
-        for (t, tile) in self.tiles.iter().enumerate() {
+        // cycle: tally its activity and route every emitting state. Idle
+        // tiles sit at activity level 0.
+        let tiles = self.tiles.len();
+        let (mut cross_signals, mut routed) = (0u32, 0u64);
+        let mut busy = self.busy;
+        while busy != 0 {
+            let t = busy.trailing_zeros() as usize;
+            busy &= busy - 1;
+            let tile = &self.tiles[t];
             let live = tile.active | tile.live;
-            // Most tiles idle; skip their (software) popcounts.
-            if live == 0 {
-                idle_tiles += 1;
-                continue;
-            }
             self.local_levels[live.count_ones() as usize] += 1;
             cross_signals += (live & tile.cross).count_ones();
             let mut emit = tile.active | tile.emit;
             while emit != 0 {
-                let row = self.rows[t * TILE_BITS + emit.trailing_zeros() as usize];
+                let slot = t * TILE_BITS + emit.trailing_zeros() as usize;
+                let row = self.rows[self.row_of[slot] as usize];
                 emit &= emit - 1;
                 self.reach[t] |= row.local;
+                routed |= 1 << t;
                 for link in &self.links[row.links.0 as usize..row.links.1 as usize] {
                     self.reach[link.tile] |= link.mask;
+                    routed |= 1 << link.tile;
                 }
             }
         }
-        self.local_levels[0] += idle_tiles;
+        self.local_levels[0] += (tiles - self.busy.count_ones() as usize) as u64;
         self.global_levels[(cross_signals as usize).min(256)] += 1;
-        self.powered[self.tiles.len()] += 1;
-        meter.charge(Category::Wire, self.cost.wire_pj * f64::from(cross_signals));
-        meter.charge(Category::Buffer, self.cost.buffer_pj);
+        self.powered[tiles] += 1;
+        meter.charge(
+            Category::Wire,
+            image.cost.wire_pj * f64::from(cross_signals),
+        );
+        meter.charge(Category::Buffer, image.cost.buffer_pj);
 
-        // CAM search: candidates AND the byte's match column.
-        let base = self.columns.lookup(byte);
-        let column = &self.columns.table[base..base + self.tiles.len()];
+        // CAM search: candidates AND the byte's match column, in the tiles
+        // that hold, receive or wake a state.
+        let base = self.columns.lookup(&image.classes, byte);
+        let column = &self.columns.table[base..base + tiles];
         self.consumed += 1;
-        let mut attention = false;
-        for ((tile, reach), &matched) in self.tiles.iter_mut().zip(&mut self.reach).zip(column) {
-            let cand = *reach | tile.initial;
-            let next = cand & matched;
+        let searched = self.busy | routed | wake;
+        let (mut attention, mut active) = (0u64, 0u64);
+        let mut todo = searched;
+        while todo != 0 {
+            let t = todo.trailing_zeros() as usize;
+            todo &= todo - 1;
+            let (tile, reach) = (&mut self.tiles[t], &mut self.reach[t]);
+            let cand = *reach | tile.armed;
+            let next = cand & column[t];
             // Keep only the BV candidates: they are entering their vectors.
             *reach = cand & tile.vectors;
             tile.active = next;
-            attention |= next & (tile.finals | !tile.lowered) != 0;
-        }
-        if attention {
-            self.attend(compiled, offset, out);
-        }
-        if self.consumed == 1 {
-            // `^`-anchored initial states arm on the first byte only.
-            for tile in &mut self.tiles {
-                tile.initial &= !tile.anchored;
+            if next != 0 {
+                active |= 1 << t;
+                if next & (tile.finals | !tile.lowered) != 0 {
+                    attention |= 1 << t;
+                }
             }
         }
-        if !self.vectors.is_empty() {
-            self.step_vectors(byte, offset, out);
+        if attention != 0 {
+            self.attend(image, compiled, attention, offset, out);
         }
+        if self.consumed == 1 {
+            self.disarm(image);
+        }
+        let live = if image.vectors.is_empty() {
+            0
+        } else {
+            self.step_vectors(image, searched, byte, offset, out)
+        };
+        self.busy = active | live;
     }
 
-    /// Reports the final states that just activated and lowers the rows of
-    /// first activations.
-    fn attend(&mut self, compiled: &[Compiled], offset: usize, out: &mut Vec<MatchEvent>) {
-        for t in 0..self.tiles.len() {
+    /// Reports the final states that just activated in `tiles` and lowers
+    /// the rows of first activations there.
+    fn attend(
+        &mut self,
+        image: &TileImage,
+        compiled: &[Compiled],
+        mut tiles: u64,
+        offset: usize,
+        out: &mut Vec<MatchEvent>,
+    ) {
+        while tiles != 0 {
+            let t = tiles.trailing_zeros() as usize;
+            tiles &= tiles - 1;
             let Tile {
                 active,
                 finals,
@@ -677,13 +1020,13 @@ impl TileArray {
             while done != 0 {
                 let slot = t * TILE_BITS + done.trailing_zeros() as usize;
                 done &= done - 1;
-                self.report(self.slot_placement[slot] as usize, offset, out);
+                self.report(image, image.slot_placement[slot] as usize, offset, out);
             }
             let mut fresh = active & !lowered;
             while fresh != 0 {
                 let slot = t * TILE_BITS + fresh.trailing_zeros() as usize;
                 fresh &= fresh - 1;
-                self.lower(compiled, slot);
+                self.lower(image, compiled, slot);
             }
         }
     }
@@ -691,10 +1034,20 @@ impl TileArray {
     /// The BV side list: `set1` on entry, `shft` on a matching byte, clear
     /// on a mismatch, then the read action. Only live or entering vectors
     /// can change. Starts a bit-vector phase when any vector was entered or
-    /// advanced.
-    fn step_vectors(&mut self, byte: u8, offset: usize, out: &mut Vec<MatchEvent>) {
-        let mut touched = false;
-        for t in 0..self.tiles.len() {
+    /// advanced. Only `tiles` can hold an entering or live vector. Returns
+    /// the tiles left with a live vector.
+    fn step_vectors(
+        &mut self,
+        image: &TileImage,
+        mut tiles: u64,
+        byte: u8,
+        offset: usize,
+        out: &mut Vec<MatchEvent>,
+    ) -> u64 {
+        let (mut touched, mut live_tiles) = (false, 0u64);
+        while tiles != 0 {
+            let t = tiles.trailing_zeros() as usize;
+            tiles &= tiles - 1;
             // `reach` holds the tile's entering BV states (see `tick`).
             let entering = std::mem::take(&mut self.reach[t]);
             let mut todo = entering | self.tiles[t].live;
@@ -702,46 +1055,56 @@ impl TileArray {
                 let slot = t * TILE_BITS + todo.trailing_zeros() as usize;
                 let bit = todo & todo.wrapping_neg();
                 todo &= todo - 1;
-                let v = &mut self.vectors[self.slot_vector[slot] as usize];
+                let index = image.slot_vector[slot] as usize;
+                let (v, vector) = (&image.vectors[index], &mut self.vectors[index]);
                 let entering = entering & bit != 0;
                 if v.cc.contains(byte) {
-                    touched |= entering || v.vector.any();
-                    v.vector.shift_up();
+                    touched |= entering || vector.any();
+                    vector.shift_up();
                     if entering {
-                        v.vector.set(0, true);
+                        vector.set(0, true);
                     }
                 } else {
-                    v.vector.clear();
+                    vector.clear();
                 }
-                let live = v.vector.any();
+                let live = vector.any();
                 let emit = match v.read {
-                    ReadAction::Exact(m) => v.vector.get(m as usize - 1),
+                    ReadAction::Exact(m) => vector.get(m as usize - 1),
                     ReadAction::All => live,
                 };
-                let (report, placement) = (v.is_final && emit, v.placement);
                 set_bits(&mut self.tiles[t].live, bit, live);
                 set_bits(&mut self.tiles[t].emit, bit, emit);
-                if report {
-                    self.report(placement, offset, out);
+                if v.is_final && emit {
+                    self.report(image, v.placement, offset, out);
                 }
+            }
+            if self.tiles[t].live != 0 {
+                live_tiles |= 1 << t;
             }
         }
         if touched {
             // The global controller stalls the array for the next cycles
             // while the phase streams BV words.
-            self.phase_tiles = self.tiles.iter().filter(|w| w.live != 0).count();
-            self.stall_remaining = self
+            self.phase_tiles = live_tiles.count_ones() as usize;
+            self.stall_remaining = image
                 .stall_per_phase
                 .expect("only NBVA arrays hold bit vectors");
         }
+        live_tiles
     }
 
     /// Reports a match of `placement` ending at `offset`, once per cycle.
-    fn report(&mut self, placement: usize, offset: usize, out: &mut Vec<MatchEvent>) {
+    fn report(
+        &mut self,
+        image: &TileImage,
+        placement: usize,
+        offset: usize,
+        out: &mut Vec<MatchEvent>,
+    ) {
         if self.reported[placement] != self.consumed {
             self.reported[placement] = self.consumed;
             out.push(MatchEvent {
-                pattern: self.patterns[placement],
+                pattern: image.patterns[placement],
                 end: offset + 1,
             });
         }
@@ -765,8 +1128,8 @@ impl TileArray {
         }
     }
 
-    fn settle(&self, meter: &mut EnergyMeter) {
-        let cost = &self.cost;
+    fn settle(&self, image: &TileImage, meter: &mut EnergyMeter) {
+        let cost = &image.cost;
         // Every cycle that consumed a byte searched every tile.
         let searches: u64 = self.global_levels.iter().sum();
         let tiles = self.tiles.len() as f64;
@@ -811,41 +1174,40 @@ fn set_bits(word: &mut u128, bits: u128, on: bool) {
 // Chain kernel: LNFA arrays
 // ---------------------------------------------------------------------
 
-/// LNFA array (§3.2): Shift-And over every chain at once, power-gated
-/// tiles, ring routing between adjacent tiles.
-pub(crate) struct ChainArray {
+/// The image of an LNFA array (§3.2): Shift-And over every chain at once,
+/// power-gated tiles, ring routing between adjacent tiles.
+pub(crate) struct ChainImage {
     cost: CostModel,
-    /// The Shift-And register: chains back to back, in bin and member
-    /// order, each with its first state at the lowest bit.
-    states: Vec<u64>,
-    /// First and last state of every chain, and every other state (fed
-    /// by the previous position of its chain).
-    starts: Vec<u64>,
-    finals: Vec<u64>,
-    follows: Vec<u64>,
-    /// Positions whose predecessor sits on another tile (a ring hop).
-    hops: Vec<u64>,
+    /// One entry per 64 positions of the Shift-And register: chains back
+    /// to back, in bin and member order, each with its first state at the
+    /// lowest bit.
+    words: Vec<ChainWord>,
     /// Tile and pattern of every register position.
     position_tile: Vec<u32>,
     position_pattern: Vec<usize>,
-    /// Per-byte Shift-And labels.
+    /// The class alphabet of the Shift-And labels.
     labels: Alphabet<u64>,
     /// Per tile: chains starting there (always armed, never gated), and
     /// whether CAM-path or switch-path chains are stored there.
     initial: Vec<u32>,
     tile_cam: Vec<bool>,
     tile_switch: Vec<bool>,
-    /// Per-tile candidate states of the current cycle.
-    cands: Vec<u32>,
-    /// Cycles by powered tiles, and powered CAM-path and switch-path
-    /// tile-cycles by candidate states.
-    powered: Vec<u64>,
-    cam_levels: Vec<u64>,
-    switch_levels: Vec<u64>,
 }
 
-impl ChainArray {
-    fn new(compiled: &[Compiled], bins: &[Bin], tiles: usize, cost: CostModel) -> ChainArray {
+/// The image of 64 register positions.
+#[derive(Clone, Copy, Default)]
+struct ChainWord {
+    /// First and last state of every chain, and every other state (fed by
+    /// the previous position of its chain).
+    starts: u64,
+    finals: u64,
+    follows: u64,
+    /// Positions whose predecessor sits on another tile (a ring hop).
+    hops: u64,
+}
+
+impl ChainImage {
+    fn new(compiled: &[Compiled], bins: &[Bin], tiles: usize, cost: CostModel) -> ChainImage {
         let lnfa = |pattern: usize, unit: usize| match &compiled[pattern] {
             Compiled::Lnfa(img) => &img.units[unit].lnfa,
             other => panic!(
@@ -861,10 +1223,8 @@ impl ChainArray {
         let words = positions.div_ceil(64);
         let mut position_tile = Vec::with_capacity(positions);
         let mut position_pattern = Vec::with_capacity(positions);
-        let mut starts = vec![0; words];
-        let mut finals = vec![0; words];
-        let mut hops = vec![0; words];
-        let mut labels = Alphabet::new(words);
+        let mut chain_words = vec![ChainWord::default(); words];
+        let mut labels = AlphabetBuilder::new(words);
         let mut initial = vec![0u32; tiles];
         let mut tile_cam = vec![false; tiles];
         let mut tile_switch = vec![false; tiles];
@@ -878,14 +1238,15 @@ impl ChainArray {
                         MatchPath::Cam => tile_cam[tile as usize] = true,
                         MatchPath::LocalSwitch => tile_switch[tile as usize] = true,
                     }
+                    let (word, bit) = (&mut chain_words[p / 64], 1u64 << (p % 64));
                     if s == 0 {
                         initial[tile as usize] += 1;
-                        set_bit(&mut starts, p);
+                        word.starts |= bit;
                     } else if position_tile[p - 1] != tile {
-                        set_bit(&mut hops, p);
+                        word.hops |= bit;
                     }
                     if s + 1 == lnfa.len() {
-                        set_bit(&mut finals, p);
+                        word.finals |= bit;
                     }
                     labels.add(*cc, p / 64, 1u64 << (p % 64));
                     position_tile.push(tile);
@@ -893,29 +1254,58 @@ impl ChainArray {
                 }
             }
         }
-        let follows = (0..words)
-            .map(|w| {
-                let valid = if positions - 64 * w >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << (positions - 64 * w)) - 1
-                };
-                valid & !starts[w]
-            })
-            .collect();
-        ChainArray {
+        for (w, word) in chain_words.iter_mut().enumerate() {
+            let valid = if positions - 64 * w >= 64 {
+                u64::MAX
+            } else {
+                (1u64 << (positions - 64 * w)) - 1
+            };
+            word.follows = valid & !word.starts;
+        }
+        ChainImage {
             cost,
-            states: vec![0; words],
-            starts,
-            finals,
-            follows,
-            hops,
+            words: chain_words,
             position_tile,
             position_pattern,
-            labels,
+            labels: labels.finish(),
             initial,
             tile_cam,
             tile_switch,
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.words)
+            + vec_bytes(&self.position_tile)
+            + vec_bytes(&self.position_pattern)
+            + self.labels.heap_bytes()
+            + vec_bytes(&self.initial)
+            + vec_bytes(&self.tile_cam)
+            + vec_bytes(&self.tile_switch)
+    }
+}
+
+/// One run of an LNFA array.
+pub(crate) struct ChainRun {
+    /// The Shift-And register.
+    states: Vec<u64>,
+    /// Per-byte Shift-And labels.
+    labels: Columns<u64>,
+    /// Per-tile candidate states of the current cycle.
+    cands: Vec<u32>,
+    /// Cycles by powered tiles, and powered CAM-path and switch-path
+    /// tile-cycles by candidate states.
+    powered: Vec<u64>,
+    cam_levels: Vec<u64>,
+    switch_levels: Vec<u64>,
+}
+
+impl ChainRun {
+    fn new(image: &ChainImage) -> ChainRun {
+        let tiles = image.initial.len();
+        ChainRun {
+            states: vec![0; image.words.len()],
+            labels: Columns::new(),
             cands: vec![0; tiles],
             powered: vec![0; tiles + 1],
             cam_levels: vec![0; TILE_BITS + 1],
@@ -925,39 +1315,46 @@ impl ChainArray {
 
     fn step(
         &mut self,
+        image: &ChainImage,
         byte: u8,
         offset: usize,
         meter: &mut EnergyMeter,
         out: &mut Vec<MatchEvent>,
     ) {
-        let label = self.labels.lookup(byte);
+        let label = self.labels.lookup(&image.labels, byte);
         // Candidates per tile: the always-armed first states plus the
         // successors of active states. The active vector gates the CAM
         // columns (§3.2), so matching energy scales with candidates.
-        self.cands.copy_from_slice(&self.initial);
+        self.cands.copy_from_slice(&image.initial);
         let mut ring_crossings = 0u32;
         let mut carry = 0u64;
-        for w in 0..self.states.len() {
-            let states = self.states[w];
-            let shifted = (states << 1) | carry;
-            carry = states >> 63;
-            let mut succ = shifted & self.follows[w];
+        let labels = &self.labels.table[label..label + image.words.len()];
+        for (w, ((states, word), &label)) in self
+            .states
+            .iter_mut()
+            .zip(&image.words)
+            .zip(labels)
+            .enumerate()
+        {
+            let shifted = (*states << 1) | carry;
+            carry = *states >> 63;
+            let mut succ = shifted & word.follows;
             if succ != 0 {
-                ring_crossings += (succ & self.hops[w]).count_ones();
+                ring_crossings += (succ & word.hops).count_ones();
             }
             while succ != 0 {
                 let p = w * 64 + succ.trailing_zeros() as usize;
                 succ &= succ - 1;
-                self.cands[self.position_tile[p] as usize] += 1;
+                self.cands[image.position_tile[p] as usize] += 1;
             }
-            let next = (shifted | self.starts[w]) & self.labels.table[label + w];
-            self.states[w] = next;
-            let mut done = next & self.finals[w];
+            let next = (shifted | word.starts) & label;
+            *states = next;
+            let mut done = next & word.finals;
             while done != 0 {
                 let p = w * 64 + done.trailing_zeros() as usize;
                 done &= done - 1;
                 out.push(MatchEvent {
-                    pattern: self.position_pattern[p],
+                    pattern: image.position_pattern[p],
                     end: offset + 1,
                 });
             }
@@ -970,32 +1367,32 @@ impl ChainArray {
             }
             powered += 1;
             let level = (cands as usize).min(TILE_BITS);
-            if self.tile_cam[t] {
+            if image.tile_cam[t] {
                 self.cam_levels[level] += 1;
             }
-            if self.tile_switch[t] {
+            if image.tile_switch[t] {
                 self.switch_levels[level] += 1;
             }
         }
         self.powered[powered] += 1;
         meter.charge(
             Category::Wire,
-            self.cost.ring_hop_pj * f64::from(ring_crossings),
+            image.cost.ring_hop_pj * f64::from(ring_crossings),
         );
-        meter.charge(Category::Buffer, self.cost.buffer_pj);
+        meter.charge(Category::Buffer, image.cost.buffer_pj);
     }
 
-    fn observe(&self) -> ArrayObservation {
+    fn observe(&self, image: &ChainImage) -> ArrayObservation {
         // Mirror the step's power-gating rule: a tile is powered if it
         // holds a first state or a state an active predecessor can shift
         // into.
-        let mut powered: Vec<bool> = self.initial.iter().map(|&n| n > 0).collect();
+        let mut powered: Vec<bool> = image.initial.iter().map(|&n| n > 0).collect();
         let mut carry = 0u64;
         for (w, &states) in self.states.iter().enumerate() {
-            let mut succ = ((states << 1) | carry) & self.follows[w];
+            let mut succ = ((states << 1) | carry) & image.words[w].follows;
             carry = states >> 63;
             while succ != 0 {
-                powered[self.position_tile[w * 64 + succ.trailing_zeros() as usize] as usize] =
+                powered[image.position_tile[w * 64 + succ.trailing_zeros() as usize] as usize] =
                     true;
                 succ &= succ - 1;
             }
@@ -1006,8 +1403,8 @@ impl ChainArray {
         }
     }
 
-    fn settle(&self, meter: &mut EnergyMeter) {
-        let cost = &self.cost;
+    fn settle(&self, image: &ChainImage, meter: &mut EnergyMeter) {
+        let cost = &image.cost;
         let activity = |k: usize| (k as f64 / TILE_BITS as f64).min(1.0);
         // Column-gated CAM search: wordline drive + the candidate
         // columns' compare energy.
@@ -1023,10 +1420,6 @@ impl ChainArray {
             controller_pj(cost, p)
         });
     }
-}
-
-fn set_bit(words: &mut [u64], p: usize) {
-    words[p / 64] |= 1u64 << (p % 64);
 }
 
 #[cfg(test)]
@@ -1066,16 +1459,20 @@ mod tests {
         (vec![compiled], plan)
     }
 
+    fn image(compiled: &[Compiled], plan: &ArrayPlan) -> ArrayImage {
+        ArrayImage::new(compiled, plan, &CostModel::for_machine(Machine::Rap))
+    }
+
     fn run(
         compiled: &[Compiled],
         plan: &ArrayPlan,
         input: &[u8],
         probe: Option<(&mut SimProbe, u32)>,
     ) -> ArrayOutcome {
-        let cost = CostModel::for_machine(Machine::Rap);
+        let image = image(compiled, plan);
         let mut meter = EnergyMeter::new();
-        let mut sim = Array::new(compiled, plan, &cost);
-        run_array(&mut sim, compiled, input, &mut meter, probe)
+        let mut sim = Array::new(&image, compiled);
+        run_array(&image, &mut sim, compiled, input, &mut meter, probe)
     }
 
     #[test]
@@ -1091,6 +1488,9 @@ mod tests {
         assert_eq!(outcome.cycles - 6, 3, "stall cycles");
         assert_eq!(outcome.powered_tile_cycles, 15);
         assert!(outcome.matches.is_empty());
+        // The first `q` clears the vector; the other three find the array
+        // quiet, and `q` wakes no initial state.
+        assert_eq!(outcome.quiescent_cycles, 3);
     }
 
     #[test]
@@ -1105,14 +1505,15 @@ mod tests {
         assert_eq!(outcome.cycles - 8, 18, "stall cycles");
         assert_eq!(outcome.powered_tile_cycles, 34);
         assert_eq!(outcome.matches, vec![MatchEvent { pattern: 0, end: 8 }]);
+        assert_eq!(outcome.quiescent_cycles, 0);
     }
 
     #[test]
     fn cross_tile_rows_route_through_the_global_crossbar() {
         let (compiled, plan) = two_tile_nbva(3);
-        let cost = CostModel::for_machine(Machine::Rap);
+        let image = image(&compiled, &plan);
         let mut meter = EnergyMeter::new();
-        let mut sim = Array::new(&compiled, &plan, &cost);
+        let mut sim = Array::new(&image, &compiled);
         // Before any byte only the BV state's row is lowered: it stays in
         // tile 1 (`y{6}` → `z`).
         let Array::Tile(tile) = &sim else {
@@ -1121,7 +1522,7 @@ mod tests {
         let words = |w: fn(&Tile) -> u128| tile.tiles.iter().map(w).collect::<Vec<_>>();
         assert_eq!(words(|w| w.lowered), vec![0, 0b01]);
         assert_eq!(words(|w| w.cross), vec![0, 0]);
-        run_array(&mut sim, &compiled, b"x", &mut meter, None);
+        run_array(&image, &mut sim, &compiled, b"x", &mut meter, None);
         // `x` activated: its row routes to the BV state on tile 1 through
         // the global crossbar.
         let Array::Tile(tile) = &sim else {
@@ -1130,11 +1531,96 @@ mod tests {
         let words = |w: fn(&Tile) -> u128| tile.tiles.iter().map(w).collect::<Vec<_>>();
         assert_eq!(words(|w| w.lowered), vec![0b1, 0b01]);
         assert_eq!(words(|w| w.cross), vec![0b1, 0]);
-        let row = tile.rows[0];
+        let row = tile.rows[tile.row_of[0] as usize];
         assert_eq!(row.local, 0);
         let links = &tile.links[row.links.0 as usize..row.links.1 as usize];
         assert_eq!(links.len(), 1);
         assert_eq!((links[0].tile, links[0].mask), (1, 0b01));
+    }
+
+    /// Steps `input` through a fresh run one tick at a time; `full` forces
+    /// every tick down the complete search-and-route path, as if the
+    /// array were never quiet.
+    fn stepped(
+        image: &ArrayImage,
+        compiled: &[Compiled],
+        input: &[u8],
+        full: bool,
+    ) -> (Array, Vec<MatchEvent>, EnergyMeter) {
+        let mut sim = Array::new(image, compiled);
+        let (mut out, mut meter) = (Vec::new(), EnergyMeter::new());
+        let mut tick = |sim: &mut Array, byte: Option<u8>, offset: usize| {
+            if let (true, Array::Tile(t)) = (full, &mut *sim) {
+                t.busy = u64::MAX >> (64 - t.tiles.len());
+            }
+            sim.tick(image, compiled, byte, offset, &mut meter, &mut out);
+        };
+        for (offset, &byte) in input.iter().enumerate() {
+            while sim.stalled() {
+                tick(&mut sim, None, offset);
+            }
+            tick(&mut sim, Some(byte), offset);
+        }
+        while sim.stalled() {
+            tick(&mut sim, None, input.len());
+        }
+        sim.settle(image, &mut meter);
+        (sim, out, meter)
+    }
+
+    /// Jumping idle runs, skipping quiet ticks one at a time, and running
+    /// the full search on every tick charge exactly the same: the same
+    /// levels, a marked zero wire charge, and the buffer energy added once
+    /// per cycle in order. The plans cover a plain initial state, a
+    /// bit-vector initial state (`b{5,30}c`) and a `^`-anchored one whose
+    /// first byte is idle.
+    #[test]
+    fn skipped_idle_runs_equal_full_ticks() {
+        let bits = |m: &EnergyMeter| {
+            m.iter()
+                .map(|(c, pj)| (c, pj.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let (compiled, plan) = two_tile_nbva(3);
+        // The second case never wakes: only the fast path charges it, so
+        // its zero wire charge must still mark the category.
+        let mut cases = vec![
+            (
+                compiled.clone(),
+                plan.clone(),
+                [b"q".repeat(300), b"xyyyyyyz".to_vec(), b"q".repeat(77)].concat(),
+            ),
+            (compiled, plan, b"q".repeat(40)),
+        ];
+        let sim = crate::Simulator::new(Machine::Rap).with_bv_depth(4);
+        let patterns: Vec<rap_regex::Pattern> = ["b{5,30}c", "^ab{3}d", "xyz"]
+            .iter()
+            .map(|p| rap_regex::parse_pattern(p).expect("parses"))
+            .collect();
+        let compiled = sim.compile_parsed(&patterns).expect("compiles");
+        let mapping = sim.map_verified(&compiled).expect("verifies");
+        let input = [b"qabbbd".to_vec(), b"q".repeat(90), b"bbbbbbbc".to_vec()].concat();
+        for plan in mapping.arrays {
+            cases.push((compiled.clone(), plan, input.repeat(3)));
+        }
+        for (compiled, plan, input) in cases {
+            let image = image(&compiled, &plan);
+            let mut skipped = EnergyMeter::new();
+            let mut sim = Array::new(&image, &compiled);
+            let fast = run_array(&image, &mut sim, &compiled, &input, &mut skipped, None);
+            let (quiet, quiet_out, quiet_meter) = stepped(&image, &compiled, &input, false);
+            let (full, full_out, full_meter) = stepped(&image, &compiled, &input, true);
+            assert_eq!(fast.matches, quiet_out);
+            assert_eq!(fast.matches, full_out);
+            assert_eq!(quiet.quiescent_cycles(), fast.quiescent_cycles);
+            assert_eq!(full.quiescent_cycles(), 0);
+            assert_eq!(fast.powered_tile_cycles, full.powered_tile_cycles());
+            assert_eq!(bits(&skipped), bits(&quiet_meter));
+            assert_eq!(bits(&skipped), bits(&full_meter));
+            if matches!(image, ArrayImage::Tile(_)) {
+                assert!(fast.quiescent_cycles > 0, "no idle run was skipped");
+            }
+        }
     }
 
     #[test]

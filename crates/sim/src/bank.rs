@@ -37,9 +37,8 @@
 //!   session's own lanes.
 
 use crate::array::Array;
-use crate::cost::CostModel;
 use crate::result::{MatchEvent, RunResult};
-use crate::BankMetrics;
+use crate::{BankMetrics, Lowered};
 use rap_arch::buffers::Fifo;
 use rap_arch::config::ArchConfig;
 use rap_circuit::energy::Category;
@@ -47,6 +46,7 @@ use rap_circuit::{EnergyMeter, Machine, Metrics};
 use rap_compiler::Compiled;
 use rap_mapper::Mapping;
 use rap_telemetry::{ProbeEvent, Registry, SimProbe, Telemetry};
+use std::sync::Arc;
 
 /// Buffer-hierarchy statistics from one streaming run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -100,18 +100,13 @@ struct Trace {
 /// statistics live here between calls, so a stream can be fed chunk by
 /// chunk and every byte is simulated once.
 ///
-/// The run is handed the compiled images on every [`StreamRun::feed`]:
-/// the kernels keep state indices and lower a crossbar row from the
-/// images on its state's first activation. They must be the images the
-/// run was built from.
+/// The lanes step against the plan's shared [`Lowered`] images. The run
+/// is handed the compiled images on every [`StreamRun::feed`]: the
+/// kernels keep state indices and lower a crossbar row from the images on
+/// its state's first activation. They must be the images the plan was
+/// lowered from.
 pub struct StreamRun {
-    machine: Machine,
-    cost: CostModel,
-    /// Patterns in the plan (checked against every feed's images).
-    patterns: usize,
-    /// Arrays in the mapping and their area, for the leakage and metrics.
-    arrays: usize,
-    area_mm2: f64,
+    lowered: Arc<Lowered>,
     /// Ping-pong bank input window in bytes.
     window: usize,
     lanes: Vec<ArrayLane>,
@@ -140,23 +135,23 @@ impl StreamRun {
     /// batch [`crate::simulate`] entry point; debug builds assert this at
     /// the door.
     pub fn new(compiled: &[Compiled], mapping: &Mapping, machine: Machine) -> StreamRun {
-        StreamRun::open(compiled, mapping, machine, None)
+        StreamRun::on(Arc::new(Lowered::new(compiled, mapping, machine)), compiled)
     }
 
-    fn open(
-        compiled: &[Compiled],
-        mapping: &Mapping,
-        machine: Machine,
-        trace: Option<Trace>,
-    ) -> StreamRun {
-        crate::debug_assert_verified(compiled, mapping);
+    /// Opens a run of the bank over an already lowered plan, at stream
+    /// offset 0. `compiled` must be the images the plan was lowered from.
+    pub fn on(lowered: Arc<Lowered>, compiled: &[Compiled]) -> StreamRun {
+        StreamRun::open(lowered, compiled, None)
+    }
+
+    fn open(lowered: Arc<Lowered>, compiled: &[Compiled], trace: Option<Trace>) -> StreamRun {
+        lowered.check(compiled);
         let arch = ArchConfig::default();
-        let cost = CostModel::for_machine(machine);
-        let lanes = mapping
+        let lanes = lowered
             .arrays
             .iter()
-            .map(|plan| ArrayLane {
-                sim: Array::new(compiled, plan, &cost),
+            .map(|image| ArrayLane {
+                sim: Array::new(image, compiled),
                 input_fifo: Fifo::new(arch.array_input_entries as usize),
                 output_fifo: Fifo::new(arch.array_output_entries as usize),
                 fetch_pos: 0,
@@ -168,11 +163,7 @@ impl StreamRun {
             })
             .collect();
         StreamRun {
-            machine,
-            cost,
-            patterns: compiled.len(),
-            arrays: mapping.arrays.len(),
-            area_mm2: cost.area_mm2(mapping),
+            lowered,
             window: 2 * arch.bank_input_entries as usize, // ping-pong pages
             lanes,
             bank_output: Fifo::new(arch.bank_output_entries as usize),
@@ -197,11 +188,8 @@ impl StreamRun {
     /// ones: those are held back for [`StreamRun::finish`], which hands
     /// out the ones at the stream's end.
     pub fn feed(&mut self, compiled: &[Compiled], chunk: &[u8]) -> Vec<MatchEvent> {
-        assert_eq!(
-            compiled.len(),
-            self.patterns,
-            "a run must be fed the images it was built from"
-        );
+        self.lowered.check(compiled);
+        let images = &self.lowered.arrays;
         let base = self.len;
         let end = base + chunk.len();
         self.len = end;
@@ -235,8 +223,8 @@ impl StreamRun {
                             + self.bank_output.len() as u64,
                         interrupts: self.interrupts,
                     });
-                    for (index, lane) in lanes.iter().enumerate() {
-                        let obs = lane.sim.observe();
+                    for (index, (lane, image)) in lanes.iter().zip(images).enumerate() {
+                        let obs = lane.sim.observe(image);
                         probe.push(ProbeEvent::Array {
                             cycle: cycles - 1,
                             array: index as u32,
@@ -248,7 +236,7 @@ impl StreamRun {
                 }
             }
 
-            for lane in lanes.iter_mut() {
+            for (lane, image) in lanes.iter_mut().zip(images) {
                 // Polling arbiter: one byte per lane per cycle into its FIFO.
                 if !lane.input_fifo.is_full() && lane.fetch_pos < fetch_limit {
                     lane.input_fifo
@@ -260,6 +248,7 @@ impl StreamRun {
                 let pending_before = lane.pending.len();
                 if lane.sim.stalled() {
                     lane.sim.tick(
+                        image,
                         compiled,
                         None,
                         lane.consumed,
@@ -270,6 +259,7 @@ impl StreamRun {
                 } else if let Some(&(offset, byte)) = lane.input_fifo.front() {
                     lane.input_fifo.pop();
                     lane.sim.tick(
+                        image,
                         compiled,
                         Some(byte),
                         offset,
@@ -307,7 +297,8 @@ impl StreamRun {
                     self.bank_output
                         .push(event)
                         .unwrap_or_else(|_| unreachable!("just drained"));
-                    self.meter.charge(Category::Buffer, self.cost.buffer_pj);
+                    self.meter
+                        .charge(Category::Buffer, self.lowered.cost.buffer_pj);
                 }
             }
             // FIFO high-water marks, under the same occupancy definitions as
@@ -373,10 +364,7 @@ impl StreamRun {
     pub fn finish(self) -> (Vec<MatchEvent>, RunResult, BankStats) {
         let stats = self.stats();
         let StreamRun {
-            machine,
-            cost,
-            arrays,
-            area_mm2,
+            lowered,
             lanes,
             mut meter,
             len,
@@ -386,9 +374,10 @@ impl StreamRun {
             trace,
             ..
         } = self;
+        let (machine, cost, arrays) = (lowered.machine, &lowered.cost, lowered.arrays.len());
         // Activity-scaled energy, then leakage, as in the batch path.
-        for lane in &lanes {
-            lane.sim.settle(&mut meter);
+        for (lane, image) in lanes.iter().zip(&lowered.arrays) {
+            lane.sim.settle(image, &mut meter);
         }
         let runtime_s = cycles as f64 / cost.clock_hz;
         let powered: u64 = lanes.iter().map(|l| l.sim.powered_tile_cycles()).sum();
@@ -402,7 +391,7 @@ impl StreamRun {
             cycles,
             clock_hz: cost.clock_hz,
             energy_uj: meter.total_uj(),
-            area_mm2,
+            area_mm2: lowered.area_mm2,
             matches: delivered + tail.len() as u64,
         };
         let result = RunResult {
@@ -411,6 +400,7 @@ impl StreamRun {
             energy: meter,
             matches: Vec::new(),
             stall_cycles: stats.stall_cycles.iter().sum(),
+            quiescent_cycles: lanes.iter().map(|l| l.sim.quiescent_cycles()).sum(),
         };
         if let Some(Trace {
             mut probe,
@@ -461,6 +451,19 @@ pub fn simulate_streaming(
     one_shot(StreamRun::new(compiled, mapping, machine), compiled, input)
 }
 
+impl Lowered {
+    /// Streams `input` through the bank over this lowered plan; see
+    /// [`simulate_streaming`]. `compiled` must be the images the plan was
+    /// lowered from.
+    pub fn simulate_streaming(
+        self: &Arc<Lowered>,
+        compiled: &[Compiled],
+        input: &[u8],
+    ) -> (RunResult, BankStats) {
+        one_shot(StreamRun::on(Arc::clone(self), compiled), compiled, input)
+    }
+}
+
 /// Like [`simulate_streaming`], with cycle-sampled probe events (per-lane
 /// array samples plus bank window/FIFO occupancy) and run totals recorded
 /// into `telemetry` under `label`. Tracing only observes: the returned
@@ -477,8 +480,12 @@ pub fn simulate_streaming_traced(
         probe: telemetry.probe(label),
         registry: telemetry.registry().clone(),
     };
-    let run = StreamRun::open(compiled, mapping, machine, Some(trace));
-    one_shot(run, compiled, input)
+    let lowered = Arc::new(Lowered::new(compiled, mapping, machine));
+    one_shot(
+        StreamRun::open(lowered, compiled, Some(trace)),
+        compiled,
+        input,
+    )
 }
 
 fn one_shot(mut run: StreamRun, compiled: &[Compiled], input: &[u8]) -> (RunResult, BankStats) {

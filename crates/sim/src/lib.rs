@@ -313,11 +313,11 @@ impl Simulator {
     }
 }
 
-/// Debug-build consistency check shared by the batch ([`simulate`]) and
-/// streaming ([`bank::simulate_streaming`]) entry points: both execute
-/// only mappings that passed the static verify gate, and debug builds
-/// re-verify at the door. The checked `run`/`run_patterns`/`map_verified`
-/// entry points enforce the gate in release builds too.
+/// Debug-build consistency check at the door of [`Lowered::new`], which
+/// every batch and streaming entry point goes through: they execute only
+/// mappings that passed the static verify gate, and debug builds
+/// re-verify. The checked `run`/`run_patterns`/`map_verified` entry points
+/// enforce the gate in release builds too.
 pub(crate) fn debug_assert_verified(compiled: &[Compiled], mapping: &Mapping) {
     #[cfg(debug_assertions)]
     {
@@ -331,6 +331,175 @@ pub(crate) fn debug_assert_verified(compiled: &[Compiled], mapping: &Mapping) {
     let _ = (compiled, mapping);
 }
 
+/// A verified plan lowered for the simulator: every array's immutable
+/// image (slot tables, per-tile initial, final and vector words, class
+/// alphabets, chain positions, wake sets), built once and shared by every
+/// run of the plan — batch, traced, streaming, resumable or replicated.
+/// A run owns only what a stream changes: live words, bit vectors,
+/// counters, and the crossbar rows and byte columns it lowers lazily
+/// (see the `array` module).
+///
+/// The images index into the plan's compiled patterns instead of copying
+/// them, so every run is handed the images the plan was built from.
+pub struct Lowered {
+    machine: Machine,
+    cost: CostModel,
+    /// Patterns in the plan (checked against every run's images).
+    patterns: usize,
+    area_mm2: f64,
+    arrays: Vec<array::ArrayImage>,
+}
+
+impl Lowered {
+    /// Lowers a mapped workload for `machine`.
+    ///
+    /// The mapping must have passed the verify gate ([`Simulator::map_verified`]
+    /// or [`rap_verify::verify`]); debug builds assert this at the door.
+    pub fn new(compiled: &[Compiled], mapping: &Mapping, machine: Machine) -> Lowered {
+        debug_assert_verified(compiled, mapping);
+        let cost = CostModel::for_machine(machine);
+        Lowered {
+            machine,
+            cost,
+            patterns: compiled.len(),
+            area_mm2: cost.area_mm2(mapping),
+            arrays: mapping
+                .arrays
+                .iter()
+                .map(|plan| array::ArrayImage::new(compiled, plan, &cost))
+                .collect(),
+        }
+    }
+
+    /// Heap bytes the images keep resident.
+    pub fn heap_bytes(&self) -> usize {
+        self.arrays
+            .iter()
+            .map(array::ArrayImage::heap_bytes)
+            .sum::<usize>()
+            + std::mem::size_of::<Lowered>()
+    }
+
+    /// Simulates the plan over `input`; see [`simulate`]. `compiled` must
+    /// be the images the plan was lowered from.
+    pub fn simulate(&self, compiled: &[Compiled], input: &[u8]) -> RunResult {
+        self.run(compiled, input, None)
+    }
+
+    /// Like [`Lowered::simulate`], traced; see [`simulate_traced`].
+    pub fn simulate_traced(
+        &self,
+        compiled: &[Compiled],
+        input: &[u8],
+        telemetry: &Telemetry,
+        label: &str,
+    ) -> RunResult {
+        self.run(compiled, input, Some((telemetry, label)))
+    }
+
+    /// Panics unless `compiled` can be the images the plan was lowered from.
+    fn check(&self, compiled: &[Compiled]) {
+        assert_eq!(
+            compiled.len(),
+            self.patterns,
+            "a lowered plan must run on the images it was built from"
+        );
+    }
+
+    fn run(
+        &self,
+        compiled: &[Compiled],
+        input: &[u8],
+        telemetry: Option<(&Telemetry, &str)>,
+    ) -> RunResult {
+        self.check(compiled);
+        let cost = &self.cost;
+        let mut meter = EnergyMeter::new();
+        let mut matches: Vec<MatchEvent> = Vec::new();
+        let mut max_cycles: u64 = input.len() as u64;
+        let mut stall_cycles: u64 = 0;
+        let mut powered_tile_cycles: u64 = 0;
+        let mut quiescent_cycles: u64 = 0;
+        let mut probe = telemetry.map(|(tel, label)| tel.probe(label));
+
+        for (index, image) in self.arrays.iter().enumerate() {
+            let mut sim = array::Array::new(image, compiled);
+            let outcome = array::run_array(
+                image,
+                &mut sim,
+                compiled,
+                input,
+                &mut meter,
+                probe.as_mut().map(|p| (p, index as u32)),
+            );
+            stall_cycles += outcome.cycles.saturating_sub(input.len() as u64);
+            max_cycles = max_cycles.max(outcome.cycles);
+            powered_tile_cycles += outcome.powered_tile_cycles;
+            quiescent_cycles += outcome.quiescent_cycles;
+            matches.extend(outcome.matches);
+        }
+
+        // Deduplicate (pattern, end) pairs: a pattern split into several LNFA
+        // chains may report the same end offset from more than one chain.
+        matches.sort_unstable_by_key(|m| (m.end, m.pattern));
+        matches.dedup();
+        // `$`-anchored patterns report only at the stream's end.
+        matches.retain(|m| !compiled[m.pattern].anchored_end() || m.end == input.len());
+
+        // Static leakage: power-gated tiles leak ~nothing, so tile leakage
+        // integrates over *powered* tile-cycles; the array overheads (global
+        // switch/controller) and bank I/O stay on for the whole run.
+        let arrays = self.arrays.len();
+        let runtime_s = max_cycles as f64 / cost.clock_hz;
+        let mut leak_w = cost.bank_overhead_leak_w(arrays as u32);
+        leak_w += cost.array_leak_w * arrays as f64;
+        let tile_leak_j = cost.tile_leak_w * (powered_tile_cycles as f64 / cost.clock_hz);
+        meter.charge(Category::Leakage, (leak_w * runtime_s + tile_leak_j) * 1e12);
+
+        let metrics = Metrics {
+            input_chars: input.len() as u64,
+            cycles: max_cycles,
+            clock_hz: cost.clock_hz,
+            energy_uj: meter.total_uj(),
+            area_mm2: self.area_mm2,
+            matches: matches.len() as u64,
+        };
+        let result = RunResult {
+            machine: self.machine,
+            metrics,
+            energy: meter,
+            matches,
+            stall_cycles,
+            quiescent_cycles,
+        };
+        if let Some(mut probe) = probe {
+            probe.push(ProbeEvent::RunEnd {
+                input_bytes: input.len() as u64,
+                cycles: max_cycles,
+                stall_cycles,
+                powered_tile_cycles,
+                matches: result.metrics.matches,
+            });
+            probe.finish();
+        }
+        if let Some((tel, _)) = telemetry {
+            record_run_metrics(tel.registry(), &result, powered_tile_cycles);
+        }
+        result
+    }
+}
+
+impl fmt::Debug for Lowered {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Lowered")
+            .field("machine", &self.machine)
+            .field("patterns", &self.patterns)
+            .field("arrays", &self.arrays.len())
+            .field("heap_bytes", &self.heap_bytes())
+            .finish_non_exhaustive()
+    }
+}
+
 /// Simulates a mapped workload over an input stream on one machine.
 ///
 /// The mapping must have passed the verify gate ([`Simulator::map_verified`]
@@ -339,19 +508,21 @@ pub(crate) fn debug_assert_verified(compiled: &[Compiled], mapping: &Mapping) {
 /// Arrays run in parallel on the same stream; an array in NBVA mode stalls
 /// independently during bit-vector-processing phases, and the two-level
 /// buffering of §3.3 decouples the arrays, so the bank finishes when its
-/// slowest array does.
+/// slowest array does. To simulate one plan repeatedly, build its
+/// [`Lowered`] images once and call [`Lowered::simulate`].
 pub fn simulate(
     compiled: &[Compiled],
     mapping: &Mapping,
     input: &[u8],
     machine: Machine,
 ) -> RunResult {
-    simulate_inner(compiled, mapping, input, machine, None)
+    Lowered::new(compiled, mapping, machine).simulate(compiled, input)
 }
 
 /// Like [`simulate`], with cycle-sampled probe events and run totals
 /// recorded into `telemetry` under `label`. Tracing only observes: the
-/// returned result is identical to the untraced path's.
+/// returned result is identical to the untraced path's. A traced run
+/// steps every cycle, so probe samples land where they always did.
 pub fn simulate_traced(
     compiled: &[Compiled],
     mapping: &Mapping,
@@ -360,7 +531,7 @@ pub fn simulate_traced(
     telemetry: &Telemetry,
     label: &str,
 ) -> RunResult {
-    simulate_inner(compiled, mapping, input, machine, Some((telemetry, label)))
+    Lowered::new(compiled, mapping, machine).simulate_traced(compiled, input, telemetry, label)
 }
 
 /// Records one finished run's totals into the telemetry registry, labeled
@@ -379,6 +550,8 @@ pub(crate) fn record_run_metrics(reg: &Registry, result: &RunResult, powered: u6
         .add(powered);
     reg.counter("rap_sim_matches_total", &labels)
         .add(result.metrics.matches);
+    reg.counter("rap_sim_quiescent_array_cycles_total", &labels)
+        .add(result.quiescent_cycles);
 }
 
 /// The Prometheus-visible face of [`BankStats`], one machine's handles on
@@ -417,84 +590,6 @@ impl BankMetrics {
         self.output_fifo_hwm.set_max(stats.max_output_fifo_records);
         self.skew_hwm.set_max(stats.max_skew as u64);
     }
-}
-
-fn simulate_inner(
-    compiled: &[Compiled],
-    mapping: &Mapping,
-    input: &[u8],
-    machine: Machine,
-    telemetry: Option<(&Telemetry, &str)>,
-) -> RunResult {
-    debug_assert_verified(compiled, mapping);
-    let cost = CostModel::for_machine(machine);
-    let mut meter = EnergyMeter::new();
-    let mut matches: Vec<MatchEvent> = Vec::new();
-    let mut max_cycles: u64 = input.len() as u64;
-    let mut stall_cycles: u64 = 0;
-    let mut powered_tile_cycles: u64 = 0;
-    let mut probe = telemetry.map(|(tel, label)| tel.probe(label));
-
-    for (index, plan) in mapping.arrays.iter().enumerate() {
-        let mut sim = array::Array::new(compiled, plan, &cost);
-        let outcome = array::run_array(
-            &mut sim,
-            compiled,
-            input,
-            &mut meter,
-            probe.as_mut().map(|p| (p, index as u32)),
-        );
-        stall_cycles += outcome.cycles.saturating_sub(input.len() as u64);
-        max_cycles = max_cycles.max(outcome.cycles);
-        powered_tile_cycles += outcome.powered_tile_cycles;
-        matches.extend(outcome.matches);
-    }
-
-    // Deduplicate (pattern, end) pairs: a pattern split into several LNFA
-    // chains may report the same end offset from more than one chain.
-    matches.sort_unstable_by_key(|m| (m.end, m.pattern));
-    matches.dedup();
-    // `$`-anchored patterns report only at the stream's end.
-    matches.retain(|m| !compiled[m.pattern].anchored_end() || m.end == input.len());
-
-    // Static leakage: power-gated tiles leak ~nothing, so tile leakage
-    // integrates over *powered* tile-cycles; the array overheads (global
-    // switch/controller) and bank I/O stay on for the whole run.
-    let runtime_s = max_cycles as f64 / cost.clock_hz;
-    let mut leak_w = cost.bank_overhead_leak_w(mapping.arrays.len() as u32);
-    leak_w += cost.array_leak_w * mapping.arrays.len() as f64;
-    let tile_leak_j = cost.tile_leak_w * (powered_tile_cycles as f64 / cost.clock_hz);
-    meter.charge(Category::Leakage, (leak_w * runtime_s + tile_leak_j) * 1e12);
-
-    let metrics = Metrics {
-        input_chars: input.len() as u64,
-        cycles: max_cycles,
-        clock_hz: cost.clock_hz,
-        energy_uj: meter.total_uj(),
-        area_mm2: cost.area_mm2(mapping),
-        matches: matches.len() as u64,
-    };
-    let result = RunResult {
-        machine,
-        metrics,
-        energy: meter,
-        matches,
-        stall_cycles,
-    };
-    if let Some(mut probe) = probe {
-        probe.push(ProbeEvent::RunEnd {
-            input_bytes: input.len() as u64,
-            cycles: max_cycles,
-            stall_cycles,
-            powered_tile_cycles,
-            matches: result.metrics.matches,
-        });
-        probe.finish();
-    }
-    if let Some((tel, _)) = telemetry {
-        record_run_metrics(tel.registry(), &result, powered_tile_cycles);
-    }
-    result
 }
 
 #[cfg(test)]

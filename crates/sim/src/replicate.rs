@@ -11,9 +11,11 @@
 //!
 //! Cost accounting: replicas run in parallel, so the wall clock is the
 //! slowest shard's; energy adds up (each replica really switches); area
-//! multiplies by the replica count.
+//! multiplies by the replica count. Every replica runs the same hardware
+//! image, so the plan is lowered once for the base run and all shards.
 
 use crate::result::{MatchEvent, RunResult};
+use crate::Lowered;
 use rap_circuit::Machine;
 use rap_circuit::Metrics;
 use rap_compiler::Compiled;
@@ -118,7 +120,8 @@ pub fn simulate_replicated(
     target_gchps: f64,
     max_replicas: u32,
 ) -> ReplicatedRun {
-    let base = crate::simulate(compiled, mapping, input, machine);
+    let lowered = Lowered::new(compiled, mapping, machine);
+    let base = lowered.simulate(compiled, input);
     let base_thpt = base.metrics.throughput_gchps();
     if base_thpt >= target_gchps || input.is_empty() {
         return ReplicatedRun {
@@ -165,6 +168,7 @@ pub fn simulate_replicated(
     let mut combined_matches: Vec<MatchEvent> = Vec::new();
     let mut max_cycles = 0u64;
     let mut energy_uj = 0.0;
+    let mut quiescent_cycles = 0;
     for r in 0..replicas as usize {
         let start = r * shard_len;
         if start >= input.len() {
@@ -173,9 +177,10 @@ pub fn simulate_replicated(
         let end = ((r + 1) * shard_len).min(input.len());
         let from = start.saturating_sub(overlap);
         let shard = &input[from..end];
-        let run = crate::simulate(compiled, mapping, shard, machine);
+        let run = lowered.simulate(compiled, shard);
         max_cycles = max_cycles.max(run.metrics.cycles);
         energy_uj += run.metrics.energy_uj;
+        quiescent_cycles += run.quiescent_cycles;
         combined_matches.extend(run.matches.into_iter().filter_map(|m| {
             let global_end = from + m.end;
             // Matches ending inside the lookback belong to the previous
@@ -204,6 +209,7 @@ pub fn simulate_replicated(
             energy: base.energy, // breakdown of one replica (shape, not sum)
             matches: combined_matches,
             stall_cycles: base.stall_cycles,
+            quiescent_cycles,
         },
         replicas,
         overlap,

@@ -26,4 +26,9 @@ pub struct RunResult {
     pub matches: Vec<MatchEvent>,
     /// Cycles lost to bit-vector-processing stalls across arrays.
     pub stall_cycles: u64,
+    /// Array-cycles on which a quiet tile array (no active or live state,
+    /// no pending stall) took a byte outside its wake set: the host work
+    /// the quiescent fast path skips. A work counter, not a modeled number;
+    /// it is the same on the batch and streaming paths, traced or not.
+    pub quiescent_cycles: u64,
 }

@@ -4,12 +4,17 @@
 //! Besides small multi-mode pattern sets, the corpora include long counted
 //! repetitions that span tiles (global-crossbar routes) and arrays once
 //! CA/CAMA unfold them, and `^`/`$`-anchored patterns.
+//!
+//! A second family checks the quiescent fast path: a quiet tile array
+//! jumps idle input when no probe is attached, and a traced run steps
+//! every cycle, so the two must agree bit for bit.
 
 use proptest::prelude::*;
 use rap_automata::nfa::Nfa;
 use rap_circuit::Machine;
 use rap_regex::{CharClass, Pattern, Regex};
-use rap_sim::{MatchEvent, RunResult, Simulator};
+use rap_sim::{MatchEvent, RunResult, Simulator, StreamRun};
+use rap_telemetry::{Telemetry, TelemetryConfig};
 
 /// Random pattern sets that exercise all three RAP modes.
 fn arb_pattern() -> impl Strategy<Value = Regex> {
@@ -84,6 +89,67 @@ fn arb_runs() -> impl Strategy<Value = Vec<u8>> {
     let byte = prop_oneof![Just(b'a'), Just(b'b'), Just(b'c'), Just(b'x'), Just(b'y')];
     prop::collection::vec((byte, 1usize..160), 0..8)
         .prop_map(|runs| runs.into_iter().flat_map(|(b, n)| vec![b; n]).collect())
+}
+
+/// Patterns whose tile arrays spend long stretches quiet, possibly `^`-
+/// and/or `$`-anchored: the small multi-mode ones, and counted repetitions
+/// that start with their bit-vector state (as NBVA, the initial state of
+/// `b{5,30}c` is the vector).
+fn arb_quiet_pattern() -> impl Strategy<Value = Pattern> {
+    let lit = Regex::literal_byte;
+    let regex = prop_oneof![
+        2 => arb_pattern(),
+        1 => (5u32..20, 0u32..25).prop_map(move |(m, k)| {
+            Regex::concat(vec![Regex::repeat(lit(b'b'), m, Some(m + k)), lit(b'c')])
+        }),
+    ];
+    (regex, any::<bool>(), any::<bool>()).prop_map(|(regex, start, end)| Pattern {
+        regex,
+        anchored_start: start,
+        anchored_end: end,
+    })
+}
+
+/// Inputs with long runs of bytes outside every initial class (`q`, `z`),
+/// often at the very start, so a `^`-anchored pattern's first byte idles.
+fn arb_idle_runs() -> impl Strategy<Value = Vec<u8>> {
+    let byte = prop_oneof![
+        4 => Just(b'q'),
+        1 => Just(b'z'),
+        2 => Just(b'a'),
+        2 => Just(b'b'),
+        2 => Just(b'c'),
+    ];
+    prop::collection::vec((byte, 1usize..120), 0..10)
+        .prop_map(|runs| runs.into_iter().flat_map(|(b, n)| vec![b; n]).collect())
+}
+
+/// A run's modeled numbers: cycles, stalls, matches and every energy
+/// category's bits.
+fn modeled(result: &RunResult) -> (u64, u64, Vec<MatchEvent>, Vec<(String, u64)>) {
+    let energy = result
+        .energy
+        .iter()
+        .map(|(category, pj)| (category.to_string(), pj.to_bits()))
+        .collect();
+    (
+        result.metrics.cycles,
+        result.stall_cycles,
+        result.matches.clone(),
+        energy,
+    )
+}
+
+/// The quiescent-cycle counter a traced run recorded for `machine`.
+fn quiescent_counter(telemetry: &Telemetry, machine: Machine) -> u64 {
+    let machine = machine.to_string();
+    telemetry
+        .registry()
+        .counter(
+            "rap_sim_quiescent_array_cycles_total",
+            &[("machine", &machine)],
+        )
+        .get()
 }
 
 fn sorted(mut out: Vec<MatchEvent>) -> Vec<MatchEvent> {
@@ -287,5 +353,95 @@ proptest! {
         let expect = reference(&regexes, &input);
         prop_assert_eq!(&batch.matches, &expect, "machine {} batch", machine);
         prop_assert_eq!(&streaming.matches, &expect, "machine {} streaming", machine);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The untraced batch run, which jumps idle input, equals the traced
+    /// run, which steps every cycle, bit for bit, and reports the
+    /// interpreter's matches; both count the same quiescent cycles as the
+    /// streaming bank, one-shot or fed in chunks, and the chunked feeds
+    /// hand out the batch run's matches.
+    #[test]
+    fn quiescent_fast_path_equals_stepping_every_cycle(
+        patterns in prop::collection::vec(arb_quiet_pattern(), 1..5),
+        input in arb_idle_runs(),
+        sizes in prop::collection::vec(1usize..90, 1..4),
+        machine_idx in 0usize..4,
+    ) {
+        let machine = Machine::all()[machine_idx];
+        let sim = Simulator::new(machine);
+        let Ok(compiled) = sim.compile_parsed(&patterns) else { return Ok(()) };
+        let Ok(mapping) = sim.map_verified(&compiled) else { return Ok(()) };
+        let config = TelemetryConfig { sample_every: 1, ring_capacity: 64 };
+        let fast = rap_sim::simulate(&compiled, &mapping, &input, machine);
+        let batch_tel = Telemetry::new(config.clone());
+        let traced =
+            rap_sim::simulate_traced(&compiled, &mapping, &input, machine, &batch_tel, "batch");
+        prop_assert_eq!(&fast.matches, &reference_anchored(&patterns, &input));
+        prop_assert_eq!(modeled(&fast), modeled(&traced));
+        prop_assert_eq!(fast.metrics.energy_uj.to_bits(), traced.metrics.energy_uj.to_bits());
+        prop_assert_eq!(fast.quiescent_cycles, traced.quiescent_cycles);
+        prop_assert_eq!(quiescent_counter(&batch_tel, machine), fast.quiescent_cycles);
+
+        let (streamed, _) = rap_sim::simulate_streaming(&compiled, &mapping, &input, machine);
+        let stream_tel = Telemetry::new(config);
+        let (streamed_traced, _) = rap_sim::simulate_streaming_traced(
+            &compiled, &mapping, &input, machine, &stream_tel, "stream",
+        );
+        prop_assert_eq!(&streamed.matches, &fast.matches);
+        prop_assert_eq!(modeled(&streamed), modeled(&streamed_traced));
+        prop_assert_eq!(streamed.quiescent_cycles, fast.quiescent_cycles);
+        prop_assert_eq!(quiescent_counter(&stream_tel, machine), fast.quiescent_cycles);
+
+        let mut run = StreamRun::new(&compiled, &mapping, machine);
+        let (mut fed, mut at) = (Vec::new(), 0usize);
+        for &size in sizes.iter().cycle() {
+            if at == input.len() {
+                break;
+            }
+            let len = size.min(input.len() - at);
+            fed.extend(run.feed(&compiled, &input[at..at + len]));
+            at += len;
+        }
+        let (tail, chunked, _) = run.finish();
+        fed.extend(tail);
+        prop_assert_eq!(sorted(fed), fast.matches.clone());
+        prop_assert_eq!(chunked.quiescent_cycles, fast.quiescent_cycles);
+    }
+}
+
+/// The quiet corpus really exercises the fast path on every tile machine:
+/// a bit-vector initial state, a `^`-anchored pattern behind an idle first
+/// byte, and long idle runs.
+#[test]
+fn quiet_corpus_skips_idle_input() {
+    let patterns: Vec<Pattern> = ["b{5,30}c", "^abc", "cab"]
+        .iter()
+        .map(|p| rap_regex::parse_pattern(p).expect("parses"))
+        .collect();
+    let input = [
+        b"q".repeat(200),
+        b"abbbbbbbc cab".to_vec(),
+        b"z".repeat(150),
+    ]
+    .concat();
+    for machine in Machine::all() {
+        let sim = Simulator::new(machine);
+        let compiled = sim.compile_parsed(&patterns).expect("compiles");
+        let mapping = sim.map_verified(&compiled).expect("verifies");
+        let result = rap_sim::simulate(&compiled, &mapping, &input, machine);
+        assert!(
+            result.quiescent_cycles >= 300,
+            "{machine}: {} quiescent cycles",
+            result.quiescent_cycles
+        );
+        assert_eq!(
+            result.matches,
+            reference_anchored(&patterns, &input),
+            "{machine}"
+        );
     }
 }

@@ -11,11 +11,16 @@
 //! Energy is pinned per category through `f64::to_bits`, so a rounding
 //! difference in any subtotal fails the test. Matches are pinned as a
 //! count plus an FNV-1a digest of the sorted `(pattern, end)` list.
+//!
+//! Every line is checked twice: untraced, where quiet tile arrays jump
+//! idle input, and traced, where a probe makes every cycle step.
 
 use rap_circuit::Machine;
 use rap_regex::Pattern;
 use rap_sim::{BankStats, RunResult, Simulator};
+use rap_telemetry::{Telemetry, TelemetryConfig};
 use rap_workloads::Suite;
+use std::sync::Arc;
 
 /// Workload seed of the generated corpus.
 const SEED: u64 = 7;
@@ -131,11 +136,14 @@ fn bank_fingerprint(stats: &BankStats) -> String {
     )
 }
 
-fn observed() -> Vec<String> {
+/// The golden table's lines, from simulators with `telemetry` attached
+/// (traced) or not.
+fn observed(telemetry: Option<&Arc<Telemetry>>) -> Vec<String> {
     let mut lines = Vec::new();
     for case in corpus() {
         for machine in Machine::all() {
-            let sim = Simulator::new(machine);
+            let mut sim = Simulator::new(machine);
+            sim.telemetry = telemetry.cloned();
             let compiled = sim
                 .compile_parsed(&case.patterns)
                 .unwrap_or_else(|e| panic!("{} on {machine}: {e}", case.name));
@@ -218,7 +226,20 @@ const GOLDEN: &[&str] = &[
 
 #[test]
 fn modeled_numbers_are_pinned() {
-    let observed = observed();
+    assert_pinned(&observed(None));
+}
+
+#[test]
+fn traced_modeled_numbers_are_pinned() {
+    let telemetry = Arc::new(Telemetry::new(TelemetryConfig {
+        sample_every: 1,
+        ring_capacity: 256,
+    }));
+    assert_pinned(&observed(Some(&telemetry)));
+    assert!(telemetry.trace_count() > 0, "no run was traced");
+}
+
+fn assert_pinned(observed: &[String]) {
     let mismatched: Vec<(usize, &String)> = observed
         .iter()
         .enumerate()

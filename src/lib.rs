@@ -35,7 +35,7 @@
 //! | [`regex`] | PCRE-subset parser, character classes, rewriters (§2.1, §4) |
 //! | [`automata`] | Glushkov NFA, NBVA, LNFA models + reference executors (§2.1) |
 //! | [`circuit`] | 28nm circuit cost models of Table 1 |
-//! | [`arch`] | tile/array/bank geometry, CC encodings, bank/array buffers (§3) |
+//! | [`arch`] | tile/array/bank geometry, the CAM CC encoding, per-array FIFOs (§3) |
 //! | [`compiler`] | the Fig. 9 decision graph and per-mode compilation (§4) |
 //! | [`mapper`] | greedy array packing and multi-LNFA binning (§4.3) |
 //! | [`sim`] | cycle-accurate RAP + CA/CAMA/BVAP baselines (§5) |
