@@ -6,10 +6,10 @@
 //! multi-tenancy and live rule-set hot-swap both need a static answer to
 //! "can these N verified plans co-reside without colliding?". This crate
 //! is that answer. It takes N tenants — each a name plus the compiled
-//! images, source patterns, and verified [`Mapping`] of one plan — and an
-//! [`ArchConfig`] describing the shared fabric, assigns every tenant
-//! array an exclusive slot, sums the per-tenant worst-case bounds from
-//! `rap-bound` against the fabric's shared capacities, and either
+//! images, verified [`Mapping`] and per-array `rap-bound` bounds of one
+//! plan — and an [`ArchConfig`] describing the shared fabric, assigns
+//! every tenant array an exclusive slot, sums the per-tenant worst-case
+//! bounds against the fabric's shared capacities, and either
 //! certifies a conflict-free [`ComposedPlan`] or explains the conflict
 //! through the shared `rap-diag` schema:
 //!
@@ -36,11 +36,10 @@
 
 use rap_analyze::{check_overlap, Overlap, SoundnessConfig};
 use rap_arch::config::ArchConfig;
-use rap_bound::{analyze_bounds, BankBound, BoundAnalysis, BoundOptions};
+use rap_bound::{ArrayBound, BankBound};
 use rap_compiler::Compiled;
 use rap_diag::{Location, RuleCode, Severity};
 use rap_mapper::{ArrayPlan, MapperConfig, Mapping};
-use rap_regex::Pattern;
 use rap_sim::MatchEvent;
 
 /// The admission report type.
@@ -159,19 +158,21 @@ impl Default for AdmitOptions {
 }
 
 /// One tenant of a proposed composition: a verified plan's parts, all
-/// borrowed. `images`, `patterns`, and `mapping` must come from one
-/// compile/map run (index-aligned `pattern` fields), as produced by the
-/// pipeline's `VerifiedPlan`.
+/// borrowed. `images` and `mapping` must come from one compile/map run
+/// (index-aligned `pattern` fields), and `bounds` from
+/// [`rap_bound::array_bounds`] over them, as the pipeline's
+/// `VerifiedPlan` keeps them.
 #[derive(Clone, Copy, Debug)]
 pub struct Tenant<'a> {
     /// Display name; also the tenant's identity (must be unique).
     pub name: &'a str,
     /// Compiled images, indexed by pattern.
     pub images: &'a [Compiled],
-    /// Source patterns, index-aligned with `images`.
-    pub patterns: &'a [Pattern],
     /// The tenant's verified solo mapping.
     pub mapping: &'a Mapping,
+    /// The solo plan's certified per-array bounds, index-aligned with
+    /// `mapping.arrays`.
+    pub bounds: &'a [ArrayBound],
     /// First match ID of the tenant's namespace; `None` assigns the
     /// composed pattern offset (disjoint by construction).
     pub match_base: Option<u64>,
@@ -293,9 +294,9 @@ impl AdmissionAnalysis {
 ///
 /// # Panics
 ///
-/// Panics when `tenants` is empty, or when a tenant's mapping references
-/// pattern indices outside its images (a plan not produced for that
-/// workload — the same contract as [`rap_bound::analyze_bounds`]).
+/// Panics when `tenants` is empty, or when a tenant carries a different
+/// number of bounds than its mapping has arrays (bounds not derived from
+/// that plan).
 pub fn admit(
     tenants: &[Tenant<'_>],
     arch: &ArchConfig,
@@ -347,19 +348,16 @@ pub fn admit(
         );
     }
 
-    // Per-tenant certified bounds (B-rules run solo; admission only sums
-    // them against the shared capacities).
-    let bounds: Vec<BoundAnalysis> = ordered
-        .iter()
-        .map(|t| {
-            analyze_bounds(
-                t.images,
-                t.patterns,
-                t.mapping,
-                &BoundOptions::bounds_only(),
-            )
-        })
-        .collect();
+    // Per-tenant certified bounds, derived solo once per plan; admission
+    // only sums them against the shared capacities.
+    for tenant in &ordered {
+        assert_eq!(
+            tenant.bounds.len(),
+            tenant.mapping.arrays.len(),
+            "tenant {:?} carries one bound per array",
+            tenant.name
+        );
+    }
 
     // Fabric sizing.
     let apb = arch.arrays_per_bank.max(1);
@@ -459,7 +457,7 @@ pub fn admit(
         let mut residents: Vec<usize> = Vec::new();
         for (c, a) in occupancy[lo..hi.min(occupancy.len())].iter().flatten() {
             lanes += 1;
-            let bound = &bounds[*c].arrays[*a];
+            let bound = &ordered[*c].bounds[*a];
             burst += bound.reporters;
             fanin += u64::from(bound.peak_fanin);
             if !residents.contains(c) {
@@ -689,11 +687,22 @@ pub fn admit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rap_bound::{analyze_bounds, BoundOptions};
     use rap_circuit::Machine;
     use rap_compiler::{Compiler, CompilerConfig};
     use rap_mapper::map_workload;
+    use rap_regex::Pattern;
 
-    fn plan(sources: &[&str], config: &MapperConfig) -> (Vec<Compiled>, Vec<Pattern>, Mapping) {
+    struct Owned {
+        name: String,
+        images: Vec<Compiled>,
+        mapping: Mapping,
+        bounds: Vec<ArrayBound>,
+    }
+
+    /// Bounds come from the full `analyze_bounds` pass, the independent
+    /// reference for what a plan caches through `array_bounds`.
+    fn owned(name: &str, sources: &[&str], config: &MapperConfig) -> Owned {
         let compiler = Compiler::new(CompilerConfig::default());
         let patterns: Vec<Pattern> = sources
             .iter()
@@ -704,23 +713,12 @@ mod tests {
             .map(|p| compiler.compile_anchored(p).expect("compiles"))
             .collect();
         let mapping = map_workload(&images, config);
-        (images, patterns, mapping)
-    }
-
-    struct Owned {
-        name: String,
-        images: Vec<Compiled>,
-        patterns: Vec<Pattern>,
-        mapping: Mapping,
-    }
-
-    fn owned(name: &str, sources: &[&str], config: &MapperConfig) -> Owned {
-        let (images, patterns, mapping) = plan(sources, config);
+        let bounds = analyze_bounds(&images, &patterns, &mapping, &BoundOptions::bounds_only());
         Owned {
             name: name.to_string(),
             images,
-            patterns,
             mapping,
+            bounds: bounds.arrays,
         }
     }
 
@@ -728,8 +726,8 @@ mod tests {
         Tenant {
             name: &o.name,
             images: &o.images,
-            patterns: &o.patterns,
             mapping: &o.mapping,
+            bounds: &o.bounds,
             match_base: None,
             slot: None,
         }

@@ -13,6 +13,7 @@
 use proptest::prelude::*;
 use rap_admit::{admit, AdmitOptions, Rule, Tenant};
 use rap_arch::config::ArchConfig;
+use rap_bound::{analyze_bounds, ArrayBound, BoundOptions};
 use rap_circuit::Machine;
 use rap_compiler::{Compiled, Compiler, CompilerConfig};
 use rap_mapper::{map_workload, MapperConfig, Mapping};
@@ -22,10 +23,12 @@ use rap_regex::Pattern;
 struct Owned {
     name: String,
     images: Vec<Compiled>,
-    patterns: Vec<Pattern>,
     mapping: Mapping,
+    bounds: Vec<ArrayBound>,
 }
 
+/// Bounds come from the full `analyze_bounds` pass, the independent
+/// reference for what a plan caches through `array_bounds`.
 fn owned(name: String, sources: &[&str]) -> Owned {
     let compiler = Compiler::new(CompilerConfig::default());
     let patterns: Vec<Pattern> = sources
@@ -37,11 +40,12 @@ fn owned(name: String, sources: &[&str]) -> Owned {
         .map(|p| compiler.compile_anchored(p).expect("pool patterns compile"))
         .collect();
     let mapping = map_workload(&images, &MapperConfig::default());
+    let bounds = analyze_bounds(&images, &patterns, &mapping, &BoundOptions::bounds_only());
     Owned {
         name,
         images,
-        patterns,
         mapping,
+        bounds: bounds.arrays,
     }
 }
 
@@ -49,8 +53,8 @@ fn view(o: &Owned) -> Tenant<'_> {
     Tenant {
         name: &o.name,
         images: &o.images,
-        patterns: &o.patterns,
         mapping: &o.mapping,
+        bounds: &o.bounds,
         match_base: None,
         slot: None,
     }

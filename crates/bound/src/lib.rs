@@ -283,9 +283,9 @@ pub fn analyze_bounds(
     let mut activity = ActivityCache::new(images);
     let arch = &mapping.config.arch;
 
-    let mut arrays = Vec::with_capacity(mapping.arrays.len());
-    for (index, plan) in mapping.arrays.iter().enumerate() {
-        let bound = array_bound(index, plan, &mut activity, &mut report);
+    let arrays = array_bounds_with(mapping, &mut activity);
+    for (plan, bound) in mapping.arrays.iter().zip(&arrays) {
+        let index = bound.array;
         let ports = arch.global_ports_per_tile;
         if ports > 0 && bound.peak_fanin * CONGESTION_DEN >= ports * CONGESTION_NUM {
             let tile = peak_fanin_tile(plan, images);
@@ -323,7 +323,6 @@ pub fn analyze_bounds(
                 bound.peak_active_states, bound.placed_states
             ),
         );
-        arrays.push(bound);
     }
 
     let bank = BankBound::new(mapping.arrays.len() as u64, arch);
@@ -377,13 +376,29 @@ pub fn analyze_bounds(
     }
 }
 
+/// The per-array part of [`analyze_bounds`]: each array's activity,
+/// reporter and peak fan-in bounds, index-aligned with `Mapping::arrays`.
+/// It depends only on the plan, so a caller can derive it once and sum it
+/// against shared capacities many times (admission does).
+///
+/// # Panics
+///
+/// As [`analyze_bounds`].
+pub fn array_bounds(images: &[Compiled], mapping: &Mapping) -> Vec<ArrayBound> {
+    array_bounds_with(mapping, &mut ActivityCache::new(images))
+}
+
+fn array_bounds_with(mapping: &Mapping, activity: &mut ActivityCache<'_>) -> Vec<ArrayBound> {
+    mapping
+        .arrays
+        .iter()
+        .enumerate()
+        .map(|(index, plan)| array_bound(index, plan, activity))
+        .collect()
+}
+
 /// Computes one array's activity/fan-in bounds.
-fn array_bound(
-    index: usize,
-    plan: &ArrayPlan,
-    activity: &mut ActivityCache<'_>,
-    _report: &mut Report,
-) -> ArrayBound {
+fn array_bound(index: usize, plan: &ArrayPlan, activity: &mut ActivityCache<'_>) -> ArrayBound {
     let mut peak_active = 0u64;
     let mut placed = 0u64;
     let mut reporters = 0u64;

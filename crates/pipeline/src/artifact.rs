@@ -18,6 +18,7 @@
 use crate::cache::{hash_configs, CacheKey, StableHasher};
 use crate::error::EvalError;
 use crate::store::{Persist, PersistError};
+use rap_bound::ArrayBound;
 use rap_circuit::Machine;
 use rap_compiler::{Compiled, Mode};
 use rap_mapper::Mapping;
@@ -349,6 +350,7 @@ impl MappedPlan {
                 mapping: self.mapping,
                 advisories: report,
                 bounds: None,
+                array_bounds: OnceLock::new(),
                 lowered: OnceLock::new(),
             })
         } else {
@@ -368,14 +370,18 @@ impl MappedPlan {
 ///
 /// The plan keeps its simulator images ([`rap_sim::Lowered`]) once the
 /// first `simulate*` or [`VerifiedPlan::stream`] call has built them, so
-/// repeated simulation of one plan lowers its arrays once. Clones share
-/// the images; they are never persisted and never part of a cache key.
+/// repeated simulation of one plan lowers its arrays once. Its per-array
+/// bounds ([`VerifiedPlan::array_bounds`]) are kept the same way, so
+/// every admission the plan joins sums them without re-deriving them.
+/// Clones share both; they are never persisted and never part of a cache
+/// key.
 #[derive(Clone, Debug)]
 pub struct VerifiedPlan {
     compiled: CompiledSet,
     mapping: Mapping,
     advisories: rap_verify::Report,
     bounds: Option<rap_bound::BoundAnalysis>,
+    array_bounds: OnceLock<Arc<[ArrayBound]>>,
     lowered: OnceLock<Arc<Lowered>>,
 }
 
@@ -418,6 +424,23 @@ impl VerifiedPlan {
     /// The attached worst-case bound analysis, when the Bound stage ran.
     pub fn bounds(&self) -> Option<&rap_bound::BoundAnalysis> {
         self.bounds.as_ref()
+    }
+
+    /// The per-array worst-case bounds ([`rap_bound::array_bounds`]),
+    /// index-aligned with the mapping's arrays: the Bound stage's when it
+    /// ran, otherwise derived on first use and kept.
+    pub fn array_bounds(&self) -> &[ArrayBound] {
+        if let Some(bounds) = &self.bounds {
+            return &bounds.arrays;
+        }
+        self.array_bounds
+            .get_or_init(|| rap_bound::array_bounds(&self.compiled.images, &self.mapping).into())
+    }
+
+    /// The per-array bounds, if [`VerifiedPlan::array_bounds`] has built
+    /// them yet (never set when the Bound stage ran).
+    pub fn cached_array_bounds(&self) -> Option<&Arc<[ArrayBound]>> {
+        self.array_bounds.get()
     }
 
     /// The simulator images, if a `simulate*` or [`VerifiedPlan::stream`]

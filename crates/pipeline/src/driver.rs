@@ -436,28 +436,30 @@ impl Pipeline {
         let arch = tenants[0].1.mapper.arch;
         let mut plans = Vec::with_capacity(tenants.len());
         for (name, sim, patterns) in tenants {
-            plans.push((*name, self.plan(sim, patterns, None)?, *patterns));
+            plans.push((*name, self.plan(sim, patterns, None)?));
         }
-        let views: Vec<rap_admit::Tenant<'_>> = plans
-            .iter()
-            .map(|(name, plan, patterns)| rap_admit::Tenant {
-                name,
-                images: plan.compiled().images(),
-                patterns: patterns.parsed(),
-                mapping: plan.mapping(),
-                match_base: None,
-                slot: None,
-            })
-            .collect();
-        let analysis = self
-            .metrics
-            .timed(Stage::Admit, || rap_admit::admit(&views, &arch, options));
+        // A plan's per-array bounds are built at its first admission, so
+        // that build is part of the Admit stage's time.
+        let analysis = self.metrics.timed(Stage::Admit, || {
+            let views: Vec<rap_admit::Tenant<'_>> = plans
+                .iter()
+                .map(|(name, plan)| rap_admit::Tenant {
+                    name,
+                    images: plan.compiled().images(),
+                    mapping: plan.mapping(),
+                    bounds: plan.array_bounds(),
+                    match_base: None,
+                    slot: None,
+                })
+                .collect();
+            rap_admit::admit(&views, &arch, options)
+        });
         self.metrics.record_admission(analysis.admitted());
         let plan = match &analysis.composed {
             Some(composed) => {
                 let pairs: Vec<(&str, crate::cache::CacheKey)> = plans
                     .iter()
-                    .map(|(name, plan, _)| (*name, plan.compiled().key()))
+                    .map(|(name, plan)| (*name, plan.compiled().key()))
                     .collect();
                 let key = crate::cache::compose_key(&pairs);
                 Some(self.plans.get_or_build(
@@ -514,16 +516,16 @@ impl Pipeline {
             .expect("certified admissions carry a composed plan");
         let (name, sim, patterns) = incoming;
         let solo = self.plan(sim, patterns, None)?;
-        let tenant = rap_swap::Tenant {
-            name,
-            images: solo.compiled().images(),
-            patterns: patterns.parsed(),
-            mapping: solo.mapping(),
-            match_base: None,
-            slot: None,
-        };
         let arch = resident.mapping.config.arch;
         let analysis = self.metrics.timed(Stage::Swap, || {
+            let tenant = rap_swap::Tenant {
+                name,
+                images: solo.compiled().images(),
+                mapping: solo.mapping(),
+                bounds: solo.array_bounds(),
+                match_base: None,
+                slot: None,
+            };
             rap_swap::analyze_swap(resident, outgoing, &tenant, &arch, options)
         });
         self.metrics.record_swap(analysis.certified());

@@ -2,9 +2,13 @@
 //! bit-identical to cold compiles, the parallel grid driver computes
 //! exactly what the serial path computes, the verify gate rejects
 //! corrupted placements (the only road to simulation is a verified plan),
-//! and a plan's simulator images are built once and never persisted.
+//! a plan's simulator images and per-array bounds are built once and
+//! never persisted, and admission over those bounds equals admission over
+//! the full bound analysis.
 
 use proptest::prelude::*;
+use rap_admit::{admit, AdmitOptions, Tenant};
+use rap_bound::{analyze_bounds, BoundOptions};
 use rap_circuit::Machine;
 use rap_compiler::Mode;
 use rap_mapper::{ArrayKind, Mapping};
@@ -284,6 +288,168 @@ fn lowered_images_are_built_once_and_never_persisted() {
         assert_eq!(reloaded.to_payload(), plan.to_payload());
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A verified plan's per-array bounds are derived by the first
+/// `array_bounds()` call, never by `verify()`; later calls and the plan's
+/// clones reuse them. They equal the full bound analysis's arrays, the
+/// Bound stage's arrays are returned as they are when it ran, and a plan
+/// reloaded from the disk store derives equal bounds again.
+#[test]
+fn array_bounds_are_built_once_and_never_persisted() {
+    let dir = std::env::temp_dir().join(format!(
+        "rap-pipeline-array-bounds-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let tier = DiskTier::<VerifiedPlan>::open(StoreConfig::at(&dir)).expect("store opens");
+    let pipe = Pipeline::new(tiny());
+    for (i, (suite, machine)) in [
+        (Suite::Snort, Machine::Rap),
+        (Suite::ClamAv, Machine::Rap),
+        (Suite::Yara, Machine::Ca),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let corpus = pipe.corpus(suite);
+        let sim = pipe.simulator_for(machine, suite);
+        let plan = build_plan(&sim, corpus.patterns(), None).expect("plan builds");
+        assert!(
+            plan.cached_array_bounds().is_none(),
+            "verify() derives no bounds"
+        );
+        let unbounded = plan.clone();
+
+        let full = analyze_bounds(
+            plan.compiled().images(),
+            corpus.patterns().parsed(),
+            plan.mapping(),
+            &BoundOptions::bounds_only(),
+        );
+        assert_eq!(plan.array_bounds(), full.arrays.as_slice());
+        let cached = Arc::clone(plan.cached_array_bounds().expect("the first call builds"));
+        assert_eq!(plan.array_bounds(), &*cached);
+        assert!(
+            Arc::ptr_eq(plan.cached_array_bounds().expect("kept"), &cached),
+            "a second call reuses the bounds"
+        );
+        let clone = plan.clone();
+        assert!(Arc::ptr_eq(
+            clone.cached_array_bounds().expect("shared"),
+            &cached
+        ));
+        assert!(
+            unbounded.cached_array_bounds().is_none(),
+            "a clone taken earlier derives its own"
+        );
+
+        let staged = unbounded.bound(corpus.patterns().parsed(), &BoundOptions::bounds_only());
+        let stage_arrays = staged
+            .bounds()
+            .expect("the Bound stage ran")
+            .arrays
+            .as_slice();
+        assert!(
+            std::ptr::eq(staged.array_bounds(), stage_arrays),
+            "the Bound stage's arrays are returned as they are"
+        );
+        assert!(staged.cached_array_bounds().is_none());
+        assert_eq!(stage_arrays, full.arrays.as_slice());
+
+        let key = CacheKey(i as u128 + 1);
+        tier.store(key, &Arc::new(plan));
+        let TierLoad::Hit(reloaded) = tier.load(key) else {
+            panic!("the stored plan reloads");
+        };
+        assert!(
+            reloaded.cached_array_bounds().is_none(),
+            "bounds are never persisted"
+        );
+        assert_eq!(reloaded.array_bounds(), full.arrays.as_slice());
+        assert!(reloaded.cached_array_bounds().is_some());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `Pipeline::admit` sums the per-array bounds its plans keep. Its
+/// analysis (findings, sizing, loads, summaries) and certificate equal
+/// those of `rap_admit::admit` fed the full bound analysis's arrays for
+/// independently built plans, and its composed plan places exactly the
+/// certificate.
+#[test]
+fn pipeline_admission_equals_admission_over_full_analysis_bounds() {
+    let pipe = Pipeline::new(tiny());
+    let suites = [Suite::Snort, Suite::ClamAv, Suite::Yara, Suite::Prosite];
+    for machine in [Machine::Rap, Machine::Ca] {
+        let corpora: Vec<_> = suites.iter().map(|&s| pipe.corpus(s)).collect();
+        let sims: Vec<Simulator> = suites
+            .iter()
+            .map(|&s| pipe.simulator_for(machine, s))
+            .collect();
+        let tenants: Vec<(&str, &Simulator, &PatternSet)> = suites
+            .iter()
+            .zip(&sims)
+            .zip(&corpora)
+            .map(|((s, sim), c)| (s.name(), sim, c.patterns()))
+            .collect();
+        let admission = pipe
+            .admit(&tenants, &AdmitOptions::default())
+            .expect("tenants plan");
+
+        let plans: Vec<VerifiedPlan> = tenants
+            .iter()
+            .map(|(_, sim, patterns)| build_plan(sim, patterns, None).expect("plan builds"))
+            .collect();
+        let full: Vec<_> = plans
+            .iter()
+            .zip(&tenants)
+            .map(|(plan, (_, _, patterns))| {
+                analyze_bounds(
+                    plan.compiled().images(),
+                    patterns.parsed(),
+                    plan.mapping(),
+                    &BoundOptions::bounds_only(),
+                )
+            })
+            .collect();
+        let views: Vec<Tenant<'_>> = plans
+            .iter()
+            .zip(&full)
+            .zip(&tenants)
+            .map(|((plan, bounds), (name, _, _))| Tenant {
+                name,
+                images: plan.compiled().images(),
+                mapping: plan.mapping(),
+                bounds: &bounds.arrays,
+                match_base: None,
+                slot: None,
+            })
+            .collect();
+        let reference = admit(&views, &sims[0].mapper.arch, &AdmitOptions::default());
+        assert!(
+            machine != Machine::Rap || reference.admitted(),
+            "{}",
+            reference.report
+        );
+        assert_eq!(
+            format!("{:?}", admission.analysis),
+            format!("{reference:?}"),
+            "{machine:?}"
+        );
+        if let Some(composed) = &reference.composed {
+            let plan = admission
+                .plan
+                .as_ref()
+                .expect("certified admissions carry a plan");
+            assert_eq!(plan.mapping(), &composed.mapping);
+            assert_eq!(
+                format!("{:?}", plan.compiled().images()),
+                format!("{:?}", composed.images)
+            );
+        }
+    }
 }
 
 proptest! {

@@ -5,9 +5,9 @@ use rap_circuit::Machine;
 /// Tuning knobs for a [`crate::Server`].
 ///
 /// Budgets are expressed in *pages* of the certified per-composition
-/// quantities (the bank ping-pong input window and the B002 worst-case
-/// output-records occupancy), never in ad-hoc byte counts: resizing the
-/// modeled hardware rescales every threshold automatically.
+/// quantities (the bank ping-pong input window and the bank's worst-case
+/// output-record occupancy, B003), never in ad-hoc byte counts: resizing
+/// the modeled hardware rescales every threshold automatically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Worker shards. Each shard owns one certified composition and one

@@ -22,9 +22,9 @@
 //!   composition certificate proves identical to the tenant's slot range
 //!   — never through another tenant's arrays or traffic.
 //! - **Backpressure** budgets come from certified quantities (the bank
-//!   ping-pong input window and `rap-bound`'s B002 worst-case output
-//!   occupancy), scaled by [`ServeConfig::queue_pages`] — not from
-//!   ad-hoc constants.
+//!   ping-pong input window and `rap-bound`'s B003 worst-case bank
+//!   output-record occupancy), scaled by [`ServeConfig::queue_pages`] —
+//!   not from ad-hoc constants.
 //! - **Telemetry** is the ops surface: `rap_serve_*` counters, gauges,
 //!   and latency histograms land in the shared registry and export
 //!   through the existing Prometheus/JSONL paths.

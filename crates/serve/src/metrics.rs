@@ -36,6 +36,10 @@ pub struct ServeMetrics {
     pub scan_ns: Histogram,
     /// `rap_serve_register_ns`: registration (admission) latency.
     pub register_ns: Histogram,
+    /// `rap_serve_recompose_ns`: latency of one successful shard
+    /// recomposition (re-admission and certification) on a join, a
+    /// leave, or a hot swap's re-registration.
+    pub recompose_ns: Histogram,
     /// `rap_serve_swaps_total{verdict="completed"}`: certified hot
     /// swaps executed (outgoing drained, replacement attached).
     pub swaps_completed: Counter,
@@ -65,6 +69,7 @@ impl ServeMetrics {
             chunks_shed: registry.counter("rap_serve_chunks_shed_total", &[]),
             scan_ns: registry.histogram("rap_serve_chunk_scan_ns", &[]),
             register_ns: registry.histogram("rap_serve_register_ns", &[]),
+            recompose_ns: registry.histogram("rap_serve_recompose_ns", &[]),
             swaps_completed: registry.counter("rap_serve_swaps_total", &[("verdict", "completed")]),
             swaps_rejected: registry.counter("rap_serve_swaps_total", &[("verdict", "rejected")]),
             swap_ns: registry.histogram("rap_serve_swap_ns", &[]),

@@ -21,9 +21,9 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use rap_admit::{AdmissionAnalysis, AdmitOptions, ComposedPlan};
-use rap_bound::BoundOptions;
+use rap_bound::BankBound;
 use rap_diag::Location;
-use rap_pipeline::{PatternSet, Pipeline, VerifiedPlan};
+use rap_pipeline::{Admission, PatternSet, Pipeline, VerifiedPlan};
 use rap_sim::{BankMetrics, BankStats, Simulator};
 use rap_telemetry::{Counter, Gauge, Telemetry};
 
@@ -89,7 +89,7 @@ pub(crate) struct Tenancy {
     /// input windows per fabric bank.
     pub input_budget: u64,
     /// Per-session event-queue budget in records: `queue_pages` times
-    /// the B002 worst-case output-records occupancy.
+    /// the bank's worst-case output-record occupancy (B003).
     pub events_budget: u64,
     /// Banks in the certified fabric — the geometry hot-swap analysis
     /// must be pinned to (a swap may not grow the scanning fabric).
@@ -241,8 +241,10 @@ impl Shared {
     /// only on success; a refusal or stage failure leaves the previous
     /// certified composition (and its running sessions) untouched. The
     /// replaced composition is resident nowhere any more, so it leaves
-    /// the plan cache's memory tier (a disk tier keeps it).
+    /// the plan cache's memory tier (a disk tier keeps it). A successful
+    /// recompose is timed into `rap_serve_recompose_ns`.
     fn recompose(&self, residency: &mut Residency) -> Result<(), ServeError> {
+        let start = Instant::now();
         let tenancy = if residency.tenants.is_empty() {
             None
         } else {
@@ -256,6 +258,9 @@ impl Shared {
                 self.pipeline.evict_plan(key);
             }
         }
+        self.metrics
+            .recompose_ns
+            .record(start.elapsed().as_nanos() as u64);
         Ok(())
     }
 
@@ -267,52 +272,32 @@ impl Shared {
             .iter()
             .map(|t| (t.name.as_str(), &sim, &t.patterns))
             .collect();
-        let admission = self
+        let Admission { mut analysis, plan } = self
             .pipeline
             .admit(&tenants, &AdmitOptions::default())
             .map_err(|e| ServeError::Pipeline(e.to_string()))?;
-        let Some(plan) = admission.plan.clone() else {
-            return Err(ServeError::Rejected(Box::new(admission.analysis)));
+        let Some(plan) = plan else {
+            return Err(ServeError::Rejected(Box::new(analysis)));
         };
-        let composed = admission
-            .analysis
+        let composed = analysis
             .composed
-            .clone()
+            .take()
             .expect("admitted composition carries a certificate");
         // Certified budgets, not ad-hoc constants: the intake side is
         // sized in ping-pong bank input windows (§3.3 geometry), the
-        // event side in B002 worst-case output-records occupancy.
-        let patterns: Vec<rap_regex::Pattern> = composed
-            .tenants
-            .iter()
-            .flat_map(|summary| {
-                residency
-                    .tenants
-                    .iter()
-                    .find(|t| t.name == summary.name)
-                    .expect("composed tenant is resident")
-                    .patterns
-                    .parsed()
-                    .iter()
-                    .cloned()
-            })
-            .collect();
-        let bounds = rap_bound::analyze_bounds(
-            plan.compiled().images(),
-            &patterns,
-            plan.mapping(),
-            &BoundOptions::bounds_only(),
-        );
-        let window = 2 * u64::from(plan.mapping().config.arch.bank_input_entries);
-        let input_budget =
-            (self.config.queue_pages * u64::from(admission.analysis.banks) * window).max(1);
-        let events_budget = (self.config.queue_pages * bounds.bank.output_fifo_records).max(1);
+        // event side in the bank's worst-case output-record occupancy
+        // (B003), which the bank geometry alone determines.
+        let arch = plan.mapping().config.arch;
+        let window = 2 * u64::from(arch.bank_input_entries);
+        let input_budget = (self.config.queue_pages * u64::from(analysis.banks) * window).max(1);
+        let records = BankBound::new(plan.mapping().arrays.len() as u64, &arch).output_fifo_records;
+        let events_budget = (self.config.queue_pages * records).max(1);
         Ok(Tenancy {
             plan,
             composed,
             input_budget,
             events_budget,
-            banks: admission.analysis.banks,
+            banks: analysis.banks,
         })
     }
 
@@ -349,17 +334,32 @@ impl Shared {
             self.metrics.sessions_rejected.inc();
             return Err(ServeError::DuplicateTenant(name.to_string()));
         }
+        let solo = self
+            .solo_plan(patterns)
+            .inspect_err(|_| self.metrics.sessions_rejected.inc())?;
         let shard = self.shard_for_new_session();
-        self.register_on_shard(name, patterns, &shard, start)
+        self.register_on_shard(name, patterns, solo, &shard, start)
+    }
+
+    /// The tenant's verified solo plan, built or recalled through the
+    /// pipeline's plan cache.
+    fn solo_plan(&self, patterns: &PatternSet) -> Result<Arc<VerifiedPlan>, ServeError> {
+        self.pipeline
+            .plan(&self.simulator(), patterns, None)
+            .map_err(|e| ServeError::Pipeline(e.to_string()))
     }
 
     /// Registration core: admits `name` onto `shard` and builds its
-    /// session. The caller holds the registration lock and has already
-    /// checked for duplicate names.
+    /// session over `solo`, the tenant's solo plan. The caller holds the
+    /// registration lock, has already checked for duplicate names, and
+    /// built `solo` outside the residency lock, so the admission below
+    /// recalls it from the plan cache instead of compiling while scans
+    /// on the shard wait for that lock.
     fn register_on_shard(
         self: &Arc<Shared>,
         name: &str,
         patterns: &PatternSet,
+        solo: Arc<VerifiedPlan>,
         shard: &Arc<ShardInner>,
         start: Instant,
     ) -> Result<Session, ServeError> {
@@ -388,11 +388,6 @@ impl Shared {
         };
         // The session streams through its solo plan (cache-shared with
         // the admission run above); its run is built at the first scan.
-        let sim = self.simulator();
-        let solo = self
-            .pipeline
-            .plan(&sim, patterns, None)
-            .map_err(|e| ServeError::Pipeline(e.to_string()))?;
         let inner = Arc::new(SessionInner::new(name, Arc::clone(shard), solo));
         self.metrics.sessions_admitted.inc();
         let active = self.active.fetch_add(1, Ordering::Relaxed) + 1;
@@ -441,16 +436,12 @@ impl Shared {
         };
         // Static safety analysis first — no state is mutated until the
         // certificate is in hand.
-        let sim = self.simulator();
-        let solo = self
-            .pipeline
-            .plan(&sim, patterns, None)
-            .map_err(|e| ServeError::Pipeline(e.to_string()))?;
+        let solo = self.solo_plan(patterns)?;
         let incoming = rap_swap::Tenant {
             name,
             images: solo.compiled().images(),
-            patterns: patterns.parsed(),
             mapping: solo.mapping(),
+            bounds: solo.array_bounds(),
             match_base: None,
             slot: None,
         };
@@ -485,7 +476,7 @@ impl Shared {
         // certified drain window), then attach the replacement to the
         // freed footprint. Staying sessions never stop scanning.
         outgoing.finish();
-        let session = self.register_on_shard(name, patterns, &shard, Instant::now())?;
+        let session = self.register_on_shard(name, patterns, solo, &shard, Instant::now())?;
         self.metrics.swaps_completed.inc();
         self.metrics
             .swap_ns
@@ -844,4 +835,97 @@ fn release(shared: &Arc<Shared>, shard: &Arc<ShardInner>, session: &Arc<SessionI
             session.name, shard.id
         ),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rap_bound::{analyze_bounds, BoundOptions};
+    use rap_pipeline::BenchConfig;
+    use rap_workloads::Suite;
+
+    /// A tenant from a slice of `suite`'s generated corpus.
+    fn suite_tenant(suite: Suite, slice: usize) -> PatternSet {
+        let sources = rap_workloads::generate_patterns(suite, 4 * (slice + 1), 5);
+        PatternSet::parse(&sources[4 * slice..]).expect("generated patterns parse")
+    }
+
+    /// Every certified shard's budgets against the full bound analysis
+    /// of its composed plan and the intake formula over its fabric.
+    /// Returns the number of tenants the checked compositions hold.
+    fn assert_budgets(server: &Server, step: &str) -> usize {
+        let pages = server.config().queue_pages;
+        let mut tenants = 0;
+        for shard in &server.shared.shards {
+            let Some(tenancy) = shard.tenancy() else {
+                continue;
+            };
+            let composed = &tenancy.composed;
+            let full = analyze_bounds(
+                &composed.images,
+                &[],
+                &composed.mapping,
+                &BoundOptions::bounds_only(),
+            );
+            assert_eq!(
+                tenancy.events_budget,
+                pages * full.bank.output_fifo_records,
+                "{step}: shard {} event budget",
+                shard.id
+            );
+            let arch = composed.mapping.config.arch;
+            let banks = (composed.mapping.arrays.len() as u32)
+                .div_ceil(arch.arrays_per_bank)
+                .max(1);
+            assert_eq!(tenancy.banks, banks, "{step}: shard {} banks", shard.id);
+            assert_eq!(
+                tenancy.input_budget,
+                pages * u64::from(banks) * 2 * u64::from(arch.bank_input_entries),
+                "{step}: shard {} intake budget",
+                shard.id
+            );
+            tenants += composed.tenants.len();
+        }
+        tenants
+    }
+
+    #[test]
+    fn certified_budgets_match_the_full_bound_analysis_through_churn() {
+        let server = Server::new(
+            Pipeline::new(BenchConfig::default()),
+            ServeConfig {
+                shards: 2,
+                queue_pages: 8,
+                ..ServeConfig::default()
+            },
+        );
+        let mut live = Vec::new();
+        for (i, suite) in [Suite::Snort, Suite::ClamAv, Suite::Yara, Suite::Prosite]
+            .into_iter()
+            .enumerate()
+        {
+            let session = server
+                .register(&format!("join-{i}"), &suite_tenant(suite, 0))
+                .expect("admits");
+            assert_eq!(assert_budgets(&server, &format!("join {i}")), i + 1);
+            live.push(session);
+        }
+        live.remove(1).finish();
+        assert_eq!(assert_budgets(&server, "leave"), 3);
+        let (swapped, _) = server
+            .swap_tenant(&live[0], "swapped", &suite_tenant(Suite::SpamAssassin, 0))
+            .expect("certifies");
+        assert_eq!(assert_budgets(&server, "hot swap"), 3);
+        live[0] = swapped;
+        live.push(
+            server
+                .register("late", &suite_tenant(Suite::RegexLib, 1))
+                .expect("admits"),
+        );
+        assert_eq!(assert_budgets(&server, "late join"), 4);
+        while let Some(session) = live.pop() {
+            session.finish();
+            assert_eq!(assert_budgets(&server, "drain"), live.len());
+        }
+    }
 }

@@ -231,6 +231,42 @@ fn telemetry_counters_track_the_ops_surface() {
     }
 }
 
+#[test]
+fn recompose_histogram_counts_every_successful_recompose() {
+    let server = server(2, 8);
+    let a = server.register("a", &patterns(&["alpha"])).expect("admits");
+    let b = server.register("b", &patterns(&["bravo"])).expect("admits");
+    let c = server
+        .register("c", &patterns(&["charlie"]))
+        .expect("admits");
+    assert_eq!(server.metrics().recompose_ns.count(), 3, "one per join");
+    assert!(matches!(
+        server.register("a", &patterns(&["again"])),
+        Err(ServeError::DuplicateTenant(_))
+    ));
+    assert_eq!(
+        server.metrics().recompose_ns.count(),
+        3,
+        "a refused name never recomposes"
+    );
+    b.finish();
+    assert_eq!(server.metrics().recompose_ns.count(), 4, "one per leave");
+    let (d, _) = server
+        .swap_tenant(&c, "d", &patterns(&["delta"]))
+        .expect("certifies");
+    assert_eq!(
+        server.metrics().recompose_ns.count(),
+        6,
+        "a hot swap drains the outgoing tenant and re-registers"
+    );
+    a.finish();
+    d.finish();
+    let joins = server.metrics().sessions_admitted.get();
+    assert_eq!((joins, server.active_sessions()), (4, 0));
+    assert_eq!(server.metrics().recompose_ns.count(), joins + 4);
+    assert!(server.prometheus().contains("rap_serve_recompose_ns"));
+}
+
 /// The value of one Prometheus series (`name{labels}`) in `text`.
 fn series(text: &str, name: &str) -> u64 {
     text.lines()

@@ -29,9 +29,10 @@
 //! interference, column and namespace checks (S001–S004, S006) are the
 //! swap's Q001–Q004 and Q006 findings; its warnings are dropped.
 //! Staying tenants' images are borrowed out of the resident plan, never
-//! recompiled. Pinning is what makes the swap invisible to them: they
-//! keep their slots and match-ID ranges verbatim, so their arrays scan
-//! on untouched.
+//! recompiled, and their per-array bounds are derived from those images
+//! ([`rap_bound::array_bounds`]). Pinning is what makes the swap
+//! invisible to them: they keep their slots and match-ID ranges
+//! verbatim, so their arrays scan on untouched.
 //!
 //! The drain bound is derived from certified quantities only: the
 //! outgoing tenant's `max_match_span` (how many bytes an in-flight match
@@ -51,7 +52,7 @@
 
 use rap_admit::{admit, AdmitOptions, ComposedPlan, TenantSummary};
 use rap_arch::config::ArchConfig;
-use rap_bound::BankBound;
+use rap_bound::{array_bounds, ArrayBound, BankBound};
 use rap_circuit::models::{CAM_32X128, GLOBAL_CONTROLLER, LOCAL_CONTROLLER, SRAM_128X128};
 use rap_circuit::Machine;
 use rap_compiler::Compiled;
@@ -430,7 +431,7 @@ pub fn analyze_swap(
     // borrowed from the resident plan and their arrays re-based to a
     // solo namespace; the replacement pinned to the footprint and the
     // outgoing tenant's match-ID base (demux continuity).
-    let solo_mappings: Vec<Mapping> = staying
+    let solo_plans: Vec<(Mapping, Vec<ArrayBound>)> = staying
         .iter()
         .map(|t| {
             assert!(
@@ -439,24 +440,26 @@ pub fn analyze_swap(
                 t.name,
                 t.slots
             );
-            let lo = t.pattern_range.0;
-            Mapping {
+            let (lo, hi) = t.pattern_range;
+            let mapping = Mapping {
                 arrays: tenant_arrays(&resident.tenants, t)
                     .into_iter()
                     .map(|a| resident.mapping.arrays[a].remap_patterns(|p| p - lo))
                     .collect(),
                 config: resident.mapping.config,
-            }
+            };
+            let bounds = array_bounds(&resident.images[lo..hi], &mapping);
+            (mapping, bounds)
         })
         .collect();
     let mut tenants: Vec<Tenant<'_>> = staying
         .iter()
-        .zip(&solo_mappings)
-        .map(|(t, mapping)| Tenant {
+        .zip(&solo_plans)
+        .map(|(t, (mapping, bounds))| Tenant {
             name: &t.name,
             images: &resident.images[t.pattern_range.0..t.pattern_range.1],
-            patterns: &[],
             mapping,
+            bounds,
             match_base: Some(t.match_ids.0),
             slot: t.slots.first().copied(),
         })
@@ -656,6 +659,7 @@ pub fn execute(
 mod tests {
     use super::*;
     use rap_admit::{admit, AdmitOptions, Tenant};
+    use rap_bound::{analyze_bounds, BoundOptions};
     use rap_compiler::{Compiler, CompilerConfig};
     use rap_mapper::{map_workload, MapperConfig};
     use rap_regex::Pattern;
@@ -663,10 +667,12 @@ mod tests {
     struct Owned {
         name: String,
         images: Vec<Compiled>,
-        patterns: Vec<Pattern>,
         mapping: Mapping,
+        bounds: Vec<ArrayBound>,
     }
 
+    /// Bounds come from the full `analyze_bounds` pass, the independent
+    /// reference for what a plan caches through `array_bounds`.
     fn owned(name: &str, sources: &[&str], config: &MapperConfig) -> Owned {
         let compiler = Compiler::new(CompilerConfig::default());
         let patterns: Vec<Pattern> = sources
@@ -678,11 +684,12 @@ mod tests {
             .map(|p| compiler.compile_anchored(p).expect("compiles"))
             .collect();
         let mapping = map_workload(&images, config);
+        let bounds = analyze_bounds(&images, &patterns, &mapping, &BoundOptions::bounds_only());
         Owned {
             name: name.to_string(),
             images,
-            patterns,
             mapping,
+            bounds: bounds.arrays,
         }
     }
 
@@ -690,8 +697,8 @@ mod tests {
         Tenant {
             name: &o.name,
             images: &o.images,
-            patterns: &o.patterns,
             mapping: &o.mapping,
+            bounds: &o.bounds,
             match_base: None,
             slot: None,
         }

@@ -14,6 +14,7 @@
 use proptest::prelude::*;
 use rap_admit::{admit, AdmitOptions, Tenant};
 use rap_arch::config::ArchConfig;
+use rap_bound::{analyze_bounds, ArrayBound, BoundOptions};
 use rap_circuit::Machine;
 use rap_compiler::{Compiled, Compiler, CompilerConfig};
 use rap_mapper::{map_workload, MapperConfig, Mapping};
@@ -24,10 +25,12 @@ use rap_swap::{analyze_swap, execute, SwapOptions};
 struct Owned {
     name: String,
     images: Vec<Compiled>,
-    patterns: Vec<Pattern>,
     mapping: Mapping,
+    bounds: Vec<ArrayBound>,
 }
 
+/// Bounds come from the full `analyze_bounds` pass, the independent
+/// reference for what a plan caches through `array_bounds`.
 fn owned(name: String, sources: &[&str]) -> Owned {
     let compiler = Compiler::new(CompilerConfig::default());
     let patterns: Vec<Pattern> = sources
@@ -39,11 +42,12 @@ fn owned(name: String, sources: &[&str]) -> Owned {
         .map(|p| compiler.compile_anchored(p).expect("pool patterns compile"))
         .collect();
     let mapping = map_workload(&images, &MapperConfig::default());
+    let bounds = analyze_bounds(&images, &patterns, &mapping, &BoundOptions::bounds_only());
     Owned {
         name,
         images,
-        patterns,
         mapping,
+        bounds: bounds.arrays,
     }
 }
 
@@ -51,8 +55,8 @@ fn view(o: &Owned) -> Tenant<'_> {
     Tenant {
         name: &o.name,
         images: &o.images,
-        patterns: &o.patterns,
         mapping: &o.mapping,
+        bounds: &o.bounds,
         match_base: None,
         slot: None,
     }

@@ -20,7 +20,7 @@
 //! match across tenant boundaries, regardless of chunking.
 
 use rap::admit::{admit, AdmitOptions, Rule, Tenant};
-use rap::bound::{analyze_bounds, BoundOptions};
+use rap::bound::{analyze_bounds, ArrayBound, BoundOptions};
 use rap::telemetry::{Telemetry, TelemetryConfig};
 use rap::workloads::{generate_input, generate_patterns, Suite};
 use rap::{Machine, Simulator};
@@ -30,13 +30,16 @@ const PATTERNS: usize = 12;
 const INPUT_LEN: usize = 4_000;
 const SEED: u64 = 7;
 
-/// One suite's independently verified solo plan plus its sources.
+/// One suite's independently verified solo plan plus its sources and
+/// its bounds from the full `analyze_bounds` pass (the independent
+/// reference for what a plan caches through `array_bounds`).
 struct Solo {
     suite: Suite,
     sources: Vec<String>,
     patterns: Vec<rap::regex::Pattern>,
     images: Vec<rap::compiler::Compiled>,
     mapping: rap::mapper::Mapping,
+    bounds: Vec<ArrayBound>,
 }
 
 fn solo(suite: Suite, machine: Machine) -> Solo {
@@ -50,12 +53,14 @@ fn solo(suite: Suite, machine: Machine) -> Solo {
         .collect();
     let images = sim.compile_parsed(&patterns).expect("suite compiles");
     let mapping = sim.map_verified(&images).expect("suite maps legally");
+    let bounds = analyze_bounds(&images, &patterns, &mapping, &BoundOptions::bounds_only()).arrays;
     Solo {
         suite,
         sources,
         patterns,
         images,
         mapping,
+        bounds,
     }
 }
 
@@ -63,8 +68,8 @@ fn view(s: &Solo) -> Tenant<'_> {
     Tenant {
         name: s.suite.name(),
         images: &s.images,
-        patterns: &s.patterns,
         mapping: &s.mapping,
+        bounds: &s.bounds,
         match_base: None,
         slot: None,
     }

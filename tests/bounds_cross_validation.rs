@@ -4,7 +4,7 @@
 //! certified static bounds. The bounds are computed without ever running
 //! the automata, so any violation here is a soundness bug in rap-bound.
 
-use rap::bound::{analyze_bounds, BoundAnalysis, BoundOptions};
+use rap::bound::{analyze_bounds, array_bounds, BoundAnalysis, BoundOptions};
 use rap::telemetry::{Telemetry, TelemetryConfig};
 use rap::workloads::{generate_input, generate_patterns, Suite};
 use rap::{Machine, Simulator};
@@ -14,6 +14,34 @@ const PATTERNS: usize = 24;
 const INPUT_LEN: usize = 4_000;
 const SEED: u64 = 7;
 
+/// The suite's simulator for `machine` with its chosen knobs.
+fn simulator(suite: Suite, machine: Machine) -> Simulator {
+    Simulator::new(machine)
+        .with_bv_depth(suite.chosen_bv_depth())
+        .with_bin_size(suite.chosen_bin_size())
+}
+
+/// The suite's sources, parsed patterns, compiled images and verified
+/// mapping on `sim`.
+fn suite_plan(
+    suite: Suite,
+    sim: &Simulator,
+) -> (
+    Vec<String>,
+    Vec<rap::regex::Pattern>,
+    Vec<rap::compiler::Compiled>,
+    rap::mapper::Mapping,
+) {
+    let sources = generate_patterns(suite, PATTERNS, SEED);
+    let patterns: Vec<_> = sources
+        .iter()
+        .map(|s| rap::regex::parse_pattern(s).expect("suite patterns parse"))
+        .collect();
+    let images = sim.compile_parsed(&patterns).expect("suite compiles");
+    let mapping = sim.map_verified(&images).expect("suite maps legally");
+    (sources, patterns, images, mapping)
+}
+
 /// Builds the suite's plan, computes its static bounds, and runs one
 /// densely-sampled traced streaming simulation, returning the bounds and
 /// the observing telemetry context.
@@ -22,17 +50,8 @@ fn bound_and_run(suite: Suite, machine: Machine) -> (BoundAnalysis, Arc<Telemetr
         sample_every: 1,
         ring_capacity: 1 << 20,
     }));
-    let sim = Simulator::new(machine)
-        .with_bv_depth(suite.chosen_bv_depth())
-        .with_bin_size(suite.chosen_bin_size())
-        .with_telemetry(Arc::clone(&telemetry));
-    let sources = generate_patterns(suite, PATTERNS, SEED);
-    let patterns: Vec<_> = sources
-        .iter()
-        .map(|s| rap::regex::parse_pattern(s).expect("suite patterns parse"))
-        .collect();
-    let images = sim.compile_parsed(&patterns).expect("suite compiles");
-    let mapping = sim.map_verified(&images).expect("suite maps legally");
+    let sim = simulator(suite, machine).with_telemetry(Arc::clone(&telemetry));
+    let (sources, patterns, images, mapping) = suite_plan(suite, &sim);
     let bounds = analyze_bounds(&images, &patterns, &mapping, &BoundOptions::bounds_only());
 
     let input = generate_input(&sources, INPUT_LEN, 0.05, SEED);
@@ -99,5 +118,22 @@ fn bounds_stay_clean_on_every_suite() {
             bounds.report
         );
         assert!(!bounds.arrays.is_empty(), "{suite:?}: no arrays bounded");
+    }
+}
+
+#[test]
+fn array_bounds_equal_the_full_analysis() {
+    // Admission sums the per-array bounds a plan derives once through
+    // `array_bounds`; they must be exactly the full pass's arrays.
+    for suite in Suite::all() {
+        for machine in [Machine::Rap, Machine::Ca] {
+            let (_, patterns, images, mapping) = suite_plan(suite, &simulator(suite, machine));
+            let full = analyze_bounds(&images, &patterns, &mapping, &BoundOptions::bounds_only());
+            assert_eq!(
+                array_bounds(&images, &mapping),
+                full.arrays,
+                "{suite:?}/{machine:?}"
+            );
+        }
     }
 }
