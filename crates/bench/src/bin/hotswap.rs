@@ -297,15 +297,16 @@ fn main() {
             b"harbor oldsig lantern harbor newsig lantern oldsig harbor newsig lantern".repeat(8);
         let swap_at = input.len() / 2;
         let t0 = Instant::now();
-        let outcome = pipe
-            .swap(
-                &admission,
-                "legacy",
-                ("fresh", &sim, &fresh),
-                &SwapOptions::default(),
-            )
-            .expect("swap analysis runs");
-        let Some(plan) = &outcome.analysis.plan else {
+        let fresh = pipe
+            .plan(&sim, &fresh, None)
+            .expect("replacement plan builds");
+        let analysis = pipe.swap(
+            &admission,
+            "legacy",
+            ("fresh", &fresh),
+            &SwapOptions::default(),
+        );
+        let Some(plan) = &analysis.plan else {
             eprintln!("hot swap failed: sim-level swap did not certify");
             failures += 1;
             finish(&mut table, failures);

@@ -102,7 +102,7 @@ impl fmt::Display for Interval {
 /// The abstract value of a reachable `width`-bit counter stored in
 /// `capacity` bits of CAM: the fixpoint of "join a fresh activation at
 /// position 1 with everything already counting, shifted by one symbol",
-/// widened after [`WIDEN_AFTER`] precise rounds.
+/// widened after `WIDEN_AFTER` (4) precise rounds.
 ///
 /// The result is certified sound: every bit the hardware vector can ever
 /// hold sits at a position inside the returned interval, so a read

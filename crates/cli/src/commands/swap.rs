@@ -5,7 +5,7 @@ use super::{attach_store, outln, parse_suite};
 use crate::args::Args;
 use crate::CliError;
 use rap_admit::AdmitOptions;
-use rap_pipeline::{BenchConfig, Pipeline, SwapOptions, SwapOutcome};
+use rap_pipeline::{BenchConfig, Pipeline, SwapAnalysis, SwapOptions};
 use rap_sim::Simulator;
 use std::io::Write;
 
@@ -118,23 +118,26 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
 
     let in_corpus = pipe.corpus(incoming);
-    let in_sim = pipe.simulator_for(machine, incoming);
+    let in_plan = pipe
+        .plan(
+            &pipe.simulator_for(machine, incoming),
+            in_corpus.patterns(),
+            None,
+        )
+        .map_err(|e| CliError::Runtime(e.to_string()))?;
     let swap_options = SwapOptions {
         banks: Some(admission.analysis.banks),
         bv_column_budget: admit_options.bv_column_budget,
     };
-    let outcome = pipe
-        .swap(
-            &admission,
-            outgoing.name(),
-            (incoming.name(), &in_sim, in_corpus.patterns()),
-            &swap_options,
-        )
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
-    let analysis = &outcome.analysis;
+    let analysis = pipe.swap(
+        &admission,
+        outgoing.name(),
+        (incoming.name(), &in_plan),
+        &swap_options,
+    );
 
     if args.switch("json") {
-        outln!(out, "{}", to_json(&outcome, machine));
+        outln!(out, "{}", to_json(&analysis, machine));
     } else {
         outln!(
             out,
@@ -188,14 +191,14 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         outln!(
             out,
             "verdict : {}",
-            if outcome.certified() {
+            if analysis.certified() {
                 "certified"
             } else {
                 "rejected"
             }
         );
     }
-    if !outcome.certified() {
+    if !analysis.certified() {
         return Err(CliError::Runtime(format!(
             "hot swap rejected: {} error(s)",
             analysis.report.errors().count()
@@ -212,14 +215,13 @@ fn join_u32(v: &[u32]) -> String {
         .join(", ")
 }
 
-/// Renders the swap outcome as one JSON object: verdict, the certified
+/// Renders the swap analysis as one JSON object: verdict, the certified
 /// ReconfigPlan (or null), and the Q findings in the shared rap-diag
 /// schema.
-fn to_json(outcome: &SwapOutcome, machine: rap_circuit::Machine) -> String {
-    let analysis = &outcome.analysis;
+fn to_json(analysis: &SwapAnalysis, machine: rap_circuit::Machine) -> String {
     let mut s = format!(
         "{{\"machine\": \"{machine}\", \"certified\": {}, \"staying\": [{}]",
-        outcome.certified(),
+        analysis.certified(),
         analysis
             .staying
             .iter()

@@ -443,6 +443,19 @@ impl VerifiedPlan {
         self.array_bounds.get()
     }
 
+    /// The plan as the admission tenant `name`: its images, placement
+    /// and per-array bounds, with slots and match IDs left to admission.
+    pub fn tenant<'a>(&'a self, name: &'a str) -> rap_admit::Tenant<'a> {
+        rap_admit::Tenant {
+            name,
+            images: &self.compiled.images,
+            mapping: &self.mapping,
+            bounds: self.array_bounds(),
+            match_base: None,
+            slot: None,
+        }
+    }
+
     /// The simulator images, if a `simulate*` or [`VerifiedPlan::stream`]
     /// call has built them yet.
     pub fn lowered(&self) -> Option<&Arc<Lowered>> {

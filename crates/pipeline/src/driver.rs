@@ -76,7 +76,8 @@ where
         .collect()
 }
 
-/// The outcome of one multi-tenant admission request.
+/// The outcome of one [`Pipeline::admit`] request: the
+/// [`Pipeline::certify`] analysis plus the composed plan built from it.
 ///
 /// `analysis` always carries the full S-rule report and per-tenant
 /// decisions; `plan` is the certified composed plan, present exactly
@@ -84,7 +85,9 @@ where
 /// artifact chain through [`crate::MappedPlan::verify`], so a certified
 /// composition is also a structurally verified plan — and it lives in
 /// the same tiered plan store as solo plans, addressed by a key derived
-/// from the tenants' plan keys (order-insensitive).
+/// from the tenants' plan keys (order-insensitive). Callers that only
+/// need the certificate (rap-serve) call [`Pipeline::certify`] and build
+/// no composed plan.
 #[derive(Clone, Debug)]
 pub struct Admission {
     /// The static interference analysis (S001–S008 findings, fabric
@@ -92,23 +95,6 @@ pub struct Admission {
     pub analysis: rap_admit::AdmissionAnalysis,
     /// The certified, verified composed plan — `None` when rejected.
     pub plan: Option<Arc<VerifiedPlan>>,
-}
-
-/// What [`Pipeline::swap`] produces.
-#[derive(Debug)]
-pub struct SwapOutcome {
-    /// The static hot-swap analysis (Q001–Q008 findings, drain bound,
-    /// reconfiguration cost, the certificate).
-    pub analysis: rap_swap::SwapAnalysis,
-    /// The verified post-swap composed plan — `None` when rejected.
-    pub plan: Option<Arc<VerifiedPlan>>,
-}
-
-impl SwapOutcome {
-    /// Whether the swap was certified.
-    pub fn certified(&self) -> bool {
-        self.plan.is_some()
-    }
 }
 
 impl Admission {
@@ -404,14 +390,13 @@ impl Pipeline {
     }
 
     /// Runs the multi-tenant admission analyzer over named tenants,
-    /// each `(name, simulator knobs, patterns)`. Every tenant's solo
-    /// plan is built (or recalled) through the ordinary cached plan
-    /// path first, then [`rap_admit::admit`] decides co-residency under
-    /// the fabric architecture of the *first* tenant's simulator. On
-    /// certification the composed plan re-enters the typed chain
-    /// (assemble → map-from-parts → verify) and is cached/persisted
-    /// under an order-insensitive composition key, so re-admitting the
-    /// same tenant set — in any order — recalls the artifact.
+    /// each `(name, simulator knobs, patterns)`: every tenant's solo plan
+    /// is built (or recalled) through the ordinary cached plan path, then
+    /// [`Pipeline::certify`] decides co-residency. On certification the
+    /// composed plan re-enters the typed chain (assemble →
+    /// map-from-parts → verify) and is cached/persisted under an
+    /// order-insensitive composition key, so re-admitting the same tenant
+    /// set — in any order — recalls the artifact.
     ///
     /// # Errors
     ///
@@ -427,34 +412,13 @@ impl Pipeline {
         tenants: &[(&str, &Simulator, &PatternSet)],
         options: &rap_admit::AdmitOptions,
     ) -> Result<Admission, EvalError> {
-        assert!(!tenants.is_empty(), "admission needs at least one tenant");
-        let machine = tenants[0].1.machine;
-        assert!(
-            tenants.iter().all(|(_, sim, _)| sim.machine == machine),
-            "admission tenants must target one machine"
-        );
-        let arch = tenants[0].1.mapper.arch;
         let mut plans = Vec::with_capacity(tenants.len());
         for (name, sim, patterns) in tenants {
             plans.push((*name, self.plan(sim, patterns, None)?));
         }
-        // A plan's per-array bounds are built at its first admission, so
-        // that build is part of the Admit stage's time.
-        let analysis = self.metrics.timed(Stage::Admit, || {
-            let views: Vec<rap_admit::Tenant<'_>> = plans
-                .iter()
-                .map(|(name, plan)| rap_admit::Tenant {
-                    name,
-                    images: plan.compiled().images(),
-                    mapping: plan.mapping(),
-                    bounds: plan.array_bounds(),
-                    match_base: None,
-                    slot: None,
-                })
-                .collect();
-            rap_admit::admit(&views, &arch, options)
-        });
-        self.metrics.record_admission(analysis.admitted());
+        let views: Vec<(&str, &VerifiedPlan)> =
+            plans.iter().map(|(name, plan)| (*name, &**plan)).collect();
+        let analysis = self.certify(&views, options);
         let plan = match &analysis.composed {
             Some(composed) => {
                 let pairs: Vec<(&str, crate::cache::CacheKey)> = plans
@@ -462,6 +426,7 @@ impl Pipeline {
                     .map(|(name, plan)| (*name, plan.compiled().key()))
                     .collect();
                 let key = crate::cache::compose_key(&pairs);
+                let machine = plans[0].1.compiled().machine();
                 Some(self.plans.get_or_build(
                     key,
                     |p| p,
@@ -478,22 +443,50 @@ impl Pipeline {
         Ok(Admission { analysis, plan })
     }
 
+    /// The analysis half of [`Pipeline::admit`]: runs
+    /// [`rap_admit::admit`] over named, already-built plans under the
+    /// fabric architecture of the *first* plan's mapping, timed as the
+    /// Admit stage and counted as one admission verdict. It builds no
+    /// composed plan: the certificate (`composed`) is the whole result,
+    /// and a tenant's slot range in it runs exactly as its solo plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tenants` is empty or mixes target machines.
+    pub fn certify(
+        &self,
+        tenants: &[(&str, &VerifiedPlan)],
+        options: &rap_admit::AdmitOptions,
+    ) -> rap_admit::AdmissionAnalysis {
+        assert!(!tenants.is_empty(), "admission needs at least one tenant");
+        let machine = tenants[0].1.compiled().machine();
+        assert!(
+            tenants
+                .iter()
+                .all(|(_, plan)| plan.compiled().machine() == machine),
+            "admission tenants must target one machine"
+        );
+        let arch = tenants[0].1.mapping().config.arch;
+        // A plan's per-array bounds are built at its first admission, so
+        // that build is part of the Admit stage's time.
+        let analysis = self.metrics.timed(Stage::Admit, || {
+            let views: Vec<rap_admit::Tenant<'_>> = tenants
+                .iter()
+                .map(|(name, plan)| plan.tenant(name))
+                .collect();
+            rap_admit::admit(&views, &arch, options)
+        });
+        self.metrics.record_admission(analysis.admitted());
+        analysis
+    }
+
     /// Runs the hot-swap safety analyzer against a certified admission:
     /// replace resident tenant `outgoing` with the `incoming`
-    /// `(name, simulator knobs, patterns)` tenant while everyone else
-    /// keeps scanning. The replacement's solo plan is built (or
-    /// recalled) through the ordinary cached plan path, then
-    /// [`rap_swap::analyze_swap`] issues or refuses the certificate. On
-    /// certification the re-admitted post-swap composition re-enters the
-    /// typed chain (assemble → map-from-parts → verify) and is
-    /// cached/persisted under a swap-specific key derived from the
-    /// resident composition's key and the replacement's.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the replacement's compile/verify failures, and
-    /// verification failure of the post-swap plan itself (which would
-    /// indicate a swap-analyzer soundness bug).
+    /// `(name, plan)` tenant while everyone else keeps scanning.
+    /// [`rap_swap::analyze_swap`] issues or refuses the certificate, timed
+    /// as the Swap stage and counted as one swap verdict. The analysis is
+    /// the whole result: its Q007 check already verified the post-swap
+    /// composition, and nothing is built or cached for it.
     ///
     /// # Panics
     ///
@@ -502,63 +495,21 @@ impl Pipeline {
         &self,
         admission: &Admission,
         outgoing: &str,
-        incoming: (&str, &Simulator, &PatternSet),
+        incoming: (&str, &VerifiedPlan),
         options: &rap_swap::SwapOptions,
-    ) -> Result<SwapOutcome, EvalError> {
+    ) -> rap_swap::SwapAnalysis {
         let resident = admission
             .analysis
             .composed
             .as_ref()
             .expect("hot swap requires a certified admission");
-        let resident_plan = admission
-            .plan
-            .as_ref()
-            .expect("certified admissions carry a composed plan");
-        let (name, sim, patterns) = incoming;
-        let solo = self.plan(sim, patterns, None)?;
+        let (name, plan) = incoming;
         let arch = resident.mapping.config.arch;
         let analysis = self.metrics.timed(Stage::Swap, || {
-            let tenant = rap_swap::Tenant {
-                name,
-                images: solo.compiled().images(),
-                mapping: solo.mapping(),
-                bounds: solo.array_bounds(),
-                match_base: None,
-                slot: None,
-            };
-            rap_swap::analyze_swap(resident, outgoing, &tenant, &arch, options)
+            rap_swap::analyze_swap(resident, outgoing, &plan.tenant(name), &arch, options)
         });
         self.metrics.record_swap(analysis.certified());
-        let plan = match &analysis.plan {
-            Some(cert) => {
-                let key = crate::cache::swap_key(
-                    resident_plan.compiled().key(),
-                    outgoing,
-                    name,
-                    solo.compiled().key(),
-                );
-                Some(self.plans.get_or_build(
-                    key,
-                    |p| p,
-                    || {
-                        let compiled =
-                            CompiledSet::assemble(sim.machine, key, cert.composed.images.clone());
-                        self.metrics.timed(Stage::Verify, || {
-                            MappedPlan::from_parts(compiled, cert.composed.mapping.clone()).verify()
-                        })
-                    },
-                )?)
-            }
-            None => None,
-        };
-        Ok(SwapOutcome { analysis, plan })
-    }
-
-    /// Drops the plan under `key` from the in-memory plan tier, e.g. a
-    /// composition no longer resident anywhere. The disk tier, when
-    /// attached, keeps it: a later request reloads it from there.
-    pub fn evict_plan(&self, key: crate::cache::CacheKey) {
-        self.plans.evict_memory(key);
+        analysis
     }
 
     /// Number of plans (solo and composed) held in the in-memory tier.
@@ -1013,42 +964,39 @@ mod tests {
         assert!(admission.admitted());
 
         let charlie = PatternSet::parse(&["beacon".to_string()]).expect("parses");
-        let outcome = pipe
-            .swap(
-                &admission,
-                "bravo",
-                ("charlie", &sim, &charlie),
-                &rap_swap::SwapOptions::default(),
-            )
-            .expect("analyzes");
-        assert!(outcome.certified(), "{}", outcome.analysis.report);
-        let plan = outcome.plan.as_ref().expect("certified");
-        let cert = outcome.analysis.plan.as_ref().expect("certified");
+        let charlie = pipe.plan(&sim, &charlie, None).expect("plans");
+        let cached = pipe.cached_plans();
+        let analysis = pipe.swap(
+            &admission,
+            "bravo",
+            ("charlie", &charlie),
+            &rap_swap::SwapOptions::default(),
+        );
+        assert!(analysis.certified(), "{}", analysis.report);
+        let cert = analysis.plan.as_ref().expect("certified");
         assert!(cert.drain.cycles > 0);
-        // The cached artifact is the re-admitted composition, verified.
-        assert_eq!(plan.compiled().images().len(), cert.composed.images.len());
+        // A swap builds and caches nothing.
+        assert_eq!(pipe.cached_plans(), cached);
         let report = pipe.report();
         assert_eq!(report.swaps_certified, 1);
         assert!(report.stage_secs(Stage::Swap) > 0.0);
 
         // A rejected swap (unbounded replacement footprint on a pinned
-        // one-bank fabric) reports without a plan.
+        // one-bank fabric) reports without a certificate.
         let big_sources: Vec<String> = (0..64).map(|i| format!("pattern{i:03}xyz")).collect();
         let big = PatternSet::parse(&big_sources).expect("parses");
-        let rejected = pipe
-            .swap(
-                &admission,
-                "bravo",
-                ("delta", &sim, &big),
-                &rap_swap::SwapOptions {
-                    banks: Some(1),
-                    ..rap_swap::SwapOptions::default()
-                },
-            )
-            .expect("analyzes");
+        let big = pipe.plan(&sim, &big, None).expect("plans");
+        let rejected = pipe.swap(
+            &admission,
+            "bravo",
+            ("delta", &big),
+            &rap_swap::SwapOptions {
+                banks: Some(1),
+                ..rap_swap::SwapOptions::default()
+            },
+        );
         if !rejected.certified() {
-            assert!(rejected.plan.is_none());
-            assert!(!rejected.analysis.report.is_legal());
+            assert!(!rejected.report.is_legal());
             assert_eq!(pipe.report().swaps_rejected, 1);
         }
     }

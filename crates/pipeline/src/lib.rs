@@ -25,7 +25,9 @@
 //!    never simulated. Workload corpora are memoized process-wide
 //!    ([`suite_corpus`]). Certified multi-tenant compositions
 //!    ([`Pipeline::admit`]) live in the same store, addressed by an
-//!    order-insensitive key over the tenants' plan keys.
+//!    order-insensitive key over the tenants' plan keys; its analysis
+//!    half, [`Pipeline::certify`], and the hot-swap analysis
+//!    ([`Pipeline::swap`]) cache nothing.
 //! 3. **Parallel fan-out with instrumentation.** Independent
 //!    (machine × suite) cells run on scoped worker threads
 //!    ([`Pipeline::grid`]), and every stage's wall-clock plus cache
@@ -70,7 +72,7 @@ pub use artifact::{
     VerifiedPlan,
 };
 pub use cache::{CacheKey, CacheStats, StableHasher};
-pub use driver::{default_workers, par_map, Admission, Pipeline, SwapOutcome};
+pub use driver::{default_workers, par_map, Admission, Pipeline};
 pub use error::EvalError;
 pub use report::{PipelineReport, Stage, STAGES};
 pub use store::{
@@ -82,4 +84,4 @@ pub use workload::{corpus_stats, suite_corpus, BenchConfig, SuiteCorpus};
 
 pub use rap_admit::AdmitOptions;
 pub use rap_analyze::{AnalyzeOptions, SoundnessConfig};
-pub use rap_swap::SwapOptions;
+pub use rap_swap::{SwapAnalysis, SwapOptions};

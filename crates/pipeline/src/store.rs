@@ -17,7 +17,7 @@
 //! # Trust model
 //!
 //! A disk artifact is *never* trusted. [`Persist::from_payload`] for
-//! verified plans decodes into the unverified [`MappedPlan`] shape via
+//! verified plans decodes into the unverified [`crate::MappedPlan`] shape via
 //! `MappedPlan::from_parts` and re-earns `VerifiedPlan` status through
 //! the full V-rule verifier, so a corrupted, stale, or tampered payload
 //! is rejected (and counted in [`TierStats::corrupt`]) — decoding and
@@ -810,17 +810,6 @@ impl<T> TieredStore<T> {
     /// Number of distinct keys built or loaded into memory.
     pub fn len(&self) -> usize {
         self.memory.len()
-    }
-
-    /// Drops `key` from the memory tier only; a disk tier keeps its copy,
-    /// so a later lookup reloads it from there. A build racing on the key
-    /// finishes into the dropped cell and is not cached.
-    pub(crate) fn evict_memory(&self, key: CacheKey) {
-        self.memory
-            .cells
-            .lock()
-            .expect("store lock poisoned")
-            .remove(&key);
     }
 
     /// Whether nothing has been cached in memory yet.

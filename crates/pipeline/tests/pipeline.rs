@@ -376,8 +376,8 @@ fn array_bounds_are_built_once_and_never_persisted() {
 /// `Pipeline::admit` sums the per-array bounds its plans keep. Its
 /// analysis (findings, sizing, loads, summaries) and certificate equal
 /// those of `rap_admit::admit` fed the full bound analysis's arrays for
-/// independently built plans, and its composed plan places exactly the
-/// certificate.
+/// independently built plans, and those of `Pipeline::certify` over the
+/// tenants' plans; its composed plan places exactly the certificate.
 #[test]
 fn pipeline_admission_equals_admission_over_full_analysis_bounds() {
     let pipe = Pipeline::new(tiny());
@@ -397,6 +397,21 @@ fn pipeline_admission_equals_admission_over_full_analysis_bounds() {
         let admission = pipe
             .admit(&tenants, &AdmitOptions::default())
             .expect("tenants plan");
+        let solo: Vec<_> = tenants
+            .iter()
+            .map(|(_, sim, patterns)| pipe.plan(sim, patterns, None).expect("cached"))
+            .collect();
+        let named: Vec<(&str, &VerifiedPlan)> = tenants
+            .iter()
+            .zip(&solo)
+            .map(|((name, _, _), plan)| (*name, &**plan))
+            .collect();
+        let certified = pipe.certify(&named, &AdmitOptions::default());
+        assert_eq!(
+            format!("{:?}", admission.analysis),
+            format!("{certified:?}"),
+            "{machine:?}"
+        );
 
         let plans: Vec<VerifiedPlan> = tenants
             .iter()

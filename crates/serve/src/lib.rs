@@ -10,13 +10,15 @@
 //!
 //! The design follows the software–hardware split end to end:
 //!
-//! - **Registration** runs the full pipeline (compile → analyze → map →
-//!   verify → bound → admit), warm-started from the in-memory caches
-//!   and the persistent tiered store — a known pattern set performs
-//!   zero compile-stage work.
+//! - **Registration** builds the tenant's solo plan through the
+//!   pipeline (compile → analyze → map → verify → bound), warm-started
+//!   from the in-memory caches and the persistent tiered store — a known
+//!   pattern set performs zero compile-stage work — and certifies it
+//!   against its shard's residents (`Pipeline::certify`).
 //! - **Placement** lands each tenant on the least-loaded shard; the
-//!   shard's residents share one certified [`rap_admit::ComposedPlan`],
-//!   re-admitted on every join and leave.
+//!   shard's residents share one co-residency certificate
+//!   ([`rap_admit::ComposedPlan`]), re-certified from their solo plans
+//!   on every join and leave. No composed plan is built.
 //! - **Streaming** feeds each accepted byte once through the session's
 //!   own resumable bank run over its verified solo plan — the arrays the
 //!   composition certificate proves identical to the tenant's slot range

@@ -43,8 +43,9 @@ pub struct ServeMetrics {
     /// `rap_serve_swaps_total{verdict="completed"}`: certified hot
     /// swaps executed (outgoing drained, replacement attached).
     pub swaps_completed: Counter,
-    /// `rap_serve_swaps_total{verdict="rejected"}`: hot swaps refused
-    /// by the Q-rule analyzer.
+    /// `rap_serve_swaps_total{verdict="rejected"}`: hot swaps refused,
+    /// by the Q-rule analyzer or before it (an empty or unbuildable
+    /// replacement, a name clash, a shard with no certificate).
     pub swaps_rejected: Counter,
     /// `rap_serve_swap_ns`: end-to-end hot-swap latency (analysis +
     /// drain + re-registration).

@@ -1,14 +1,16 @@
 //! The sharded scan service: registration through the pipeline's admit
 //! stage, thread-per-shard scan workers, and certified backpressure.
 //!
-//! Each shard owns one certified [`ComposedPlan`] covering its resident
-//! tenants. Registration re-runs admission over the residents plus the
-//! newcomer (warm-started from the pipeline's caches and persistent
-//! store, so a known pattern set performs zero compile-stage work); a
-//! refusal leaves the previous composition untouched. The certificate
-//! proves each tenant's slot range bit-identical to its verified solo
-//! plan, so a scan job feeds the bytes a session accepted since its last
-//! scan, once, through that session's own resumable bank run
+//! Each shard owns one co-residency certificate ([`ComposedPlan`])
+//! covering its resident tenants. Registration builds (or recalls, from
+//! the pipeline's caches and persistent store, so a known pattern set
+//! performs zero compile-stage work) the newcomer's solo plan, then
+//! re-certifies the residents' solo plans plus the newcomer's through
+//! [`Pipeline::certify`]; a refusal leaves the previous certificate
+//! untouched. No composed plan is built: the certificate proves each
+//! tenant's slot range bit-identical to its verified solo plan, so a
+//! scan job feeds the bytes a session accepted since its last scan,
+//! once, through that session's own resumable bank run
 //! ([`rap_pipeline::PlanStream`]) over its solo plan: no other tenant's
 //! arrays, no byte twice.
 
@@ -23,7 +25,7 @@ use std::time::Instant;
 use rap_admit::{AdmissionAnalysis, AdmitOptions, ComposedPlan};
 use rap_bound::BankBound;
 use rap_diag::Location;
-use rap_pipeline::{Admission, PatternSet, Pipeline, VerifiedPlan};
+use rap_pipeline::{PatternSet, Pipeline, VerifiedPlan};
 use rap_sim::{BankMetrics, BankStats, Simulator};
 use rap_telemetry::{Counter, Gauge, Telemetry};
 
@@ -74,15 +76,12 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// One shard's current certified composition and its derived budgets.
+/// One shard's current co-residency certificate and its derived budgets.
 ///
-/// The scan plane never executes the composition: each session runs its
-/// own solo plan, which the certificate proves identical to its slot
-/// range. The composition sizes the budgets and anchors hot-swap analysis.
+/// No composed plan exists: each session runs its own solo plan, which
+/// the certificate proves identical to its slot range. The certificate
+/// sizes the budgets and anchors hot-swap analysis.
 pub(crate) struct Tenancy {
-    /// The verified composed plan admission certified (cached in the
-    /// pipeline's memory tier while it is resident).
-    pub plan: Arc<VerifiedPlan>,
     /// The co-residency certificate (per-tenant slot and pattern ranges).
     pub composed: ComposedPlan,
     /// Per-session intake budget in bytes: `queue_pages` ping-pong bank
@@ -99,7 +98,8 @@ pub(crate) struct Tenancy {
 /// A tenant resident on a shard (control-plane view).
 pub(crate) struct ResidentTenant {
     pub name: String,
-    pub patterns: PatternSet,
+    /// The tenant's verified solo plan, which its session streams through.
+    pub plan: Arc<VerifiedPlan>,
 }
 
 /// The control-plane state of one shard, guarded by its mutex.
@@ -213,10 +213,6 @@ impl Shared {
         );
     }
 
-    fn simulator(&self) -> Simulator {
-        Simulator::new(self.config.machine)
-    }
-
     /// The least-loaded shard by resident tenant count, ties broken
     /// deterministically toward the lowest shard id (so identical
     /// registration sequences always produce identical placements).
@@ -237,63 +233,46 @@ impl Shared {
         )
     }
 
-    /// Re-runs admission over a shard's residents. Replaces the tenancy
-    /// only on success; a refusal or stage failure leaves the previous
-    /// certified composition (and its running sessions) untouched. The
-    /// replaced composition is resident nowhere any more, so it leaves
-    /// the plan cache's memory tier (a disk tier keeps it). A successful
-    /// recompose is timed into `rap_serve_recompose_ns`.
+    /// Re-certifies a shard's residents. Replaces the tenancy only on
+    /// success; a refusal leaves the previous certificate (and its
+    /// running sessions) untouched. A successful recompose is timed into
+    /// `rap_serve_recompose_ns`.
     fn recompose(&self, residency: &mut Residency) -> Result<(), ServeError> {
         let start = Instant::now();
-        let tenancy = if residency.tenants.is_empty() {
+        residency.tenancy = if residency.tenants.is_empty() {
             None
         } else {
             Some(Arc::new(self.certify(residency)?))
         };
-        let replaced = std::mem::replace(&mut residency.tenancy, tenancy);
-        if let Some(old) = replaced {
-            let key = old.plan.compiled().key();
-            let current = residency.tenancy.as_ref().map(|t| t.plan.compiled().key());
-            if current != Some(key) {
-                self.pipeline.evict_plan(key);
-            }
-        }
         self.metrics
             .recompose_ns
             .record(start.elapsed().as_nanos() as u64);
         Ok(())
     }
 
-    /// Admits a shard's residents and derives the composition's budgets.
+    /// Certifies a shard's residents from their solo plans and derives
+    /// the certificate's budgets.
     fn certify(&self, residency: &Residency) -> Result<Tenancy, ServeError> {
-        let sim = self.simulator();
-        let tenants: Vec<(&str, &Simulator, &PatternSet)> = residency
+        let tenants: Vec<(&str, &VerifiedPlan)> = residency
             .tenants
             .iter()
-            .map(|t| (t.name.as_str(), &sim, &t.patterns))
+            .map(|t| (t.name.as_str(), &*t.plan))
             .collect();
-        let Admission { mut analysis, plan } = self
-            .pipeline
-            .admit(&tenants, &AdmitOptions::default())
-            .map_err(|e| ServeError::Pipeline(e.to_string()))?;
-        let Some(plan) = plan else {
+        let mut analysis = self.pipeline.certify(&tenants, &AdmitOptions::default());
+        let Some(composed) = analysis.composed.take() else {
             return Err(ServeError::Rejected(Box::new(analysis)));
         };
-        let composed = analysis
-            .composed
-            .take()
-            .expect("admitted composition carries a certificate");
         // Certified budgets, not ad-hoc constants: the intake side is
         // sized in ping-pong bank input windows (§3.3 geometry), the
         // event side in the bank's worst-case output-record occupancy
         // (B003), which the bank geometry alone determines.
-        let arch = plan.mapping().config.arch;
+        let arch = composed.mapping.config.arch;
         let window = 2 * u64::from(arch.bank_input_entries);
         let input_budget = (self.config.queue_pages * u64::from(analysis.banks) * window).max(1);
-        let records = BankBound::new(plan.mapping().arrays.len() as u64, &arch).output_fifo_records;
+        let records =
+            BankBound::new(composed.mapping.arrays.len() as u64, &arch).output_fifo_records;
         let events_budget = (self.config.queue_pages * records).max(1);
         Ok(Tenancy {
-            plan,
             composed,
             input_budget,
             events_budget,
@@ -338,27 +317,25 @@ impl Shared {
             .solo_plan(patterns)
             .inspect_err(|_| self.metrics.sessions_rejected.inc())?;
         let shard = self.shard_for_new_session();
-        self.register_on_shard(name, patterns, solo, &shard, start)
+        self.register_on_shard(name, solo, &shard, start)
     }
 
     /// The tenant's verified solo plan, built or recalled through the
     /// pipeline's plan cache.
     fn solo_plan(&self, patterns: &PatternSet) -> Result<Arc<VerifiedPlan>, ServeError> {
         self.pipeline
-            .plan(&self.simulator(), patterns, None)
+            .plan(&Simulator::new(self.config.machine), patterns, None)
             .map_err(|e| ServeError::Pipeline(e.to_string()))
     }
 
     /// Registration core: admits `name` onto `shard` and builds its
     /// session over `solo`, the tenant's solo plan. The caller holds the
     /// registration lock, has already checked for duplicate names, and
-    /// built `solo` outside the residency lock, so the admission below
-    /// recalls it from the plan cache instead of compiling while scans
-    /// on the shard wait for that lock.
+    /// built `solo` outside the residency lock, so no compile runs while
+    /// scans on the shard wait for that lock.
     fn register_on_shard(
         self: &Arc<Shared>,
         name: &str,
-        patterns: &PatternSet,
         solo: Arc<VerifiedPlan>,
         shard: &Arc<ShardInner>,
         start: Instant,
@@ -367,7 +344,7 @@ impl Shared {
             let mut residency = shard.residency.lock().expect("shard residency poisoned");
             residency.tenants.push(ResidentTenant {
                 name: name.to_string(),
-                patterns: patterns.clone(),
+                plan: Arc::clone(&solo),
             });
             if let Err(error) = self.recompose(&mut residency) {
                 residency.tenants.pop();
@@ -386,8 +363,8 @@ impl Shared {
             }
             residency.tenants.len()
         };
-        // The session streams through its solo plan (cache-shared with
-        // the admission run above); its run is built at the first scan.
+        // The session streams through the solo plan it was certified
+        // with; its run is built at the first scan.
         let inner = Arc::new(SessionInner::new(name, Arc::clone(shard), solo));
         self.metrics.sessions_admitted.inc();
         let active = self.active.fetch_add(1, Ordering::Relaxed) + 1;
@@ -436,20 +413,14 @@ impl Shared {
         };
         // Static safety analysis first — no state is mutated until the
         // certificate is in hand.
-        let solo = self.solo_plan(patterns)?;
-        let incoming = rap_swap::Tenant {
-            name,
-            images: solo.compiled().images(),
-            mapping: solo.mapping(),
-            bounds: solo.array_bounds(),
-            match_base: None,
-            slot: None,
-        };
+        let solo = self
+            .solo_plan(patterns)
+            .inspect_err(|_| self.metrics.swaps_rejected.inc())?;
         let arch = tenancy.composed.mapping.config.arch;
         let analysis = rap_swap::analyze_swap(
             &tenancy.composed,
             &outgoing_name,
-            &incoming,
+            &solo.tenant(name),
             &arch,
             &rap_swap::SwapOptions {
                 banks: Some(tenancy.banks),
@@ -476,7 +447,7 @@ impl Shared {
         // certified drain window), then attach the replacement to the
         // freed footprint. Staying sessions never stop scanning.
         outgoing.finish();
-        let session = self.register_on_shard(name, patterns, solo, &shard, Instant::now())?;
+        let session = self.register_on_shard(name, solo, &shard, Instant::now())?;
         self.metrics.swaps_completed.inc();
         self.metrics
             .swap_ns
@@ -808,7 +779,7 @@ fn release(shared: &Arc<Shared>, shard: &Arc<ShardInner>, session: &Arc<SessionI
         let mut residency = shard.residency.lock().expect("shard residency poisoned");
         residency.tenants.retain(|t| t.name != session.name);
         if let Err(error) = shared.recompose(&mut residency) {
-            // Keep the departing composition: it still covers every
+            // Keep the previous certificate: it still covers every
             // remaining tenant, and the departed slots just idle.
             shared.finding(
                 Rule::AdmissionRejected,

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use rap_pipeline::{BenchConfig, PatternSet, Pipeline, Stage, StoreConfig};
+use rap_pipeline::{BenchConfig, DiskStore, PatternSet, Pipeline, Stage, StoreConfig};
 use rap_serve::{Client, RegisterReply, SendOutcome, ServeConfig, ServeError, Server};
 use rap_sim::MatchEvent;
 use rap_telemetry::Telemetry;
@@ -361,14 +361,54 @@ fn churn_keeps_only_solo_plans_and_live_compositions_cached() {
         leaving.finish();
         live.push_back(server.register(&format!("t{i}"), &set(i)).expect("admits"));
     }
-    // 24 distinct solo plans, plus the composition of each occupied shard.
+    // 24 distinct solo plans; the shards hold certificates, not plans.
     let shards: std::collections::BTreeSet<usize> = live.iter().map(|s| s.shard()).collect();
     assert_eq!(shards.len(), 2);
-    assert_eq!(server.pipeline().cached_plans(), 24 + 2);
+    assert_eq!(server.pipeline().cached_plans(), 24);
     for session in &live {
         session.finish();
     }
     assert_eq!(server.pipeline().cached_plans(), 24);
+    // One plan lookup per registration: no recompose touches the cache.
+    let cache = server.pipeline().report().plan_cache;
+    assert_eq!(cache.hits + cache.misses, 24);
+}
+
+#[test]
+fn churn_with_a_store_persists_only_solo_plans() {
+    let dir = std::env::temp_dir().join(format!(
+        "rap-serve-churn-store-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let pipeline = Pipeline::new(small_spec())
+        .with_store(StoreConfig::at(&dir))
+        .expect("store opens");
+    let server = Server::new(
+        pipeline,
+        ServeConfig {
+            shards: 2,
+            queue_pages: 8,
+            ..ServeConfig::default()
+        },
+    );
+    // Eight distinct pattern sets, each joining twice under a new name:
+    // every join and leave recomposes a shard.
+    let set = |i: usize| patterns(&[&format!("persist{}x", i % 8)]);
+    let mut live: std::collections::VecDeque<_> = (0..3)
+        .map(|i| server.register(&format!("p{i}"), &set(i)).expect("admits"))
+        .collect();
+    for i in 3..16 {
+        live.pop_front().expect("three live").finish();
+        live.push_back(server.register(&format!("p{i}"), &set(i)).expect("admits"));
+    }
+    for session in &live {
+        session.finish();
+    }
+    let store = DiskStore::open(StoreConfig::at(&dir)).expect("store opens");
+    assert_eq!(store.len(), 8, "the store holds the distinct solo plans");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -528,6 +568,31 @@ fn rejected_swap_leaves_the_outgoing_session_streaming() {
     out.send(b"begin middle end").expect("still open");
     out.finish();
     assert_eq!(out.drain().len(), 1);
+}
+
+#[test]
+fn unbuildable_swap_replacement_counts_as_rejected() {
+    let server = server(1, 8);
+    // The empty pattern parses but compiles to no states.
+    let unbuildable = patterns(&[""]);
+    assert!(matches!(
+        server.register("probe", &unbuildable),
+        Err(ServeError::Pipeline(_))
+    ));
+    let out = server
+        .register("steady", &patterns(&["keep"]))
+        .expect("admits");
+    match server.swap_tenant(&out, "replacement", &unbuildable) {
+        Err(ServeError::Pipeline(_)) => {}
+        Err(other) => panic!("expected a pipeline failure, got {other:?}"),
+        Ok(_) => panic!("expected a pipeline failure, got a certificate"),
+    }
+    assert_eq!(server.metrics().swaps_rejected.get(), 1);
+    assert_eq!(server.metrics().swaps_completed.get(), 0);
+    // The outgoing session never stopped streaming.
+    out.send(b"keep going, keep").expect("still open");
+    out.finish();
+    assert_eq!(out.drain().len(), 2);
 }
 
 #[test]
