@@ -16,7 +16,9 @@ pub struct Fifo<T> {
 }
 
 impl<T> Fifo<T> {
-    /// Creates an empty FIFO with the given capacity.
+    /// Creates an empty FIFO with the given capacity. Storage grows with
+    /// occupancy, so a capacity read from an untrusted plan costs only the
+    /// entries actually buffered.
     ///
     /// # Panics
     ///
@@ -25,7 +27,7 @@ impl<T> Fifo<T> {
         assert!(capacity > 0, "FIFO capacity must be positive");
         Fifo {
             capacity,
-            items: VecDeque::with_capacity(capacity),
+            items: VecDeque::new(),
         }
     }
 

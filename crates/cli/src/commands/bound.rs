@@ -1,11 +1,12 @@
 //! `rap bound` — static worst-case capacity/cost bounds for one suite's
-//! mapped plan, through the pipeline's Bound stage.
+//! mapped plan: [`rap_bound::analyze_bounds`] over the verified plan the
+//! pipeline builds (or recalls from the store).
 
 use super::{attach_store, outln, parse_suite};
 use crate::args::Args;
 use crate::CliError;
 use rap_analyze::SoundnessConfig;
-use rap_bound::{BoundAnalysis, BoundOptions};
+use rap_bound::{analyze_bounds, BoundAnalysis, BoundOptions};
 use rap_pipeline::{BenchConfig, Pipeline};
 use std::io::Write;
 
@@ -59,16 +60,21 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         });
     }
 
-    let pipe = attach_store(Pipeline::new(spec).with_bounds(options), &args)?;
+    let pipe = attach_store(Pipeline::new(spec), &args)?;
     let corpus = pipe.corpus(suite);
     let sim = pipe.simulator_for(machine, suite);
     let plan = pipe
         .plan(&sim, corpus.patterns(), None)
         .map_err(|e| CliError::Runtime(e.to_string()))?;
-    let bounds = plan.bounds().expect("bound stage is enabled");
+    let bounds = analyze_bounds(
+        plan.compiled().images(),
+        corpus.patterns().parsed(),
+        plan.mapping(),
+        &options,
+    );
 
     if args.switch("json") {
-        outln!(out, "{}", to_json(bounds));
+        outln!(out, "{}", to_json(&bounds));
     } else {
         outln!(
             out,
@@ -158,6 +164,19 @@ fn to_json(bounds: &BoundAnalysis) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rap_circuit::Machine;
+    use rap_pipeline::{build_plan, StoreConfig};
+    use rap_workloads::Suite;
+
+    /// The corpus scale `rap bound <suite> --patterns 4` generates.
+    fn four_patterns() -> BenchConfig {
+        BenchConfig {
+            patterns_per_suite: 4,
+            input_len: 256,
+            match_rate: 0.02,
+            seed: 42,
+        }
+    }
 
     fn run_ok(argv: &[&str]) -> String {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
@@ -214,6 +233,58 @@ mod tests {
         // Second invocation (fresh pipeline) loads rather than rebuilds.
         let s = run_ok(&["snort", "--patterns", "4", "--store-dir", d]);
         assert!(s.contains("bound: RAP on Snort"), "{s}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn json_equals_an_independent_analysis_of_the_built_plan() {
+        let pipe = Pipeline::new(four_patterns());
+        let corpus = pipe.corpus(Suite::Prosite);
+        let sim = pipe.simulator_for(Machine::Rap, Suite::Prosite);
+        let plan = build_plan(&sim, corpus.patterns(), None).expect("plan builds");
+        let cases = [
+            (vec![], BoundOptions::bounds_only()),
+            (
+                vec!["--equivalence", "--budget", "500"],
+                BoundOptions::bounds_only().with_equivalence(SoundnessConfig { max_configs: 500 }),
+            ),
+        ];
+        for (flags, options) in cases {
+            let mut argv = vec!["prosite", "--patterns", "4", "--json"];
+            argv.extend(flags);
+            let expected = to_json(&analyze_bounds(
+                plan.compiled().images(),
+                corpus.patterns().parsed(),
+                plan.mapping(),
+                &options,
+            ));
+            assert_eq!(run_ok(&argv), format!("{expected}\n"), "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn stored_plan_is_the_pipelines_plan() {
+        let dir = std::env::temp_dir().join(format!(
+            "rap-cli-bound-shared-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let d = dir.to_str().expect("utf8");
+        run_ok(&["snort", "--patterns", "4", "--store-dir", d]);
+
+        // Any pipeline over the same suite and machine loads the plan
+        // `rap bound` stored: one plan shape, one cache key.
+        let pipe = Pipeline::new(four_patterns())
+            .with_store(StoreConfig::at(&dir))
+            .expect("store opens");
+        let corpus = pipe.corpus(Suite::Snort);
+        let sim = pipe.simulator_for(Machine::Rap, Suite::Snort);
+        pipe.plan(&sim, corpus.patterns(), None).expect("plans");
+        let report = pipe.report();
+        assert_eq!(report.patterns_compiled, 0, "a disk hit compiles nothing");
+        let disk = report.disk_store.expect("disk tier attached");
+        assert_eq!((disk.hits, disk.misses, disk.corrupt), (1, 0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -221,75 +221,6 @@ impl CompiledSet {
             mapping,
         }
     }
-
-    /// Stage transition: runs the static analyzer over the images.
-    ///
-    /// `patterns` provides each image's source pattern for the optional
-    /// soundness check (same indexing as the images; pass `&[]` when that
-    /// pass is off). With [`rap_analyze::AnalyzeOptions::prune`] the
-    /// returned set carries the *pruned* images — dead states removed,
-    /// equivalent states merged — and a correspondingly re-derived cache
-    /// key, so pruned and unpruned plans never collide in the plan cache.
-    ///
-    /// Analyzer findings are advisory at the pipeline level (the mapping
-    /// verifier still gates simulation); `rap analyze` is the surface that
-    /// turns Error-severity findings into a failing exit.
-    pub fn analyze(
-        self,
-        patterns: &[Pattern],
-        options: &rap_analyze::AnalyzeOptions,
-        registry: Option<&rap_telemetry::Registry>,
-    ) -> AnalyzedSet {
-        let analysis =
-            rap_analyze::analyze_with_registry(&self.images, patterns, options, registry);
-        AnalyzedSet {
-            compiled: CompiledSet {
-                machine: self.machine,
-                forced: self.forced,
-                key: crate::cache::analysis_key(self.key, options),
-                images: analysis.images,
-            },
-            report: analysis.report,
-            stats: analysis.stats,
-        }
-    }
-}
-
-/// Stage 2½ artifact: analyzed (and, in prune mode, rewritten) images plus
-/// the analyzer's findings. Obtained through [`CompiledSet::analyze`];
-/// mapping an `AnalyzedSet` places the analyzer's output images.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct AnalyzedSet {
-    compiled: CompiledSet,
-    report: rap_analyze::Report,
-    stats: rap_analyze::AnalyzeStats,
-}
-
-impl AnalyzedSet {
-    /// The (possibly pruned) compile product.
-    pub fn compiled(&self) -> &CompiledSet {
-        &self.compiled
-    }
-
-    /// The analyzer's findings.
-    pub fn report(&self) -> &rap_analyze::Report {
-        &self.report
-    }
-
-    /// The analyzer's aggregate counters (state reductions live here).
-    pub fn stats(&self) -> &rap_analyze::AnalyzeStats {
-        &self.stats
-    }
-
-    /// Unwraps to the compile product, dropping the findings.
-    pub fn into_compiled(self) -> CompiledSet {
-        self.compiled
-    }
-
-    /// Stage transition: places the analyzed images onto arrays.
-    pub fn map(self, sim: &Simulator) -> MappedPlan {
-        self.compiled.map(sim)
-    }
 }
 
 /// Stage 3 artifact: images plus their array placement — *not yet checked
@@ -349,7 +280,6 @@ impl MappedPlan {
                 compiled: self.compiled,
                 mapping: self.mapping,
                 advisories: report,
-                bounds: None,
                 array_bounds: OnceLock::new(),
                 lowered: OnceLock::new(),
             })
@@ -380,7 +310,6 @@ pub struct VerifiedPlan {
     compiled: CompiledSet,
     mapping: Mapping,
     advisories: rap_verify::Report,
-    bounds: Option<rap_bound::BoundAnalysis>,
     array_bounds: OnceLock<Arc<[ArrayBound]>>,
     lowered: OnceLock<Arc<Lowered>>,
 }
@@ -401,44 +330,16 @@ impl VerifiedPlan {
         &self.advisories
     }
 
-    /// Stage transition (opt-in): runs the static worst-case bound
-    /// analyzer over the plan and attaches its result, retrievable through
-    /// [`VerifiedPlan::bounds`]. `patterns` provides each image's source
-    /// for the optional B008 equivalence verdicts (same indexing as the
-    /// images; `&[]` is fine when that check is off).
-    #[must_use]
-    pub fn bound(
-        mut self,
-        patterns: &[Pattern],
-        options: &rap_bound::BoundOptions,
-    ) -> VerifiedPlan {
-        self.bounds = Some(rap_bound::analyze_bounds(
-            &self.compiled.images,
-            patterns,
-            &self.mapping,
-            options,
-        ));
-        self
-    }
-
-    /// The attached worst-case bound analysis, when the Bound stage ran.
-    pub fn bounds(&self) -> Option<&rap_bound::BoundAnalysis> {
-        self.bounds.as_ref()
-    }
-
     /// The per-array worst-case bounds ([`rap_bound::array_bounds`]),
-    /// index-aligned with the mapping's arrays: the Bound stage's when it
-    /// ran, otherwise derived on first use and kept.
+    /// index-aligned with the mapping's arrays, derived on first use and
+    /// kept.
     pub fn array_bounds(&self) -> &[ArrayBound] {
-        if let Some(bounds) = &self.bounds {
-            return &bounds.arrays;
-        }
         self.array_bounds
             .get_or_init(|| rap_bound::array_bounds(&self.compiled.images, &self.mapping).into())
     }
 
     /// The per-array bounds, if [`VerifiedPlan::array_bounds`] has built
-    /// them yet (never set when the Bound stage ran).
+    /// them yet.
     pub fn cached_array_bounds(&self) -> Option<&Arc<[ArrayBound]>> {
         self.array_bounds.get()
     }
@@ -538,12 +439,14 @@ impl PlanStream {
 /// Disk-tier persistence for verified plans.
 ///
 /// Only the durable state — the compile product and its placement — is
-/// encoded; verification advisories and bound analyses are *recomputed*
-/// on load rather than trusted from disk. `from_payload` therefore
-/// decodes into the unverified [`MappedPlan`] shape and re-runs the full
-/// V-rule verifier: a payload that decodes but describes an illegal plan
-/// (stale encoding, bit rot the checksum missed, deliberate tampering) is
-/// rejected here and the store counts it as corrupt.
+/// encoded. Verification advisories are *recomputed* on load rather than
+/// trusted from disk, and a loaded plan derives its simulator images and
+/// per-array bounds on first use, exactly like a freshly built one.
+/// `from_payload` therefore decodes into the unverified [`MappedPlan`]
+/// shape and re-runs the full V-rule verifier: a payload that decodes but
+/// describes an illegal plan (stale encoding, bit rot the checksum
+/// missed, deliberate tampering) is rejected here and the store counts it
+/// as corrupt.
 impl Persist for VerifiedPlan {
     fn to_payload(&self) -> Vec<u8> {
         let mut e = serde::bin::Encoder::new();

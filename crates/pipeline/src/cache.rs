@@ -140,41 +140,6 @@ pub(crate) fn hash_configs(h: &mut StableHasher, compiler: &CompilerConfig, mapp
     h.write(&[u8::from(mapper.validate)]);
 }
 
-/// Derives the content address of an *analyzed* compile product from the
-/// base compile key: the analyzer options determine the output images
-/// (prune rewrites them), so they are part of the artifact's identity.
-pub(crate) fn analysis_key(base: CacheKey, options: &rap_analyze::AnalyzeOptions) -> CacheKey {
-    let mut h = StableHasher::new();
-    h.write(&base.0.to_le_bytes());
-    h.write_str("analyze");
-    h.write(&[u8::from(options.prune)]);
-    match options.soundness {
-        None => h.write(&[0]),
-        Some(cfg) => {
-            h.write(&[1]);
-            h.write_u64(cfg.max_configs as u64);
-        }
-    }
-    h.finish()
-}
-
-/// Derives the content address of a *bounded* plan from the verified
-/// plan's key: the bound options determine the attached bound analysis,
-/// so they are part of the artifact's identity.
-pub(crate) fn bounds_key(base: CacheKey, options: &rap_bound::BoundOptions) -> CacheKey {
-    let mut h = StableHasher::new();
-    h.write(&base.0.to_le_bytes());
-    h.write_str("bound");
-    match options.equivalence {
-        None => h.write(&[0]),
-        Some(cfg) => {
-            h.write(&[1]);
-            h.write_u64(cfg.max_configs as u64);
-        }
-    }
-    h.finish()
-}
-
 /// Derives the content address of a *composed* (multi-tenant) plan from
 /// the tenants' verified-plan keys. The pairs are hashed sorted by
 /// tenant name — admission canonicalizes the same way, so any

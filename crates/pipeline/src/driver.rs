@@ -116,8 +116,6 @@ pub struct Pipeline {
     plans: TieredStore<VerifiedPlan>,
     metrics: Metrics,
     telemetry: Option<Arc<Telemetry>>,
-    analysis: Option<rap_analyze::AnalyzeOptions>,
-    bounds: Option<rap_bound::BoundOptions>,
 }
 
 impl Pipeline {
@@ -130,8 +128,6 @@ impl Pipeline {
             plans: TieredStore::new(),
             metrics: Metrics::default(),
             telemetry: None,
-            analysis: None,
-            bounds: None,
         }
     }
 
@@ -148,16 +144,16 @@ impl Pipeline {
     /// of compiling — a warm run of the full evaluation compiles nothing.
     ///
     /// Loaded plans are untrusted: they re-enter through the full
-    /// [`crate::MappedPlan::verify`] path (with the Bound stage re-run
-    /// when enabled), so a corrupt or tampered file is rejected, counted
-    /// ([`TierStats::corrupt`]), and rebuilt from source.
+    /// [`crate::MappedPlan::verify`] path, so a corrupt or tampered file
+    /// is rejected, counted ([`TierStats::corrupt`]), and rebuilt from
+    /// source.
     ///
     /// # Errors
     ///
     /// Returns the I/O error if the store directory cannot be created.
     pub fn with_store(mut self, config: StoreConfig) -> std::io::Result<Pipeline> {
         let tier = DiskTier::<VerifiedPlan>::open(config)?;
-        self.plans = std::mem::take(&mut self.plans).with_disk(Box::new(tier));
+        self.plans = std::mem::take(&mut self.plans).with_disk(tier);
         Ok(self)
     }
 
@@ -186,40 +182,6 @@ impl Pipeline {
     /// The attached observability context, if any.
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
         self.telemetry.as_ref()
-    }
-
-    /// Enables the Analyze stage: every plan build runs the static
-    /// analyzer between compile and map. With
-    /// [`rap_analyze::AnalyzeOptions::prune`] the mapper then places the
-    /// analyzer's *reduced* images (dead states removed, equivalent states
-    /// merged — match semantics preserved). The options are part of the
-    /// plan cache key, so analyzed and plain plans never collide.
-    #[must_use]
-    pub fn with_analysis(mut self, options: rap_analyze::AnalyzeOptions) -> Pipeline {
-        self.analysis = Some(options);
-        self
-    }
-
-    /// The Analyze stage configuration, if enabled.
-    pub fn analysis(&self) -> Option<&rap_analyze::AnalyzeOptions> {
-        self.analysis.as_ref()
-    }
-
-    /// Enables the Bound stage: every plan build runs the static
-    /// worst-case bound analyzer after verification and attaches the
-    /// result to the plan ([`VerifiedPlan::bounds`]). The options are part
-    /// of the plan cache key, so bounded and plain plans never collide;
-    /// per-plan totals land in the report
-    /// ([`PipelineReport::arrays_bounded`]).
-    #[must_use]
-    pub fn with_bounds(mut self, options: rap_bound::BoundOptions) -> Pipeline {
-        self.bounds = Some(options);
-        self
-    }
-
-    /// The Bound stage configuration, if enabled.
-    pub fn bounds(&self) -> Option<&rap_bound::BoundOptions> {
-        self.bounds.as_ref()
     }
 
     /// The workload scale knobs.
@@ -251,9 +213,8 @@ impl Pipeline {
     /// Returns the verified plan for `(patterns, machine, configs)`,
     /// compiling/mapping/verifying on a cache miss and recalling the
     /// shared artifact on a hit. With a disk store attached, a miss first
-    /// probes the store: a disk hit re-verifies the loaded plan (and
-    /// re-runs the Bound stage when enabled — bound analyses are derived,
-    /// not persisted) instead of compiling.
+    /// probes the store: a disk hit re-verifies the loaded plan instead
+    /// of compiling.
     ///
     /// # Errors
     ///
@@ -264,59 +225,15 @@ impl Pipeline {
         patterns: &PatternSet,
         forced: Option<Mode>,
     ) -> Result<Arc<VerifiedPlan>, EvalError> {
-        let mut key = patterns.cache_key(sim, forced);
-        if let Some(options) = &self.analysis {
-            key = crate::cache::analysis_key(key, options);
-        }
-        if let Some(options) = &self.bounds {
-            key = crate::cache::bounds_key(key, options);
-        }
-        let rehydrate = |plan: Arc<VerifiedPlan>| match &self.bounds {
-            Some(options) => {
-                let plan = self.metrics.timed(Stage::Bound, || {
-                    Arc::unwrap_or_clone(plan).bound(patterns.parsed(), options)
-                });
-                let bounds = plan.bounds().expect("bound stage attaches bounds");
-                self.metrics
-                    .record_bounds(bounds.arrays.len() as u64, bounds.total_peak_active());
-                Arc::new(plan)
-            }
-            None => plan,
-        };
-        self.plans.get_or_build(key, rehydrate, || {
+        let key = patterns.cache_key(sim, forced);
+        self.plans.get_or_build(key, || {
             let compiled = self
                 .metrics
                 .timed(Stage::Compile, || patterns.compile(sim, forced))?;
             self.metrics
                 .add_compiled(patterns.len() as u64, compiled.state_count());
-            let compiled = match &self.analysis {
-                Some(options) => {
-                    let analyzed = self.metrics.timed(Stage::Analyze, || {
-                        compiled.analyze(
-                            patterns.parsed(),
-                            options,
-                            self.telemetry.as_ref().map(|t| t.registry()),
-                        )
-                    });
-                    self.metrics.add_pruned(analyzed.stats().pruned_states);
-                    analyzed.into_compiled()
-                }
-                None => compiled,
-            };
             let mapped = self.metrics.timed(Stage::Map, || compiled.map(sim));
-            let plan = self.metrics.timed(Stage::Verify, || mapped.verify())?;
-            match &self.bounds {
-                Some(options) => {
-                    let plan = self
-                        .metrics
-                        .timed(Stage::Bound, || plan.bound(patterns.parsed(), options));
-                    let bounds = plan.bounds().expect("bound stage attaches bounds");
-                    self.metrics
-                        .record_bounds(bounds.arrays.len() as u64, bounds.total_peak_active());
-                    Ok(plan)
-                }
-                None => Ok(plan),
-            }
+            self.metrics.timed(Stage::Verify, || mapped.verify())
         })
     }
 
@@ -427,16 +344,12 @@ impl Pipeline {
                     .collect();
                 let key = crate::cache::compose_key(&pairs);
                 let machine = plans[0].1.compiled().machine();
-                Some(self.plans.get_or_build(
-                    key,
-                    |p| p,
-                    || {
-                        let compiled = CompiledSet::assemble(machine, key, composed.images.clone());
-                        self.metrics.timed(Stage::Verify, || {
-                            MappedPlan::from_parts(compiled, composed.mapping.clone()).verify()
-                        })
-                    },
-                )?)
+                Some(self.plans.get_or_build(key, || {
+                    let compiled = CompiledSet::assemble(machine, key, composed.images.clone());
+                    self.metrics.timed(Stage::Verify, || {
+                        MappedPlan::from_parts(compiled, composed.mapping.clone()).verify()
+                    })
+                })?)
             }
             None => None,
         };
@@ -625,102 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn analyze_stage_prunes_without_changing_matches() {
-        // Force-NFA (the CA baseline) on a union-heavy suite: the Glushkov
-        // automata of `(lit|lit)` fragments are full of left/right
-        // equivalent states, so pruning must fire.
-        // Shared literals across union alternatives are random collisions
-        // (~1/26 per candidate), so a bench-scale corpus is needed for the
-        // merge passes to fire; 120 patterns at this seed merge 5 states.
-        let spec = BenchConfig {
-            patterns_per_suite: 120,
-            input_len: 2_000,
-            match_rate: 0.02,
-            seed: 42,
-        };
-        let plain_pipe = Pipeline::new(spec);
-        let corpus = plain_pipe.corpus(Suite::RegexLib);
-        let sim = plain_pipe.simulator_for(Machine::Ca, Suite::RegexLib);
-        let plain = plain_pipe
-            .eval_with(&sim, corpus.patterns(), corpus.input(), Some(Mode::Nfa))
-            .expect("evals");
-
-        let pruned_pipe = Pipeline::new(spec)
-            .with_analysis(rap_analyze::AnalyzeOptions::report_only().with_prune());
-        let corpus = pruned_pipe.corpus(Suite::RegexLib);
-        let sim = pruned_pipe.simulator_for(Machine::Ca, Suite::RegexLib);
-        let pruned = pruned_pipe
-            .eval_with(&sim, corpus.patterns(), corpus.input(), Some(Mode::Nfa))
-            .expect("evals");
-
-        // Same matches, fewer placed states — and the reduction is
-        // visible in the report counter.
-        assert_eq!(pruned.matches, plain.matches);
-        assert!(
-            pruned.states < plain.states,
-            "pruned {} vs plain {}",
-            pruned.states,
-            plain.states
-        );
-        let report = pruned_pipe.report();
-        assert!(report.states_pruned > 0, "{report}");
-        assert!(report.stage_secs(Stage::Analyze) > 0.0);
-        assert_eq!(plain_pipe.report().states_pruned, 0);
-    }
-
-    #[test]
-    fn bound_stage_attaches_bounds_and_reports() {
-        let spec = BenchConfig {
-            patterns_per_suite: 6,
-            input_len: 256,
-            match_rate: 0.02,
-            seed: 3,
-        };
-        let pipe = Pipeline::new(spec).with_bounds(rap_bound::BoundOptions::bounds_only());
-        let corpus = pipe.corpus(Suite::Snort);
-        let sim = pipe.simulator_for(Machine::Rap, Suite::Snort);
-        let plan = pipe.plan(&sim, corpus.patterns(), None).expect("plans");
-        let bounds = plan.bounds().expect("bound stage ran");
-        assert_eq!(bounds.arrays.len(), plan.mapping().arrays.len());
-        let report = pipe.report();
-        assert_eq!(report.arrays_bounded, bounds.arrays.len() as u64);
-        assert_eq!(report.peak_active_bound, bounds.total_peak_active());
-        assert!(report.stage_secs(Stage::Bound) > 0.0);
-
-        // A pipeline without the stage must not collide in the cache.
-        let plain = Pipeline::new(spec);
-        let corpus = plain.corpus(Suite::Snort);
-        let plan = plain.plan(&sim, corpus.patterns(), None).expect("plans");
-        assert!(plan.bounds().is_none());
-        let base = corpus.patterns().cache_key(&sim, None);
-        assert_ne!(
-            base,
-            crate::cache::bounds_key(base, &rap_bound::BoundOptions::bounds_only())
-        );
-    }
-
-    #[test]
-    fn analysis_options_are_part_of_the_cache_key() {
-        let spec = BenchConfig {
-            patterns_per_suite: 4,
-            input_len: 256,
-            match_rate: 0.02,
-            seed: 3,
-        };
-        let pipe = Pipeline::new(spec);
-        let corpus = pipe.corpus(Suite::Snort);
-        let sim = pipe.simulator_for(Machine::Rap, Suite::Snort);
-        let base = corpus.patterns().cache_key(&sim, None);
-        let with_prune = crate::cache::analysis_key(
-            base,
-            &rap_analyze::AnalyzeOptions::report_only().with_prune(),
-        );
-        let without = crate::cache::analysis_key(base, &rap_analyze::AnalyzeOptions::report_only());
-        assert_ne!(base, with_prune);
-        assert_ne!(with_prune, without);
-    }
-
-    #[test]
     fn warm_pipeline_loads_plans_from_disk_without_compiling() {
         let dir = std::env::temp_dir().join(format!(
             "rap-pipe-store-{}-{:?}",
@@ -768,44 +585,6 @@ mod tests {
             warm_plan.simulate(input).matches,
             cold_plan.simulate(input).matches
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_hit_reruns_bound_stage_when_enabled() {
-        let dir = std::env::temp_dir().join(format!(
-            "rap-pipe-store-bound-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = BenchConfig {
-            patterns_per_suite: 4,
-            input_len: 256,
-            match_rate: 0.02,
-            seed: 3,
-        };
-        let make = || {
-            Pipeline::new(spec)
-                .with_bounds(rap_bound::BoundOptions::bounds_only())
-                .with_store(StoreConfig::at(&dir))
-                .expect("store opens")
-        };
-
-        let cold = make();
-        let corpus = cold.corpus(Suite::Snort);
-        let sim = cold.simulator_for(Machine::Rap, Suite::Snort);
-        cold.plan(&sim, corpus.patterns(), None).expect("plans");
-
-        // Bound analyses are derived, not persisted: a disk hit must
-        // re-attach them by re-running the Bound stage.
-        let warm = make();
-        let plan = warm.plan(&sim, corpus.patterns(), None).expect("plans");
-        assert!(plan.bounds().is_some(), "bounds re-attached on disk hit");
-        let report = warm.report();
-        assert_eq!(report.patterns_compiled, 0);
-        assert!(report.arrays_bounded > 0);
-        assert!(report.stage_secs(Stage::Bound) > 0.0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,14 +6,15 @@
 //! load-bearing properties:
 //!
 //! 1. **Typed stage artifacts.** The flow is a chain of owning types
-//!    ([`PatternSet`] → [`CompiledSet`] → \[[`AnalyzedSet`] →\]
-//!    [`MappedPlan`] → [`VerifiedPlan`] → [`rap_sim::RunResult`]); each
-//!    transition is the only way to obtain the next artifact, so illegal
-//!    orderings — e.g. simulating an unverified plan — are
-//!    unrepresentable at compile time. The bracketed Analyze stage is
-//!    opt-in ([`Pipeline::with_analysis`]): it lints the compiled images
-//!    and, in prune mode, hands the mapper a semantically equivalent but
-//!    smaller automaton.
+//!    ([`PatternSet`] → [`CompiledSet`] → [`MappedPlan`] →
+//!    [`VerifiedPlan`] → [`rap_sim::RunResult`]); each transition is the
+//!    only way to obtain the next artifact, so illegal orderings — e.g.
+//!    simulating an unverified plan — are unrepresentable at compile
+//!    time. Every plan has this one shape. The static analyzers are
+//!    functions over a verified plan's images and placement: `rap_analyze`
+//!    lints (and can prune) the images, `rap_bound` bounds the plan's
+//!    worst case, and [`VerifiedPlan::array_bounds`] keeps the per-array
+//!    bounds admission sums.
 //! 2. **Content-addressed caching.** Verified plans live in a tiered
 //!    [`TieredStore`] keyed by a stable FNV-1a/128 hash of (pattern
 //!    sources, machine, forced mode, `CompilerConfig`, `MapperConfig`):
@@ -68,20 +69,18 @@ pub mod summary;
 pub mod workload;
 
 pub use artifact::{
-    build_plan, build_plan_sim, AnalyzedSet, CompiledSet, MappedPlan, PatternSet, PlanStream,
-    VerifiedPlan,
+    build_plan, build_plan_sim, CompiledSet, MappedPlan, PatternSet, PlanStream, VerifiedPlan,
 };
 pub use cache::{CacheKey, CacheStats, StableHasher};
 pub use driver::{default_workers, par_map, Admission, Pipeline};
 pub use error::EvalError;
 pub use report::{PipelineReport, Stage, STAGES};
 pub use store::{
-    ArtifactTier, DiskStore, DiskTier, MemoryTier, Persist, PersistError, StoreConfig, StoreEntry,
-    TierLoad, TierStats, TieredStore, STORE_FORMAT_VERSION,
+    DiskStore, DiskTier, MemoryTier, Persist, PersistError, StoreConfig, StoreEntry, TierLoad,
+    TierStats, TieredStore, STORE_FORMAT_VERSION,
 };
 pub use summary::RunSummary;
 pub use workload::{corpus_stats, suite_corpus, BenchConfig, SuiteCorpus};
 
 pub use rap_admit::AdmitOptions;
-pub use rap_analyze::{AnalyzeOptions, SoundnessConfig};
 pub use rap_swap::{SwapAnalysis, SwapOptions};

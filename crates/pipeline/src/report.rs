@@ -25,14 +25,10 @@ pub enum Stage {
     Generate,
     /// Regex-to-hardware compilation.
     Compile,
-    /// Static analysis of the compiled images (opt-in, with pruning).
-    Analyze,
     /// Array placement.
     Map,
     /// Static legality verification.
     Verify,
-    /// Static worst-case bound analysis (opt-in).
-    Bound,
     /// Multi-tenant admission analysis (opt-in).
     Admit,
     /// Hot-swap safety analysis and certificate construction (opt-in).
@@ -42,13 +38,11 @@ pub enum Stage {
 }
 
 /// All stages in execution order.
-pub const STAGES: [Stage; 9] = [
+pub const STAGES: [Stage; 7] = [
     Stage::Generate,
     Stage::Compile,
-    Stage::Analyze,
     Stage::Map,
     Stage::Verify,
-    Stage::Bound,
     Stage::Admit,
     Stage::Swap,
     Stage::Simulate,
@@ -67,28 +61,17 @@ impl Stage {
         match self {
             Stage::Generate => "generate",
             Stage::Compile => "compile",
-            Stage::Analyze => "analyze",
             Stage::Map => "map",
             Stage::Verify => "verify",
-            Stage::Bound => "bound",
             Stage::Admit => "admit",
             Stage::Swap => "swap",
             Stage::Simulate => "simulate",
         }
     }
 
+    /// Position in [`STAGES`]: the declaration order.
     fn index(self) -> usize {
-        match self {
-            Stage::Generate => 0,
-            Stage::Compile => 1,
-            Stage::Analyze => 2,
-            Stage::Map => 3,
-            Stage::Verify => 4,
-            Stage::Bound => 5,
-            Stage::Admit => 6,
-            Stage::Swap => 7,
-            Stage::Simulate => 8,
-        }
+        self as usize
     }
 }
 
@@ -102,16 +85,13 @@ impl fmt::Display for Stage {
 /// a telemetry registry, registered once at pipeline construction.
 #[derive(Debug)]
 pub(crate) struct Metrics {
-    stage_ns: [Histogram; 9],
-    bound_arrays: Counter,
-    bound_peak_active: Gauge,
+    stage_ns: [Histogram; STAGES.len()],
     admitted: Counter,
     rejected: Counter,
     swaps_certified: Counter,
     swaps_rejected: Counter,
     patterns: Counter,
     states: Counter,
-    pruned: Counter,
     cells: Counter,
     workers: Gauge,
     grid_ns: Counter,
@@ -141,8 +121,6 @@ impl Metrics {
             stage_ns: STAGES.map(|stage| {
                 registry.histogram("rap_pipeline_stage_ns", &[("stage", stage.name())])
             }),
-            bound_arrays: registry.counter("rap_pipeline_bound_arrays_total", &[]),
-            bound_peak_active: registry.gauge("rap_pipeline_bound_peak_active_states", &[]),
             admitted: registry.counter(
                 "rap_pipeline_compositions_total",
                 &[("verdict", "admitted")],
@@ -157,7 +135,6 @@ impl Metrics {
                 .counter("rap_pipeline_swaps_total", &[("verdict", "rejected")]),
             patterns: registry.counter("rap_pipeline_patterns_compiled_total", &[]),
             states: registry.counter("rap_pipeline_states_compiled_total", &[]),
-            pruned: registry.counter("rap_pipeline_states_pruned_total", &[]),
             cells: registry.counter("rap_pipeline_cells_evaluated_total", &[]),
             workers: registry.gauge("rap_pipeline_grid_workers_max", &[]),
             grid_ns: registry.counter("rap_pipeline_grid_ns_total", &[]),
@@ -188,18 +165,6 @@ impl Metrics {
 
     pub fn add_cell(&self) {
         self.cells.inc();
-    }
-
-    /// Charges states removed by the Analyze stage's pruning.
-    pub fn add_pruned(&self, states: u64) {
-        self.pruned.add(states);
-    }
-
-    /// Charges one Bound-stage run: arrays bounded and the plan's total
-    /// worst-case active-state bound (kept as a high-water mark).
-    pub fn record_bounds(&self, arrays: u64, peak_active: u64) {
-        self.bound_arrays.add(arrays);
-        self.bound_peak_active.set_max(peak_active);
     }
 
     /// Charges one Admit-stage verdict.
@@ -245,7 +210,7 @@ impl Metrics {
             self.store_stale.set(disk.stale);
             self.store_evictions.set(disk.evictions);
         }
-        let mut stage_ns = [0u64; 9];
+        let mut stage_ns = [0u64; STAGES.len()];
         for (out, hist) in stage_ns.iter_mut().zip(&self.stage_ns) {
             *out = hist.sum();
         }
@@ -256,9 +221,6 @@ impl Metrics {
             corpus_cache,
             patterns_compiled: self.patterns.get(),
             states_compiled: self.states.get(),
-            states_pruned: self.pruned.get(),
-            arrays_bounded: self.bound_arrays.get(),
-            peak_active_bound: self.bound_peak_active.get(),
             compositions_admitted: self.admitted.get(),
             compositions_rejected: self.rejected.get(),
             swaps_certified: self.swaps_certified.get(),
@@ -275,7 +237,7 @@ impl Metrics {
 pub struct PipelineReport {
     /// Cumulative wall-clock nanoseconds per stage, summed across workers
     /// (parallel stage time can exceed elapsed real time).
-    pub stage_ns: [u64; 9],
+    pub stage_ns: [u64; STAGES.len()],
     /// Verified-plan memory-tier hits/misses. Without a disk store, a
     /// miss is a distinct compile; with one, disk hits answer some misses
     /// without compiling (see [`PipelineReport::disk_store`]).
@@ -289,13 +251,6 @@ pub struct PipelineReport {
     pub patterns_compiled: u64,
     /// Hardware states produced by those compiles.
     pub states_compiled: u64,
-    /// States the Analyze stage's pruning removed from those compiles.
-    pub states_pruned: u64,
-    /// Arrays the Bound stage computed worst-case bounds for (0 when the
-    /// stage is not enabled).
-    pub arrays_bounded: u64,
-    /// Largest per-plan total worst-case active-state bound seen.
-    pub peak_active_bound: u64,
     /// Multi-tenant compositions the Admit stage certified.
     pub compositions_admitted: u64,
     /// Multi-tenant compositions the Admit stage rejected.
@@ -350,16 +305,9 @@ impl fmt::Display for PipelineReport {
         )?;
         writeln!(
             f,
-            "  compiled     : {} patterns -> {} states ({} pruned by analysis)",
-            self.patterns_compiled, self.states_compiled, self.states_pruned
+            "  compiled     : {} patterns -> {} states",
+            self.patterns_compiled, self.states_compiled
         )?;
-        if self.arrays_bounded > 0 {
-            writeln!(
-                f,
-                "  bounds       : {} arrays bounded (peak active-state bound {})",
-                self.arrays_bounded, self.peak_active_bound
-            )?;
-        }
         if self.compositions_admitted + self.compositions_rejected > 0 {
             writeln!(
                 f,

@@ -1,11 +1,10 @@
 //! Tiered, persistent, content-addressed artifact store.
 //!
-//! The plan cache used to be a single in-memory map that died with the
-//! process; this module generalizes it into an [`ArtifactTier`] stack:
+//! Two tiers hold the artifacts:
 //!
-//! - [`MemoryTier`] — the existing two-level map (outer key → per-key
-//!   build cell, inner cell lock serializing construction), unchanged in
-//!   behaviour: racing workers on one key build exactly once.
+//! - [`MemoryTier`] — a two-level map (outer key → per-key build cell,
+//!   inner cell lock serializing construction): racing workers on one
+//!   key build exactly once.
 //! - [`DiskTier`] — a content-addressed directory of files named by
 //!   [`CacheKey`] (`<032x-key>.rap`), each carrying a versioned header
 //!   and an FNV-1a/128 payload checksum ([`DiskStore`] is the raw
@@ -136,7 +135,7 @@ impl TierCounters {
     }
 }
 
-/// Outcome of probing one tier.
+/// Outcome of probing the disk tier.
 #[derive(Debug)]
 pub enum TierLoad<T> {
     /// The tier held a usable artifact.
@@ -149,26 +148,11 @@ pub enum TierLoad<T> {
     Corrupt,
 }
 
-/// One storage level of the tiered artifact store.
-pub trait ArtifactTier<T>: fmt::Debug + Send + Sync {
-    /// Short tier name for reports ("memory", "disk").
-    fn name(&self) -> &'static str;
-
-    /// Probes the tier for `key`.
-    fn load(&self, key: CacheKey) -> TierLoad<T>;
-
-    /// Writes an artifact into the tier (best-effort; tiers may evict).
-    fn store(&self, key: CacheKey, artifact: &Arc<T>);
-
-    /// Running counters.
-    fn stats(&self) -> TierStats;
-}
-
 // ---------------------------------------------------------------------------
 // Memory tier
 // ---------------------------------------------------------------------------
 
-/// The in-memory tier: the original two-level content-addressed map.
+/// The in-memory tier: a two-level content-addressed map.
 ///
 /// An outer lock resolves the key to a per-key build cell, and the
 /// cell's own lock serializes construction, so two workers racing on the
@@ -233,41 +217,9 @@ impl<T> MemoryTier<T> {
         self.len() == 0
     }
 
-    /// Running counters (also available through [`ArtifactTier::stats`]).
+    /// Running counters.
     pub fn stats(&self) -> TierStats {
         self.counters.snapshot()
-    }
-}
-
-impl<T: Send + Sync + fmt::Debug> ArtifactTier<T> for MemoryTier<T> {
-    fn name(&self) -> &'static str {
-        "memory"
-    }
-
-    fn load(&self, key: CacheKey) -> TierLoad<T> {
-        let cell = self.cell(key);
-        let slot = cell.slot.lock().expect("cell lock poisoned");
-        match slot.as_ref() {
-            Some(artifact) => {
-                self.record_hit();
-                TierLoad::Hit(Arc::clone(artifact))
-            }
-            None => {
-                self.record_miss();
-                TierLoad::Miss
-            }
-        }
-    }
-
-    fn store(&self, key: CacheKey, artifact: &Arc<T>) {
-        let cell = self.cell(key);
-        let mut slot = cell.slot.lock().expect("cell lock poisoned");
-        *slot = Some(Arc::clone(artifact));
-        self.record_write();
-    }
-
-    fn stats(&self) -> TierStats {
-        MemoryTier::stats(self)
     }
 }
 
@@ -712,14 +664,16 @@ impl<T> DiskTier<T> {
     pub fn disk(&self) -> &DiskStore {
         &self.store
     }
+
+    /// Running counters.
+    pub fn stats(&self) -> TierStats {
+        self.store.stats()
+    }
 }
 
-impl<T: Persist + Send + Sync + fmt::Debug> ArtifactTier<T> for DiskTier<T> {
-    fn name(&self) -> &'static str {
-        "disk"
-    }
-
-    fn load(&self, key: CacheKey) -> TierLoad<T> {
+impl<T: Persist> DiskTier<T> {
+    /// Probes the tier for `key`, decoding and re-validating the payload.
+    pub fn load(&self, key: CacheKey) -> TierLoad<T> {
         match self.store.load(key) {
             None => TierLoad::Miss,
             Some(payload) => match T::from_payload(&payload) {
@@ -734,12 +688,10 @@ impl<T: Persist + Send + Sync + fmt::Debug> ArtifactTier<T> for DiskTier<T> {
         }
     }
 
-    fn store(&self, key: CacheKey, artifact: &Arc<T>) {
+    /// Writes an artifact into the tier (best-effort; the size budget may
+    /// evict it).
+    pub fn store(&self, key: CacheKey, artifact: &Arc<T>) {
         self.store.store(key, &artifact.to_payload());
-    }
-
-    fn stats(&self) -> TierStats {
-        self.store.stats()
     }
 }
 
@@ -750,13 +702,12 @@ impl<T: Persist + Send + Sync + fmt::Debug> ArtifactTier<T> for DiskTier<T> {
 /// The tiered artifact store: memory in front, optional disk behind.
 ///
 /// Lookup order on [`TieredStore::get_or_build`]: memory → disk →
-/// build. Disk hits are rehydrated (the caller re-attaches anything
-/// that is deliberately not persisted, e.g. bound analyses) and
-/// backfilled into memory; builds are written through to disk.
+/// build. Disk hits are backfilled into memory; builds are written
+/// through to disk.
 #[derive(Debug)]
 pub struct TieredStore<T> {
     memory: MemoryTier<T>,
-    disk: Option<Box<dyn ArtifactTier<T>>>,
+    disk: Option<DiskTier<T>>,
 }
 
 impl<T> Default for TieredStore<T> {
@@ -766,7 +717,7 @@ impl<T> Default for TieredStore<T> {
 }
 
 impl<T> TieredStore<T> {
-    /// A memory-only store (the pre-refactor behaviour).
+    /// A memory-only store.
     pub fn new() -> TieredStore<T> {
         TieredStore {
             memory: MemoryTier::new(),
@@ -774,9 +725,9 @@ impl<T> TieredStore<T> {
         }
     }
 
-    /// Attaches a lower tier probed on memory misses.
+    /// Attaches a disk tier probed on memory misses.
     #[must_use]
-    pub fn with_disk(mut self, tier: Box<dyn ArtifactTier<T>>) -> TieredStore<T> {
+    pub fn with_disk(mut self, tier: DiskTier<T>) -> TieredStore<T> {
         self.disk = Some(tier);
         self
     }
@@ -804,7 +755,7 @@ impl<T> TieredStore<T> {
 
     /// Disk-tier counters, when a disk tier is attached.
     pub fn disk_stats(&self) -> Option<TierStats> {
-        self.disk.as_deref().map(ArtifactTier::stats)
+        self.disk.as_ref().map(DiskTier::stats)
     }
 
     /// Number of distinct keys built or loaded into memory.
@@ -816,10 +767,11 @@ impl<T> TieredStore<T> {
     pub fn is_empty(&self) -> bool {
         self.memory.is_empty()
     }
+}
 
-    /// Returns the artifact for `key`: from memory, else from disk
-    /// (passed through `rehydrate`), else by running `build` (written
-    /// through to disk).
+impl<T: Persist> TieredStore<T> {
+    /// Returns the artifact for `key`: from memory, else from disk, else
+    /// by running `build` (written through to disk).
     ///
     /// Concurrent callers with the same key resolve once — the losers
     /// wait on the per-key cell and receive the winner's artifact,
@@ -832,7 +784,6 @@ impl<T> TieredStore<T> {
     pub fn get_or_build<E>(
         &self,
         key: CacheKey,
-        rehydrate: impl FnOnce(Arc<T>) -> Arc<T>,
         build: impl FnOnce() -> Result<T, E>,
     ) -> Result<Arc<T>, E> {
         let cell = self.memory.cell(key);
@@ -843,9 +794,8 @@ impl<T> TieredStore<T> {
         }
         self.memory.record_miss();
 
-        if let Some(disk) = self.disk.as_deref() {
+        if let Some(disk) = &self.disk {
             if let TierLoad::Hit(artifact) = disk.load(key) {
-                let artifact = rehydrate(artifact);
                 *slot = Some(Arc::clone(&artifact));
                 self.memory.record_write();
                 return Ok(artifact);
@@ -855,7 +805,7 @@ impl<T> TieredStore<T> {
         let artifact = Arc::new(build()?);
         *slot = Some(Arc::clone(&artifact));
         self.memory.record_write();
-        if let Some(disk) = self.disk.as_deref() {
+        if let Some(disk) = &self.disk {
             disk.store(key, &artifact);
         }
         Ok(artifact)
@@ -890,15 +840,9 @@ mod tests {
     fn memory_store_builds_once_per_key() {
         let store: TieredStore<u32> = TieredStore::new();
         let key = CacheKey(7);
-        let a = store
-            .get_or_build(key, |a| a, || Ok::<_, ()>(41))
-            .expect("builds");
+        let a = store.get_or_build(key, || Ok::<_, ()>(41)).expect("builds");
         let b = store
-            .get_or_build(
-                key,
-                |a| a,
-                || -> Result<u32, ()> { panic!("must not rebuild") },
-            )
+            .get_or_build(key, || -> Result<u32, ()> { panic!("must not rebuild") })
             .expect("cached");
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(store.stats(), CacheStats { hits: 1, misses: 1 });
@@ -909,12 +853,8 @@ mod tests {
     fn failed_builds_are_retried() {
         let store: TieredStore<u32> = TieredStore::new();
         let key = CacheKey(9);
-        assert!(store
-            .get_or_build(key, |a| a, || Err::<u32, _>("boom"))
-            .is_err());
-        let v = store
-            .get_or_build(key, |a| a, || Ok::<_, ()>(5))
-            .expect("builds");
+        assert!(store.get_or_build(key, || Err::<u32, _>("boom")).is_err());
+        let v = store.get_or_build(key, || Ok::<_, ()>(5)).expect("builds");
         assert_eq!(*v, 5);
         assert_eq!(store.stats(), CacheStats { hits: 0, misses: 2 });
     }
@@ -924,34 +864,28 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let key = CacheKey(0xabcdef);
         {
-            let store = TieredStore::new().with_disk(Box::new(
-                DiskTier::<u32>::open(StoreConfig::at(&dir)).unwrap(),
-            ));
+            let store =
+                TieredStore::new().with_disk(DiskTier::<u32>::open(StoreConfig::at(&dir)).unwrap());
             let v = store
-                .get_or_build(key, |a| a, || Ok::<_, ()>(1234))
+                .get_or_build(key, || Ok::<_, ()>(1234))
                 .expect("builds");
             assert_eq!(*v, 1234);
             let disk = store.disk_stats().unwrap();
             assert_eq!((disk.hits, disk.misses, disk.writes), (0, 1, 1));
         }
         // A fresh process-alike store must answer from disk, not build.
-        let store = TieredStore::new().with_disk(Box::new(
-            DiskTier::<u32>::open(StoreConfig::at(&dir)).unwrap(),
-        ));
+        let store =
+            TieredStore::new().with_disk(DiskTier::<u32>::open(StoreConfig::at(&dir)).unwrap());
         let v = store
-            .get_or_build(
-                key,
-                |a| a,
-                || -> Result<u32, ()> { panic!("warm start must not rebuild") },
-            )
+            .get_or_build(key, || -> Result<u32, ()> {
+                panic!("warm start must not rebuild")
+            })
             .expect("loads");
         assert_eq!(*v, 1234);
         let disk = store.disk_stats().unwrap();
         assert_eq!((disk.hits, disk.misses), (1, 0));
         // Backfilled: second lookup is a memory hit, disk untouched.
-        store
-            .get_or_build(key, |a| a, || Ok::<_, ()>(0))
-            .expect("memory");
+        store.get_or_build(key, || Ok::<_, ()>(0)).expect("memory");
         assert_eq!(store.disk_stats().unwrap().hits, 1);
         assert_eq!(store.stats().hits, 1);
         let _ = fs::remove_dir_all(&dir);

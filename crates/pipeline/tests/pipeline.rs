@@ -13,8 +13,8 @@ use rap_circuit::Machine;
 use rap_compiler::Mode;
 use rap_mapper::{ArrayKind, Mapping};
 use rap_pipeline::{
-    build_plan, ArtifactTier, BenchConfig, CacheKey, DiskTier, EvalError, MappedPlan, PatternSet,
-    Persist, Pipeline, RunSummary, StoreConfig, TierLoad, VerifiedPlan,
+    build_plan, BenchConfig, CacheKey, DiskTier, EvalError, MappedPlan, PatternSet, Persist,
+    Pipeline, RunSummary, StoreConfig, TierLoad, VerifiedPlan,
 };
 use rap_sim::{RunResult, Simulator};
 use rap_workloads::Suite;
@@ -147,7 +147,8 @@ fn corrupt_one_tile(mapping: &mut Mapping, victim: usize) -> bool {
 /// A payload whose framing and checksum are valid but whose mapping is
 /// semantically illegal must be rejected by the disk tier *through the
 /// verify gate* — counted as corrupt and discarded, never a panic and
-/// never a trusted plan.
+/// never a trusted plan. Two tamperings: a placement on a tile no array
+/// has, and a buffer geometry the bank cannot build (a zero-entry FIFO).
 #[test]
 fn semantically_tampered_payload_is_rejected_through_verify() {
     let dir = std::env::temp_dir().join(format!(
@@ -160,43 +161,54 @@ fn semantically_tampered_payload_is_rejected_through_verify() {
     let sim = Simulator::new(Machine::Rap);
     let pats = PatternSet::parse(&["a.*z".to_string()]).expect("parses");
     let compiled = pats.compile(&sim, None).expect("compiles");
-    let mut mapping = sim.map(compiled.images());
-    assert!(corrupt_one_tile(&mut mapping, 0), "plan has a placement");
-    assert!(
-        MappedPlan::from_parts(compiled.clone(), mapping.clone())
-            .verify()
-            .is_err(),
-        "the tampered mapping must be illegal"
-    );
-
-    // Encode exactly the way `Persist` does, so the header, framing, and
-    // checksum the store writes are all valid — only the *meaning* is bad.
-    let mut e = serde::bin::Encoder::new();
-    compiled.serialize(&mut e);
-    mapping.serialize(&mut e);
-    let payload = e.into_bytes();
-
+    let tamperings: [fn(&mut Mapping); 2] = [
+        |mapping| assert!(corrupt_one_tile(mapping, 0), "plan has a placement"),
+        |mapping| mapping.config.arch.bank_output_entries = 0,
+    ];
     let tier = DiskTier::<VerifiedPlan>::open(StoreConfig::at(&dir)).expect("store opens");
-    let key = CacheKey(0xDEAD_BEEF);
-    tier.disk().store(key, &payload);
-    assert!(
-        tier.disk().load(key).is_some(),
-        "the raw bytes pass the integrity check"
-    );
+    for (i, tamper) in tamperings.into_iter().enumerate() {
+        let mut mapping = sim.map(compiled.images());
+        tamper(&mut mapping);
+        assert!(
+            MappedPlan::from_parts(compiled.clone(), mapping.clone())
+                .verify()
+                .is_err(),
+            "the tampered mapping must be illegal"
+        );
 
-    assert!(
-        matches!(tier.load(key), TierLoad::Corrupt),
-        "the typed load must reject the plan through Verify"
-    );
-    assert_eq!(tier.disk().stats().corrupt, 1, "counted as corrupt");
-    assert!(
-        !tier.disk().path_for(key).exists(),
-        "the poisoned entry is discarded"
-    );
-    assert!(
-        matches!(tier.load(key), TierLoad::Miss),
-        "subsequent loads are plain misses"
-    );
+        // Encode exactly the way `Persist` does, so the header, framing,
+        // and checksum the store writes are all valid — only the
+        // *meaning* is bad.
+        let mut e = serde::bin::Encoder::new();
+        compiled.serialize(&mut e);
+        mapping.serialize(&mut e);
+        let payload = e.into_bytes();
+
+        let key = CacheKey(0xDEAD_BEEF + i as u128);
+        tier.disk().store(key, &payload);
+        assert!(
+            tier.disk().load(key).is_some(),
+            "the raw bytes pass the integrity check"
+        );
+
+        assert!(
+            matches!(tier.load(key), TierLoad::Corrupt),
+            "the typed load must reject the plan through Verify"
+        );
+        assert_eq!(
+            tier.disk().stats().corrupt,
+            i as u64 + 1,
+            "counted as corrupt"
+        );
+        assert!(
+            !tier.disk().path_for(key).exists(),
+            "the poisoned entry is discarded"
+        );
+        assert!(
+            matches!(tier.load(key), TierLoad::Miss),
+            "subsequent loads are plain misses"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -292,9 +304,8 @@ fn lowered_images_are_built_once_and_never_persisted() {
 
 /// A verified plan's per-array bounds are derived by the first
 /// `array_bounds()` call, never by `verify()`; later calls and the plan's
-/// clones reuse them. They equal the full bound analysis's arrays, the
-/// Bound stage's arrays are returned as they are when it ran, and a plan
-/// reloaded from the disk store derives equal bounds again.
+/// clones reuse them. They equal the full bound analysis's arrays, and a
+/// plan reloaded from the disk store derives equal bounds again.
 #[test]
 fn array_bounds_are_built_once_and_never_persisted() {
     let dir = std::env::temp_dir().join(format!(
@@ -344,19 +355,7 @@ fn array_bounds_are_built_once_and_never_persisted() {
             unbounded.cached_array_bounds().is_none(),
             "a clone taken earlier derives its own"
         );
-
-        let staged = unbounded.bound(corpus.patterns().parsed(), &BoundOptions::bounds_only());
-        let stage_arrays = staged
-            .bounds()
-            .expect("the Bound stage ran")
-            .arrays
-            .as_slice();
-        assert!(
-            std::ptr::eq(staged.array_bounds(), stage_arrays),
-            "the Bound stage's arrays are returned as they are"
-        );
-        assert!(staged.cached_array_bounds().is_none());
-        assert_eq!(stage_arrays, full.arrays.as_slice());
+        assert_eq!(unbounded.array_bounds(), full.arrays.as_slice());
 
         let key = CacheKey(i as u128 + 1);
         tier.store(key, &Arc::new(plan));

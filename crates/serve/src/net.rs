@@ -50,7 +50,7 @@ pub const OP_ACK: u8 = 0x84;
 /// Server→client: drain complete; the connection closes next.
 pub const OP_BYE: u8 = 0x85;
 
-/// Frame size cap: rejects runaway length prefixes before allocating.
+/// Frame size cap: rejects runaway length prefixes before reading them.
 const MAX_FRAME: usize = 64 << 20;
 
 pub(crate) fn write_frame(w: &mut impl Write, op: u8, payload: &[u8]) -> std::io::Result<()> {
@@ -60,6 +60,8 @@ pub(crate) fn write_frame(w: &mut impl Write, op: u8, payload: &[u8]) -> std::io
     w.flush()
 }
 
+/// Reads one frame. The payload buffer grows as its bytes arrive, so a
+/// length prefix costs no memory its sender has not sent.
 pub(crate) fn read_frame(r: &mut impl Read) -> std::io::Result<(u8, Vec<u8>)> {
     let mut header = [0u8; 5];
     r.read_exact(&mut header)?;
@@ -70,8 +72,14 @@ pub(crate) fn read_frame(r: &mut impl Read) -> std::io::Result<(u8, Vec<u8>)> {
             "frame over size cap",
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    r.by_ref().take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "frame shorter than its length prefix",
+        ));
+    }
     Ok((header[0], payload))
 }
 
@@ -389,5 +397,64 @@ impl Client {
         let events = decode_events(&payload);
         let _ = read_frame(&mut self.stream); // BYE
         Ok(events)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::ErrorKind;
+
+    /// Serves `data` and then end-of-stream, recording the largest buffer
+    /// a read asks it to fill.
+    struct Recording<'a> {
+        data: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            let n = buf.len().min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_hostile_length_prefix_allocates_only_what_arrives() {
+        let mut wire = vec![OP_CHUNK];
+        wire.extend_from_slice(&(MAX_FRAME as u32).to_be_bytes());
+        wire.extend_from_slice(&[7; 16]);
+        let mut reader = Recording {
+            data: &wire,
+            largest: 0,
+        };
+        let error = read_frame(&mut reader).expect_err("a short frame is an error");
+        assert_eq!(error.kind(), ErrorKind::UnexpectedEof);
+        assert!(
+            reader.largest <= 4096,
+            "a read asked for {} bytes",
+            reader.largest
+        );
+    }
+
+    #[test]
+    fn frames_round_trip_and_oversized_prefixes_are_refused() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, OP_CHUNK, b"hello").expect("writes");
+        write_frame(&mut wire, OP_FINISH, &[]).expect("writes");
+        let mut r = wire.as_slice();
+        assert_eq!(
+            read_frame(&mut r).expect("reads"),
+            (OP_CHUNK, b"hello".to_vec())
+        );
+        assert_eq!(read_frame(&mut r).expect("reads"), (OP_FINISH, Vec::new()));
+
+        let mut over = vec![OP_CHUNK];
+        over.extend_from_slice(&(MAX_FRAME as u32 + 1).to_be_bytes());
+        let error = read_frame(&mut over.as_slice()).expect_err("over the cap");
+        assert_eq!(error.kind(), ErrorKind::InvalidData);
     }
 }

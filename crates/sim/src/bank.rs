@@ -16,6 +16,10 @@
 //!   output buffer**; when it fills, an interrupt asks the host CPU to
 //!   collect the reports (§3.3).
 //!
+//! Those sizes are the default geometry. A run sizes every buffer from
+//! the `ArchConfig` the plan was mapped for, the same geometry the static
+//! bank bounds and admission read.
+//!
 //! The result carries the same [`RunResult`] as the batch path (byte-
 //! identical matches) plus [`BankStats`] — stalls, starvation, buffer
 //! occupancy, interrupts — for studying the buffering itself.
@@ -40,7 +44,6 @@ use crate::array::Array;
 use crate::result::{MatchEvent, RunResult};
 use crate::{BankMetrics, Lowered};
 use rap_arch::buffers::Fifo;
-use rap_arch::config::ArchConfig;
 use rap_circuit::energy::Category;
 use rap_circuit::{EnergyMeter, Machine, Metrics};
 use rap_compiler::Compiled;
@@ -146,7 +149,7 @@ impl StreamRun {
 
     fn open(lowered: Arc<Lowered>, compiled: &[Compiled], trace: Option<Trace>) -> StreamRun {
         lowered.check(compiled);
-        let arch = ArchConfig::default();
+        let arch = lowered.arch;
         let lanes = lowered
             .arrays
             .iter()
@@ -591,6 +594,29 @@ mod tests {
             stats.output_interrupts > 0,
             "expected interrupts: {stats:?}"
         );
+    }
+
+    #[test]
+    fn oversized_buffer_geometry_streams_like_the_batch_path() {
+        // The bank sizes its buffers from the plan's mapped geometry; one
+        // that claims every buffer at its largest must cost only what is
+        // actually buffered, and match exactly like the batch path.
+        let mut sim = Simulator::new(Machine::Rap);
+        for arch in [&mut sim.compiler.arch, &mut sim.mapper.arch] {
+            arch.bank_input_entries = u32::MAX;
+            arch.array_input_entries = u32::MAX;
+            arch.bank_output_entries = u32::MAX;
+            arch.array_output_entries = u32::MAX;
+        }
+        let compiled = sim
+            .compile(&regexes(&["ab{10,30}c", "hello"]))
+            .expect("compiles");
+        let mapping = sim.map(&compiled);
+        let input = b"hello abbbbbbbbbbbbc ".repeat(20);
+        let batch = sim.simulate(&compiled, &mapping, &input);
+        let (streaming, stats) = simulate_streaming(&compiled, &mapping, &input, Machine::Rap);
+        assert_eq!(streaming.matches, batch.matches);
+        assert_eq!(stats.output_interrupts, 0, "{stats:?}");
     }
 
     #[test]

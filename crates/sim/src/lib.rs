@@ -38,6 +38,7 @@ pub use reconfig::{extract_arrays, simulate_hot_swap, Extraction, HotSwapRun};
 pub use replicate::{max_match_span, simulate_replicated, ReplicatedRun};
 pub use result::{MatchEvent, RunResult};
 
+use rap_arch::config::ArchConfig;
 use rap_circuit::energy::Category;
 use rap_circuit::{EnergyMeter, Machine, Metrics};
 use rap_compiler::{CompileError, Compiled, Compiler, CompilerConfig, Mode};
@@ -343,6 +344,9 @@ pub(crate) fn debug_assert_verified(compiled: &[Compiled], mapping: &Mapping) {
 /// them, so every run is handed the images the plan was built from.
 pub struct Lowered {
     machine: Machine,
+    /// The architecture the plan was mapped for: a streaming run sizes
+    /// its bank window and FIFOs from its buffer geometry.
+    arch: ArchConfig,
     cost: CostModel,
     /// Patterns in the plan (checked against every run's images).
     patterns: usize,
@@ -360,6 +364,7 @@ impl Lowered {
         let cost = CostModel::for_machine(machine);
         Lowered {
             machine,
+            arch: mapping.config.arch,
             cost,
             patterns: compiled.len(),
             area_mm2: cost.area_mm2(mapping),

@@ -56,9 +56,11 @@ pub enum Rule {
     CcEncoding,
     /// `V010-array-overflow`: `tiles_used` ≤ `tiles_per_array`.
     ArrayOverflow,
-    /// `V011-config-mismatch`: (warning) the mapping was produced for a
-    /// different `ArchConfig` than the one being verified against, or its
-    /// bin-size knob exceeds `max_bin_size`.
+    /// `V011-config-mismatch`: (error) the mapping's buffer geometry has
+    /// a zero-entry bank window or FIFO, which the bank cannot build;
+    /// (warning) the mapping was produced for a different `ArchConfig`
+    /// than the one being verified against, or its bin-size knob exceeds
+    /// `max_bin_size`.
     ConfigMismatch,
     /// `V012-low-utilization`: (info) an array occupies under 2% of its
     /// allocated columns while spanning several tiles.

@@ -59,9 +59,27 @@ impl Checker<'_> {
     }
 
     /// V011: the plan must have been produced for the architecture it is
-    /// verified against.
+    /// verified against, and the bank must be able to build the buffer
+    /// geometry the plan was mapped for: a streaming run sizes its FIFOs
+    /// and its ping-pong window from it, and a zero-entry buffer never
+    /// moves a byte or a report.
     fn check_config(&mut self) {
         let cfg = &self.mapping.config;
+        let buffers = [
+            ("bank_input_entries", cfg.arch.bank_input_entries),
+            ("array_input_entries", cfg.arch.array_input_entries),
+            ("bank_output_entries", cfg.arch.bank_output_entries),
+            ("array_output_entries", cfg.arch.array_output_entries),
+        ];
+        for (field, entries) in buffers {
+            if entries == 0 {
+                self.error(
+                    Rule::ConfigMismatch,
+                    Location::default(),
+                    format!("mapped buffer geometry has {field} = 0: the bank cannot build it"),
+                );
+            }
+        }
         if cfg.arch != *self.arch {
             self.warn(
                 Rule::ConfigMismatch,

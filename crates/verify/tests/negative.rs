@@ -165,6 +165,26 @@ fn v011_arch_mismatch_warns() {
 }
 
 #[test]
+fn v011_unbuildable_bank_geometry_is_an_error() {
+    let zeroings: [fn(&mut ArchConfig); 4] = [
+        |a| a.bank_input_entries = 0,
+        |a| a.array_input_entries = 0,
+        |a| a.bank_output_entries = 0,
+        |a| a.array_output_entries = 0,
+    ];
+    for zero in zeroings {
+        let (compiled, mut mapping, _) = setup(&["a.*b"]);
+        zero(&mut mapping.config.arch);
+        let arch = mapping.config.arch;
+        let report = verify(&compiled, &mapping, &arch);
+        assert!(!report.is_legal(), "{report}");
+        let hits = report.by_rule(Rule::ConfigMismatch);
+        assert_eq!(hits.len(), 1, "{report}");
+        assert_eq!(hits[0].severity, Severity::Error);
+    }
+}
+
+#[test]
 fn v012_low_utilization_info() {
     let (compiled, mut mapping, arch) = setup(&["a.*b"]);
     // Claim the whole array while occupying a handful of columns: legal,

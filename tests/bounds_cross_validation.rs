@@ -4,7 +4,8 @@
 //! certified static bounds. The bounds are computed without ever running
 //! the automata, so any violation here is a soundness bug in rap-bound.
 
-use rap::bound::{analyze_bounds, array_bounds, BoundAnalysis, BoundOptions};
+use rap::arch::config::ArchConfig;
+use rap::bound::{analyze_bounds, array_bounds, BankBound, BoundAnalysis, BoundOptions};
 use rap::telemetry::{Telemetry, TelemetryConfig};
 use rap::workloads::{generate_input, generate_patterns, Suite};
 use rap::{Machine, Simulator};
@@ -136,4 +137,49 @@ fn array_bounds_equal_the_full_analysis() {
             );
         }
     }
+}
+
+#[test]
+fn shrunken_bank_geometry_keeps_peaks_within_its_bound() {
+    // A match on every byte through a bank smaller than the default in
+    // every buffer: the run sizes its FIFOs and window from the geometry
+    // the plan was mapped for, so its peaks stay inside the bound that
+    // geometry certifies.
+    let arch = ArchConfig {
+        bank_input_entries: 16,
+        array_input_entries: 2,
+        bank_output_entries: 4,
+        array_output_entries: 1,
+        ..ArchConfig::default()
+    };
+    let mut sim = Simulator::new(Machine::Rap);
+    sim.compiler.arch = arch;
+    sim.mapper.arch = arch;
+    let patterns = [rap::regex::parse_pattern("[ab]").expect("parses")];
+    let images = sim.compile_parsed(&patterns).expect("compiles");
+    let mapping = sim.map_verified(&images).expect("maps legally");
+    let input = b"ab".repeat(500);
+    let (result, stats) = sim.simulate_streaming(&images, &mapping, &input);
+    assert_eq!(result.matches.len(), input.len());
+
+    let bound = BankBound::new(mapping.arrays.len() as u64, &arch);
+    assert!(
+        stats.max_output_fifo_records <= bound.output_fifo_records,
+        "output records {} > bound {}",
+        stats.max_output_fifo_records,
+        bound.output_fifo_records
+    );
+    assert!(
+        stats.max_input_fifo_bytes <= bound.input_fifo_bytes,
+        "input FIFO {} > bound {}",
+        stats.max_input_fifo_bytes,
+        bound.input_fifo_bytes
+    );
+    assert!(
+        stats.max_skew as u64 <= bound.max_skew,
+        "skew {} > bound {}",
+        stats.max_skew,
+        bound.max_skew
+    );
+    assert!(stats.output_interrupts > 0, "{stats:?}");
 }
