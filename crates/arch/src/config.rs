@@ -2,6 +2,14 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Most CAM columns a tile can have: the simulator holds a tile's states
+/// in one 128-bit word.
+pub const MAX_TILE_COLUMNS: u32 = 128;
+
+/// Most tiles an array can have: the simulator holds an array's tiles in
+/// one 64-bit mask.
+pub const MAX_TILES_PER_ARRAY: u32 = 64;
+
 /// An out-of-range BV depth passed to [`ArchConfig::try_bv_columns`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BvDepthError {
@@ -27,9 +35,10 @@ impl std::error::Error for BvDepthError {}
 pub struct ArchConfig {
     /// CAM rows per tile (32).
     pub cam_rows: u32,
-    /// CAM / local-switch columns per tile — the STE capacity (128).
+    /// CAM / local-switch columns per tile — the STE capacity (128, at
+    /// most [`MAX_TILE_COLUMNS`]).
     pub tile_columns: u32,
-    /// Tiles per array (16).
+    /// Tiles per array (16, at most [`MAX_TILES_PER_ARRAY`]).
     pub tiles_per_array: u32,
     /// Arrays per bank (4).
     pub arrays_per_bank: u32,

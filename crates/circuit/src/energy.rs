@@ -91,10 +91,18 @@ impl EnergyMeter {
         self.charged |= 1 << category as u8;
     }
 
-    /// Charges `pj` picojoules to `category` `times` times over, one
-    /// addition per charge, so the subtotal equals that many
-    /// [`EnergyMeter::charge`] calls bit for bit even when `pj` is not
-    /// exactly representable.
+    /// Charges `pj` picojoules to `category` `times` times over. The
+    /// subtotal equals that many [`EnergyMeter::charge`] calls bit for bit,
+    /// even when `pj` is not exactly representable, in time that grows with
+    /// the binades the subtotal crosses, not with `times`.
+    ///
+    /// Inside one binade every value is a multiple of one ulp, so adding
+    /// `pj` rounds to adding `pj`'s nearest whole number of ulps: the same
+    /// number on every addition whose result stays in the binade. When `pj`
+    /// is a rounding tie, the tie goes to the even neighbour, so that
+    /// number settles once one addition has landed in the binade. The
+    /// subtotal therefore jumps to just below the binade's top and crosses
+    /// it with single additions.
     ///
     /// # Panics
     ///
@@ -105,8 +113,28 @@ impl EnergyMeter {
         }
         self.charge(category, pj);
         let subtotal = &mut self.pj[category as usize];
-        for _ in 1..times {
+        let mut left = times - 1;
+        // Whether the last addition started and ended in one binade.
+        let mut settled = false;
+        while left > 0 {
+            let before = subtotal.to_bits();
             *subtotal += pj;
+            left -= 1;
+            let after = subtotal.to_bits();
+            let inside = binade(before) == binade(after);
+            if inside && settled {
+                // This addition started from a settled subtotal: every
+                // later one that stays in the binade adds as many ulps.
+                let ulps = after - before;
+                if ulps == 0 {
+                    break;
+                }
+                let top = (binade(after) + 1) << 52;
+                let jump = ((top - 1 - after) / ulps).min(left);
+                *subtotal = f64::from_bits(after + jump * ulps);
+                left -= jump;
+            }
+            settled = inside;
         }
     }
 
@@ -135,9 +163,18 @@ impl EnergyMeter {
     }
 }
 
+/// The binade of a non-negative `f64`, given by its bits: its exponent
+/// field, with the subnormals folded into the lowest normal binade, whose
+/// ulp they share. Within one binade consecutive values are consecutive
+/// bit patterns.
+fn binade(bits: u64) -> u64 {
+    (bits >> 52).max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn charges_accumulate() {
@@ -166,6 +203,78 @@ mod tests {
             repeated.category_pj(Category::Buffer).to_bits()
         );
         assert_eq!(once, repeated, "zero repeats mark nothing");
+    }
+
+    /// `2^k` for any `k` a double can hold, subnormal powers included.
+    fn pow2(k: i64) -> f64 {
+        if k >= -1022 {
+            f64::from_bits(((k + 1023) as u64) << 52)
+        } else {
+            f64::from_bits(1 << (k + 1074))
+        }
+    }
+
+    /// A starting subtotal: 0, a few ulps below a power of two, or any
+    /// normal value.
+    fn start_subtotal(kind: u64, exponent: u64, mantissa: u64) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => f64::from_bits((exponent << 52) - 1 - mantissa % 8),
+            _ => f64::from_bits((exponent << 52) | mantissa),
+        }
+    }
+
+    /// A charge relative to `start`: 0, a rounding tie (0.5, 1.5 or 2.5
+    /// ulps) in `start`'s binade or the next, a subnormal, a value a few
+    /// binades below `start`, or a decimal the cost models use.
+    fn charge_of(kind: u64, start: f64, shift: u64, mantissa: u64) -> f64 {
+        let exponent = (start.to_bits() >> 52).max(1) as i64;
+        match kind {
+            0 => 0.0,
+            1 => {
+                let half_ulp = exponent - 1076 + (shift / 3 % 2) as i64;
+                (2 * (shift % 3) + 1) as f64 * pow2(half_ulp.max(-1074))
+            }
+            2 => f64::from_bits(1 + mantissa % ((1 << 52) - 1)),
+            3 => {
+                let e = (exponent - 1 - (shift % 60) as i64).max(1) as u64;
+                f64::from_bits((e << 52) | mantissa)
+            }
+            _ => [0.1, 0.2, 0.3, 0.7, 1e-3, 3.3][(mantissa % 6) as usize],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `charge_repeated` equals `times` single charges bit for bit,
+        /// from subtotals of 0, just below a power of two and anywhere,
+        /// with ties, zero, subnormal and small charges.
+        #[test]
+        fn repeated_charges_equal_single_charges_bit_for_bit(
+            start_kind in 0u64..3,
+            exponent in 1u64..1100,
+            start_mantissa in 0u64..(1 << 52),
+            pj_kind in 0u64..5,
+            shift in 0u64..64,
+            pj_mantissa in 0u64..(1 << 52),
+            times in 0u64..=100_000,
+        ) {
+            let start = start_subtotal(start_kind, exponent, start_mantissa);
+            let pj = charge_of(pj_kind, start, shift, pj_mantissa);
+            let (mut single, mut repeated) = (EnergyMeter::new(), EnergyMeter::new());
+            single.charge(Category::Buffer, start);
+            repeated.charge(Category::Buffer, start);
+            for _ in 0..times {
+                single.charge(Category::Buffer, pj);
+            }
+            repeated.charge_repeated(Category::Buffer, pj, times);
+            prop_assert_eq!(
+                single.category_pj(Category::Buffer).to_bits(),
+                repeated.category_pj(Category::Buffer).to_bits(),
+                "start {:e}, pj {:e}, {} times", start, pj, times
+            );
+        }
     }
 
     #[test]

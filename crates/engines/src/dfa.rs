@@ -28,6 +28,7 @@
 use crate::interp::PrefilteredNfa;
 use crate::{normalize, Engine, Hit};
 use rap_automata::nfa::Nfa;
+use rap_regex::charclass::Minterms;
 use rap_regex::{CharClass, Regex};
 use std::collections::HashMap;
 
@@ -40,62 +41,6 @@ const MAX_TABLE_STATES: usize = u16::MAX as usize;
 /// 256); larger folds use a hash map.
 const DENSE_PAIRS: usize = 1 << 19;
 
-/// A partition of the byte alphabet into classes that no character class
-/// splits.
-#[derive(Clone, Debug)]
-struct Alphabet {
-    /// Byte → class.
-    class_of: [u8; 256],
-    /// The smallest member byte of each class.
-    reps: Vec<u8>,
-}
-
-impl Alphabet {
-    /// The minterms of `ccs`: the coarsest partition of the bytes that
-    /// every class in `ccs` respects.
-    fn minterms<'a>(ccs: impl IntoIterator<Item = &'a CharClass>) -> Alphabet {
-        let mut class_of = [0u8; 256];
-        let mut size = vec![256u16];
-        for cc in ccs {
-            let mut inside = vec![0u16; size.len()];
-            for b in cc.iter() {
-                inside[class_of[b as usize] as usize] += 1;
-            }
-            // A class `cc` cuts in two keeps its id outside `cc`; the part
-            // inside gets a fresh one. Class 0 is never fresh.
-            let mut fresh = vec![0u8; size.len()];
-            for c in 0..inside.len() {
-                if inside[c] > 0 && inside[c] < size[c] {
-                    fresh[c] = size.len() as u8;
-                    size[c] -= inside[c];
-                    size.push(inside[c]);
-                }
-            }
-            for b in cc.iter() {
-                let c = class_of[b as usize] as usize;
-                if fresh[c] != 0 {
-                    class_of[b as usize] = fresh[c];
-                }
-            }
-        }
-        let mut reps = vec![0u8; size.len()];
-        for b in (0..=255u8).rev() {
-            reps[class_of[b as usize] as usize] = b;
-        }
-        Alphabet { class_of, reps }
-    }
-
-    /// Number of classes.
-    fn classes(&self) -> usize {
-        self.reps.len()
-    }
-
-    /// Maps `input` to its class string.
-    fn classify(&self, input: &[u8]) -> Vec<u8> {
-        input.iter().map(|&b| self.class_of[b as usize]).collect()
-    }
-}
-
 /// One pattern's subset DFA over its own minterms. State 0 is the empty
 /// active set, where an unanchored run starts.
 #[derive(Debug)]
@@ -104,7 +49,7 @@ struct PatternDfa {
     pattern: u32,
     /// The pattern's distinct character classes.
     ccs: Vec<CharClass>,
-    alphabet: Alphabet,
+    alphabet: Minterms,
     /// `next[state * classes + class]` → state.
     next: Vec<u16>,
     accepting: Vec<bool>,
@@ -119,7 +64,7 @@ impl PatternDfa {
         let mut ccs: Vec<CharClass> = states.iter().map(|s| s.cc).collect();
         ccs.sort_unstable_by_key(|cc| *cc.as_words());
         ccs.dedup();
-        let alphabet = Alphabet::minterms(&ccs);
+        let alphabet = Minterms::of(&ccs);
         let classes = alphabet.classes();
 
         // State sets are bitsets of `words` words; `member[k]` holds the
@@ -275,7 +220,7 @@ impl Product {
     /// The reachable product of this DFA and `dfa` over `alphabet` (a
     /// refinement of `dfa`'s own), or `None` once it needs more than
     /// `max_states` states.
-    fn fold(&self, dfa: &PatternDfa, alphabet: &Alphabet, max_states: usize) -> Option<Product> {
+    fn fold(&self, dfa: &PatternDfa, alphabet: &Minterms, max_states: usize) -> Option<Product> {
         let classes = alphabet.classes();
         let width = dfa.alphabet.classes();
         // Column of each shared class in `dfa`'s table.
@@ -410,7 +355,7 @@ fn walk(tables: &[Table], input: &[u8], classes: usize, out: &mut Vec<Hit>) {
 /// A dense DFA for a multi-pattern union.
 #[derive(Clone, Debug)]
 pub struct Dfa {
-    alphabet: Alphabet,
+    alphabet: Minterms,
     table: Table,
 }
 
@@ -424,7 +369,7 @@ impl Dfa {
             .enumerate()
             .map(|(i, re)| PatternDfa::determinize(&Nfa::from_regex(re), i as u32, max_states))
             .collect::<Option<Vec<_>>>()?;
-        let alphabet = Alphabet::minterms(dfas.iter().flat_map(|d| &d.ccs));
+        let alphabet = Minterms::of(dfas.iter().flat_map(|d| &d.ccs));
         let mut product = Product::empty(alphabet.classes());
         for dfa in &dfas {
             product = product.fold(dfa, &alphabet, max_states)?;
@@ -479,7 +424,7 @@ impl Engine for Dfa {
 #[derive(Clone, Debug)]
 pub struct HybridEngine {
     /// The alphabet every partition's table is laid out over.
-    alphabet: Alphabet,
+    alphabet: Minterms,
     partitions: Vec<Table>,
     dfa_count: usize,
     fallback: PrefilteredNfa,
@@ -521,7 +466,7 @@ impl HybridEngine {
         }
         dfas.sort_by_key(PatternDfa::len);
 
-        let alphabet = Alphabet::minterms(dfas.iter().flat_map(|d| &d.ccs));
+        let alphabet = Minterms::of(dfas.iter().flat_map(|d| &d.ccs));
         let mut partitions = Vec::new();
         let mut open = Product::empty(alphabet.classes());
         for dfa in &dfas {
@@ -643,7 +588,7 @@ mod tests {
     #[test]
     fn minterms_split_overlapping_classes() {
         let ccs = [CharClass::range(b'a', b'f'), CharClass::range(b'd', b'z')];
-        let alphabet = Alphabet::minterms(&ccs);
+        let alphabet = Minterms::of(&ccs);
         // [a-c], [d-f], [g-z] and the rest.
         assert_eq!(alphabet.classes(), 4);
         let class = |b: u8| alphabet.class_of[b as usize];

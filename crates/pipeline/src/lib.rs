@@ -76,8 +76,8 @@ pub use driver::{default_workers, par_map, Admission, Pipeline};
 pub use error::EvalError;
 pub use report::{PipelineReport, Stage, STAGES};
 pub use store::{
-    DiskStore, DiskTier, MemoryTier, Persist, PersistError, StoreConfig, StoreEntry, TierLoad,
-    TierStats, TieredStore, STORE_FORMAT_VERSION,
+    DiskStore, DiskTier, Persist, PersistError, StoreConfig, StoreEntry, TierLoad, TierStats,
+    TieredStore, STORE_FORMAT_VERSION,
 };
 pub use summary::RunSummary;
 pub use workload::{corpus_stats, suite_corpus, BenchConfig, SuiteCorpus};

@@ -2,7 +2,7 @@
 //!
 //! Two tiers hold the artifacts:
 //!
-//! - [`MemoryTier`] — a two-level map (outer key → per-key build cell,
+//! - `MemoryTier` — a two-level map (outer key → per-key build cell,
 //!   inner cell lock serializing construction): racing workers on one
 //!   key build exactly once.
 //! - [`DiskTier`] — a content-addressed directory of files named by
@@ -159,7 +159,7 @@ pub enum TierLoad<T> {
 /// *same* key build the artifact exactly once while workers on
 /// *different* keys build concurrently.
 #[derive(Debug, Default)]
-pub struct MemoryTier<T> {
+pub(crate) struct MemoryTier<T> {
     cells: Mutex<HashMap<CacheKey, Arc<BuildCell<T>>>>,
     counters: TierCounters,
 }
@@ -746,11 +746,6 @@ impl<T> TieredStore<T> {
             hits: memory.hits,
             misses: memory.misses,
         }
-    }
-
-    /// Full memory-tier counters.
-    pub fn memory_stats(&self) -> TierStats {
-        self.memory.stats()
     }
 
     /// Disk-tier counters, when a disk tier is attached.

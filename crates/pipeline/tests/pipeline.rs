@@ -147,8 +147,10 @@ fn corrupt_one_tile(mapping: &mut Mapping, victim: usize) -> bool {
 /// A payload whose framing and checksum are valid but whose mapping is
 /// semantically illegal must be rejected by the disk tier *through the
 /// verify gate* — counted as corrupt and discarded, never a panic and
-/// never a trusted plan. Two tamperings: a placement on a tile no array
-/// has, and a buffer geometry the bank cannot build (a zero-entry FIFO).
+/// never a trusted plan. Four tamperings: a placement on a tile no array
+/// has, a buffer geometry the bank cannot build (a zero-entry FIFO), and
+/// tile geometries the kernels cannot run (256-column tiles, 80-tile
+/// arrays).
 #[test]
 fn semantically_tampered_payload_is_rejected_through_verify() {
     let dir = std::env::temp_dir().join(format!(
@@ -161,9 +163,11 @@ fn semantically_tampered_payload_is_rejected_through_verify() {
     let sim = Simulator::new(Machine::Rap);
     let pats = PatternSet::parse(&["a.*z".to_string()]).expect("parses");
     let compiled = pats.compile(&sim, None).expect("compiles");
-    let tamperings: [fn(&mut Mapping); 2] = [
+    let tamperings: [fn(&mut Mapping); 4] = [
         |mapping| assert!(corrupt_one_tile(mapping, 0), "plan has a placement"),
         |mapping| mapping.config.arch.bank_output_entries = 0,
+        |mapping| mapping.config.arch.tile_columns = 256,
+        |mapping| mapping.config.arch.tiles_per_array = 80,
     ];
     let tier = DiskTier::<VerifiedPlan>::open(StoreConfig::at(&dir)).expect("store opens");
     for (i, tamper) in tamperings.into_iter().enumerate() {

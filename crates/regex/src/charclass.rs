@@ -164,6 +164,18 @@ impl CharClass {
         }
     }
 
+    /// Calls `f` on each member byte, in ascending order, walking only the
+    /// bitmap's set bits.
+    fn for_each_member(&self, mut f: impl FnMut(usize)) {
+        for (word, &bits) in self.words.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                f(word * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+
     /// The raw 4×`u64` bitmap, least-significant symbol first.
     pub fn as_words(&self) -> &[u64; 4] {
         &self.words
@@ -205,6 +217,88 @@ impl Iterator for Iter<'_> {
         }
         self.done = true;
         None
+    }
+}
+
+/// The minterms of a set of character classes: the coarsest partition of
+/// the 256 byte values that every class in the set respects, so each class
+/// is a union of minterms. Automata over the set can step on a byte's
+/// minterm instead of the byte.
+///
+/// # Example
+///
+/// ```
+/// use rap_regex::charclass::Minterms;
+/// use rap_regex::CharClass;
+///
+/// let ccs = [CharClass::range(b'a', b'f'), CharClass::range(b'd', b'z')];
+/// let minterms = Minterms::of(&ccs);
+/// // [a-c], [d-f], [g-z] and the rest.
+/// assert_eq!(minterms.classes(), 4);
+/// assert_eq!(minterms.class_of[usize::from(b'd')], minterms.class_of[usize::from(b'f')]);
+/// ```
+#[derive(Clone, Debug)]
+pub struct Minterms {
+    /// Byte → its minterm.
+    pub class_of: [u8; 256],
+    /// The smallest member byte of each minterm.
+    pub reps: Vec<u8>,
+}
+
+impl Minterms {
+    /// The minterms of `ccs`, in time linear in their total size.
+    pub fn of<'a>(ccs: impl IntoIterator<Item = &'a CharClass>) -> Minterms {
+        let mut class_of = [0u8; 256];
+        // Bytes per minterm; per minterm, the bytes of the class being
+        // applied and the fresh id of the part inside it; the minterms the
+        // class touches.
+        let mut size = vec![256u16];
+        let (mut inside, mut fresh) = ([0u16; 256], [0u8; 256]);
+        let mut touched = Vec::new();
+        for cc in ccs {
+            cc.for_each_member(|b| {
+                let c = usize::from(class_of[b]);
+                if inside[c] == 0 {
+                    touched.push(c);
+                }
+                inside[c] += 1;
+            });
+            // A class `cc` cuts in two keeps its id outside `cc`; the part
+            // inside gets a fresh one, in id order. Minterm 0 is never
+            // fresh.
+            touched.sort_unstable();
+            for &c in &touched {
+                if inside[c] < size[c] {
+                    fresh[c] = size.len() as u8;
+                    size[c] -= inside[c];
+                    size.push(inside[c]);
+                }
+            }
+            cc.for_each_member(|b| {
+                let c = usize::from(class_of[b]);
+                if fresh[c] != 0 {
+                    class_of[b] = fresh[c];
+                }
+            });
+            for c in touched.drain(..) {
+                (inside[c], fresh[c]) = (0, 0);
+            }
+        }
+        let mut reps = vec![0u8; size.len()];
+        for b in (0..=255u8).rev() {
+            reps[usize::from(class_of[usize::from(b)])] = b;
+        }
+        Minterms { class_of, reps }
+    }
+
+    /// Number of minterms.
+    pub fn classes(&self) -> usize {
+        self.reps.len()
+    }
+
+    /// Maps `input` to its minterm string.
+    pub fn classify(&self, input: &[u8]) -> Vec<u8> {
+        input.iter().map(|&b| self.class_of[b as usize]).collect()
     }
 }
 
@@ -286,6 +380,65 @@ fn escape_byte(b: u8) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Byte-at-a-time minterm refinement, numbering minterms as
+    /// [`Minterms::of`] does: a split minterm keeps its id for the bytes
+    /// outside the class, and the bytes inside get fresh ids in id order.
+    fn minterms_by_byte(ccs: &[CharClass]) -> ([u8; 256], usize) {
+        let mut class_of = [0u8; 256];
+        let mut size = vec![256u16];
+        for cc in ccs {
+            let mut inside = vec![0u16; size.len()];
+            for b in cc.iter() {
+                inside[usize::from(class_of[usize::from(b)])] += 1;
+            }
+            let mut fresh = vec![0u8; size.len()];
+            for c in 0..inside.len() {
+                if inside[c] > 0 && inside[c] < size[c] {
+                    fresh[c] = size.len() as u8;
+                    size[c] -= inside[c];
+                    size.push(inside[c]);
+                }
+            }
+            for b in cc.iter() {
+                let c = usize::from(class_of[usize::from(b)]);
+                if fresh[c] != 0 {
+                    class_of[usize::from(b)] = fresh[c];
+                }
+            }
+        }
+        (class_of, size.len())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Minterms equal the byte-at-a-time refinement, ids included, and
+        /// each representative is its minterm's smallest byte.
+        #[test]
+        fn minterms_equal_byte_refinement(
+            classes in prop::collection::vec((any::<u64>(), 0u8..=255, 0u8..=255, 0u8..4), 0..40),
+        ) {
+            let ccs: Vec<CharClass> = classes
+                .iter()
+                .map(|&(bits, lo, hi, kind)| match kind {
+                    0 => CharClass::single(lo),
+                    1 => CharClass::range(lo.min(hi), lo.max(hi)),
+                    2 => CharClass::range(lo.min(hi), lo.max(hi)).complement(),
+                    _ => CharClass::from_bytes((0..64).filter(|i| bits >> i & 1 == 1).map(|i| lo.wrapping_add(i))),
+                })
+                .collect();
+            let minterms = Minterms::of(&ccs);
+            let (class_of, classes) = minterms_by_byte(&ccs);
+            prop_assert_eq!(minterms.class_of, class_of);
+            prop_assert_eq!(minterms.classes(), classes);
+            for (m, &rep) in minterms.reps.iter().enumerate() {
+                prop_assert_eq!(usize::from(minterms.class_of[usize::from(rep)]), m);
+                prop_assert!((0..rep).all(|b| usize::from(minterms.class_of[usize::from(b)]) != m));
+            }
+        }
+    }
 
     #[test]
     fn empty_and_any() {

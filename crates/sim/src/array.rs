@@ -3,41 +3,47 @@
 //!
 //! * The **tile kernel** ([`TileRun`] over a [`TileImage`]) runs NFA and
 //!   NBVA arrays; an NFA array is an NBVA array without bit-vector (BV)
-//!   states. Each tile keeps a 128-bit active word. The CAM search is a
-//!   match column per input byte, one bit per state whose class holds the
-//!   byte, built the first time the byte arrives from the array's distinct
-//!   character classes. State transition ORs the crossbar row of every
-//!   emitting state into the next cycle's candidates: one word for the
-//!   tile's own local crossbar plus one entry per other tile reached
-//!   through the global crossbar. BV states live in a short side list that
-//!   applies the `set1`/`shft`/read actions and starts the
-//!   bit-vector-processing phase, which stalls the array for `depth`
-//!   cycles (or BVAP's fixed latency).
+//!   states. Each tile keeps a 128-bit active word. The CAM search is the
+//!   input byte's match column, one bit per state whose class holds the
+//!   byte. State transition ORs the crossbar row of every emitting state
+//!   into the next cycle's candidates: one word for the tile's own local
+//!   crossbar plus one entry per other tile reached through the global
+//!   crossbar. BV states live in a short side list that applies the
+//!   `set1`/`shft`/read actions and starts the bit-vector-processing
+//!   phase, which stalls the array for `depth` cycles (or BVAP's fixed
+//!   latency).
 //! * The **chain kernel** ([`ChainRun`] over a [`ChainImage`]) runs LNFA
 //!   arrays. Every chain of every bin is packed into one Shift-And
 //!   register, so a cycle is `states = ((states << 1) | starts) &
-//!   label[byte]` over a few words.
+//!   label[byte]`, stepped only over the *live* words: those that hold a
+//!   state, take a carry from the word below, or hold a first state the
+//!   byte starts. Every other word is zero before and after the cycle.
 //!
 //! Each kernel is split in two. The **image** ([`ArrayImage`]) is
 //! everything derived from the plan alone: slot tables, per-tile initial,
-//! final and vector words, the class alphabet, chain positions and the
-//! wake set. It is immutable, built once per plan and shared by every run
-//! of it (see [`crate::Lowered`]). The **run** ([`Array`]) owns what a
-//! stream changes: live words, bit vectors, counters, and the tables
-//! lowered lazily — a crossbar row the first time its state activates, a
-//! match column or Shift-And label the first time its byte arrives. A run
-//! therefore never pays for the edges of states it never visits.
+//! final and vector words, chain positions, the wake set, and the
+//! per-byte-class tables. The 256 byte values are refined by every
+//! character class the array stores into its byte classes (the
+//! mintermized alphabet, as in Mata), and the image keeps one match column
+//! (tile kernel) or Shift-And label (chain kernel) per byte class, plus
+//! the byte → class map. The image is immutable, built once per plan and
+//! shared by every run of it (see [`crate::Lowered`]). The **run**
+//! ([`Array`]) owns what a stream changes: live words, bit vectors,
+//! counters, and the crossbar rows it lowers lazily, the first time their
+//! state activates. A run builds no byte columns, and never pays for the
+//! edges of states it never visits.
 //!
 //! A tile array whose tiles hold no active or live state and no pending
 //! stall is *quiet*. A byte outside its **wake set** (the union of its
 //! initial states' classes) cannot activate anything, so a quiet array
-//! skips the tick: it counts the idle levels and charges the per-cycle
-//! wire and buffer energy, and nothing else. [`run_array`] skips whole
-//! idle runs at once when no probe is attached. The same argument holds
-//! tile by tile: a tick routes only the *busy* tiles (those holding a
-//! state) and searches only those, the tiles they route to, and the tiles
-//! whose initial states the byte wakes; every other tile's words stay
-//! zero and it is counted idle.
+//! skips the tick: it counts the idle levels, and nothing else.
+//! [`run_array`] skips whole idle runs at once when no probe is attached.
+//! The same argument holds tile by tile: a tick routes only the *busy*
+//! tiles (those holding a state) and searches only those, the tiles they
+//! route to, and the tiles whose initial states the byte wakes; every
+//! other tile's words stay zero and it is counted idle. A chain array's
+//! tiles that take no successor sit at their first states' level, which
+//! the run counts in bulk when it settles.
 //!
 //! Energy is charged against the circuit models with activity factors
 //! (active states per tile, cross-tile signals, candidate states) taken
@@ -45,8 +51,12 @@
 //! charges are dyadic rationals, so a run counts how many cycles it spent
 //! at each activity level and charges `count × energy(level)` once, at the
 //! end: every product and sum is exact, hence bit-identical to charging
-//! every cycle. Wire and buffer energies are not dyadic; they are charged
-//! every cycle, in cycle order.
+//! every cycle. Wire energies are not dyadic: a cycle whose signals cross
+//! tiles charges them in cycle order, and a cycle with none charges
+//! nothing (adding +0.0 leaves a subtotal as it is); the category is
+//! marked once, at the end. Every consumed byte adds the same buffer
+//! energy, so a run counts its bytes and adds them at the end with
+//! [`EnergyMeter::charge_repeated`], which repeats the same additions.
 //!
 //! [`run_array`] drives one array over a whole input slice (the batch
 //! `simulate` entry point); the bank-level streaming simulation in
@@ -55,6 +65,7 @@
 
 use crate::cost::CostModel;
 use crate::result::MatchEvent;
+use rap_arch::config::{MAX_TILES_PER_ARRAY, MAX_TILE_COLUMNS};
 use rap_automata::bitvec::BitVec;
 use rap_automata::nbva::{ReadAction, StateKind};
 use rap_automata::StateId;
@@ -62,14 +73,28 @@ use rap_circuit::energy::Category;
 use rap_circuit::{EnergyMeter, Machine};
 use rap_compiler::{Compiled, MatchPath};
 use rap_mapper::{ArrayKind, ArrayPlan, Bin, Placement};
+use rap_regex::charclass::Minterms;
 use rap_regex::CharClass;
 use rap_telemetry::{ProbeEvent, SimProbe};
 use std::collections::BTreeMap;
 use std::mem::{size_of, size_of_val};
 
-/// States per tile word: a tile has 128 columns and every state takes at
-/// least one.
-const TILE_BITS: usize = 128;
+/// States per tile word: a tile has at most [`MAX_TILE_COLUMNS`] columns
+/// and every state takes at least one.
+const TILE_BITS: usize = MAX_TILE_COLUMNS as usize;
+const _: () = assert!(TILE_BITS == u128::BITS as usize);
+
+/// Tiles per array: the kernels keep per-array tile masks in a `u64`.
+const MAX_TILES: usize = MAX_TILES_PER_ARRAY as usize;
+const _: () = assert!(MAX_TILES <= u64::BITS as usize);
+
+/// Shift-And words an LNFA array can need. Its CAM-path bins fill at most
+/// every column of [`MAX_TILES`] tiles, one position per column, and its
+/// switch-path bins overlay the same tiles at two columns per position.
+const MAX_CHAIN_WORDS: usize = 3 * MAX_TILES * TILE_BITS / 2 / 64;
+
+/// A set of Shift-And words, one bit per word.
+type WordMask = [u64; MAX_CHAIN_WORDS / 64];
 
 /// What one array produced: its private cycle count (stalls included), its
 /// match reports, the tile-cycles that were actually powered (gated tiles
@@ -198,10 +223,10 @@ impl Array {
     }
 
     /// Consumes the longest prefix of `input` that a quiet tile array
-    /// ignores (bytes outside its wake set), charging it exactly as that
+    /// ignores (bytes outside its wake set), counting it exactly as that
     /// many ticks would. Returns the prefix length: 0 when the array is
     /// not quiet or is a chain array.
-    fn skip_idle(&mut self, image: &ArrayImage, input: &[u8], meter: &mut EnergyMeter) -> usize {
+    fn skip_idle(&mut self, image: &ArrayImage, input: &[u8]) -> usize {
         match (self, image) {
             (Array::Tile(a), ArrayImage::Tile(i)) if a.quiet() => {
                 let n = input
@@ -209,7 +234,7 @@ impl Array {
                     .position(|&b| i.wake_tiles[usize::from(b)] != 0)
                     .unwrap_or(input.len());
                 if n > 0 {
-                    a.idle_cycles(i, n as u64, meter);
+                    a.idle_cycles(i, n as u64);
                 }
                 n
             }
@@ -301,7 +326,7 @@ pub(crate) fn run_array(
     let mut offset = 0;
     while offset < input.len() {
         if skip {
-            let idle = sim.skip_idle(image, &input[offset..], meter);
+            let idle = sim.skip_idle(image, &input[offset..]);
             if idle > 0 {
                 cycles += idle as u64;
                 offset += idle;
@@ -385,21 +410,42 @@ fn vec_bytes<T>(v: &[T]) -> usize {
     size_of_val(v)
 }
 
-/// The distinct character classes of an array (its shared class alphabet,
-/// as in Mata), each with the storage positions it labels: the image half
-/// of the per-byte tables ([`Columns`]). A class labels few positions, so
-/// they are kept sparse, as `(word, bits)` pairs.
+/// An array's byte classes and their tables. The byte classes are the
+/// [`Minterms`] of every character class the array stores: two bytes share
+/// a class when every stored class holds both or neither (the mintermized
+/// alphabet, as in Mata). Each byte class has one table entry, the storage
+/// positions whose class holds its bytes: a match column in the tile
+/// kernel, a Shift-And label in the chain kernel.
 struct Alphabet<W> {
     /// Words per table entry.
     width: usize,
-    classes: Vec<CharClass>,
-    /// Class `c` labels the positions in `labels[spans[c]..spans[c + 1]]`.
-    spans: Vec<u32>,
-    labels: Vec<(u32, W)>,
+    /// Byte → its class.
+    class_of: [u8; 256],
+    /// Byte classes.
+    classes: usize,
+    /// `width` words per byte class.
+    table: Vec<W>,
+}
+
+impl<W> Alphabet<W> {
+    /// The class of `byte`.
+    fn class(&self, byte: u8) -> usize {
+        usize::from(self.class_of[usize::from(byte)])
+    }
+
+    /// The table entry of byte class `class`.
+    fn entry(&self, class: usize) -> &[W] {
+        &self.table[class * self.width..][..self.width]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.table)
+    }
 }
 
 /// Builds an [`Alphabet`] one labelled position at a time, over dense
-/// masks that [`AlphabetBuilder::finish`] then sparsifies.
+/// per-character-class masks that [`AlphabetBuilder::finish`] then folds
+/// into the byte classes' entries.
 struct AlphabetBuilder<W> {
     width: usize,
     classes: Vec<CharClass>,
@@ -436,74 +482,31 @@ impl<W: Copy + Default + PartialEq + std::ops::BitOrAssign> AlphabetBuilder<W> {
         self.masks[self.last * self.width + word] |= bit;
     }
 
-    /// Keeps each class's nonzero mask words.
-    fn finish(mut self) -> Alphabet<W> {
-        let mut spans = Vec::with_capacity(self.classes.len() + 1);
-        let mut labels = Vec::new();
-        spans.push(0);
-        for class in self.masks.chunks(self.width.max(1)) {
-            for (word, &bits) in class.iter().enumerate() {
+    /// Splits the bytes into the stored classes' minterms and ORs every
+    /// stored class's mask into the entries of the minterms it holds.
+    fn finish(self) -> Alphabet<W> {
+        let minterms = Minterms::of(&self.classes);
+        let width = self.width;
+        let mut table = vec![W::default(); minterms.classes() * width];
+        // A class labels a few tiles' words and holds a few minterms.
+        let mut held = Vec::new();
+        for (cc, mask) in self.classes.iter().zip(self.masks.chunks(width.max(1))) {
+            held.clear();
+            held.extend((0..minterms.classes()).filter(|&m| cc.contains(minterms.reps[m])));
+            for (word, &bits) in mask.iter().enumerate() {
                 if bits != W::default() {
-                    labels.push((word as u32, bits));
-                }
-            }
-            spans.push(labels.len() as u32);
-        }
-        self.classes.shrink_to_fit();
-        labels.shrink_to_fit();
-        Alphabet {
-            width: self.width,
-            classes: self.classes,
-            spans,
-            labels,
-        }
-    }
-}
-
-impl<W> Alphabet<W> {
-    fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.classes) + vec_bytes(&self.spans) + vec_bytes(&self.labels)
-    }
-}
-
-/// The run half of an [`Alphabet`]: one entry per arrived byte (match
-/// columns in the tile kernel, Shift-And labels in the chain kernel),
-/// built and stored the first time the byte arrives.
-struct Columns<W> {
-    /// Per byte: offset of its entry in `table` (`u32::MAX` until the
-    /// byte arrives).
-    offsets: [u32; 256],
-    /// `width` words per arrived byte: the positions whose class holds it.
-    table: Vec<W>,
-}
-
-impl<W: Copy + Default + std::ops::BitOrAssign> Columns<W> {
-    fn new() -> Columns<W> {
-        Columns {
-            offsets: [u32::MAX; 256],
-            table: Vec::new(),
-        }
-    }
-
-    /// Offset of `byte`'s entry in [`Columns::table`]: the positions
-    /// labelled by every class of `alphabet` holding the byte.
-    fn lookup(&mut self, alphabet: &Alphabet<W>, byte: u8) -> usize {
-        if self.offsets[usize::from(byte)] == u32::MAX {
-            let base = self.table.len();
-            self.offsets[usize::from(byte)] =
-                u32::try_from(base).expect("at most 256 entries of one array's width");
-            self.table.resize(base + alphabet.width, W::default());
-            let entry = &mut self.table[base..];
-            for (c, cc) in alphabet.classes.iter().enumerate() {
-                if cc.contains(byte) {
-                    let span = alphabet.spans[c] as usize..alphabet.spans[c + 1] as usize;
-                    for &(word, bits) in &alphabet.labels[span] {
-                        entry[word as usize] |= bits;
+                    for &m in &held {
+                        table[m * width + word] |= bits;
                     }
                 }
             }
         }
-        self.offsets[usize::from(byte)] as usize
+        Alphabet {
+            width,
+            class_of: minterms.class_of,
+            classes: minterms.classes(),
+            table,
+        }
     }
 }
 
@@ -588,7 +591,7 @@ pub(crate) struct TileImage {
     /// Slot of every state, placement after placement.
     state_slot: Vec<u32>,
     vectors: Vec<VectorImage>,
-    /// The CAM's class alphabet over the plain states.
+    /// The CAM: a match column over the plain states per byte class.
     classes: Alphabet<u128>,
     /// Stall cycles per bit-vector phase (`None`: an NFA array).
     stall_per_phase: Option<u64>,
@@ -607,8 +610,8 @@ impl TileImage {
         cost: CostModel,
     ) -> TileImage {
         assert!(
-            tiles <= 64,
-            "tile masks cover at most 64 tiles per array, not {tiles}"
+            tiles <= MAX_TILES,
+            "tile masks cover at most {MAX_TILES} tiles per array, not {tiles}"
         );
         let slots = tiles * TILE_BITS;
         let mut a = TileImage {
@@ -769,8 +772,6 @@ pub(crate) struct TileRun {
     links: Vec<Link>,
     /// The vector of every BV state, in [`TileImage::vectors`] order.
     vectors: Vec<BitVec>,
-    /// The CAM: per-byte match columns over the plain states.
-    columns: Columns<u128>,
     /// Bytes consumed; doubles as the per-cycle report stamp.
     consumed: u64,
     reported: Vec<u64>,
@@ -814,7 +815,6 @@ impl TileRun {
                 .iter()
                 .map(|v| BitVec::zeros(v.width))
                 .collect(),
-            columns: Columns::new(),
             consumed: 0,
             reported: vec![0; image.patterns.len()],
             stall_remaining: 0,
@@ -843,16 +843,13 @@ impl TileRun {
 
     /// Accounts `cycles` ticks of a quiet array on bytes outside its wake
     /// set, exactly as the full tick would: every tile idles at activity
-    /// level 0, no signal crosses tiles (a zero wire charge, which still
-    /// marks the category), and the buffer is charged once per cycle, in
-    /// order, because its energy is not dyadic.
-    fn idle_cycles(&mut self, image: &TileImage, cycles: u64, meter: &mut EnergyMeter) {
+    /// level 0 and no signal crosses tiles, so the cycles charge no wire
+    /// energy.
+    fn idle_cycles(&mut self, image: &TileImage, cycles: u64) {
         let tiles = self.tiles.len();
         self.local_levels[0] += cycles * tiles as u64;
         self.global_levels[0] += cycles;
         self.powered[tiles] += cycles;
-        meter.charge(Category::Wire, 0.0);
-        meter.charge_repeated(Category::Buffer, image.cost.buffer_pj, cycles);
         if self.consumed == 0 {
             self.disarm(image);
         }
@@ -920,7 +917,7 @@ impl TileRun {
         let byte = byte.expect("non-stalled tick needs an input byte");
         let wake = image.wake_tiles[usize::from(byte)];
         if self.busy == 0 && wake == 0 {
-            self.idle_cycles(image, 1, meter);
+            self.idle_cycles(image, 1);
             return;
         }
 
@@ -953,16 +950,16 @@ impl TileRun {
         self.local_levels[0] += (tiles - self.busy.count_ones() as usize) as u64;
         self.global_levels[(cross_signals as usize).min(256)] += 1;
         self.powered[tiles] += 1;
-        meter.charge(
-            Category::Wire,
-            image.cost.wire_pj * f64::from(cross_signals),
-        );
-        meter.charge(Category::Buffer, image.cost.buffer_pj);
+        if cross_signals > 0 {
+            meter.charge(
+                Category::Wire,
+                image.cost.wire_pj * f64::from(cross_signals),
+            );
+        }
 
         // CAM search: candidates AND the byte's match column, in the tiles
         // that hold, receive or wake a state.
-        let base = self.columns.lookup(&image.classes, byte);
-        let column = &self.columns.table[base..base + tiles];
+        let column = image.classes.entry(image.classes.class(byte));
         self.consumed += 1;
         let searched = self.busy | routed | wake;
         let (mut attention, mut active) = (0u64, 0u64);
@@ -1150,6 +1147,17 @@ impl TileRun {
         charge_levels(meter, Category::Controller, &self.powered, |p| {
             controller_pj(cost, p)
         });
+        charge_bytes(meter, cost, self.consumed);
+    }
+}
+
+/// Charges the per-byte energies of `bytes` consumed bytes: the buffer
+/// energy of each, and a mark on the wire category, whose cycles charged
+/// only their nonzero crossings.
+fn charge_bytes(meter: &mut EnergyMeter, cost: &CostModel, bytes: u64) {
+    if bytes > 0 {
+        meter.charge(Category::Wire, 0.0);
+        meter.charge_repeated(Category::Buffer, cost.buffer_pj, bytes);
     }
 }
 
@@ -1185,13 +1193,17 @@ pub(crate) struct ChainImage {
     /// Tile and pattern of every register position.
     position_tile: Vec<u32>,
     position_pattern: Vec<usize>,
-    /// The class alphabet of the Shift-And labels.
+    /// The Shift-And label of every byte class.
     labels: Alphabet<u64>,
+    /// Per byte class: the words holding a first state it starts.
+    start_words: Vec<WordMask>,
     /// Per tile: chains starting there (always armed, never gated), and
     /// whether CAM-path or switch-path chains are stored there.
     initial: Vec<u32>,
     tile_cam: Vec<bool>,
     tile_switch: Vec<bool>,
+    /// Tiles holding a first state: powered on every cycle.
+    armed_tiles: usize,
 }
 
 /// The image of 64 register positions.
@@ -1208,6 +1220,10 @@ struct ChainWord {
 
 impl ChainImage {
     fn new(compiled: &[Compiled], bins: &[Bin], tiles: usize, cost: CostModel) -> ChainImage {
+        assert!(
+            tiles <= MAX_TILES,
+            "tile masks cover at most {MAX_TILES} tiles per array, not {tiles}"
+        );
         let lnfa = |pattern: usize, unit: usize| match &compiled[pattern] {
             Compiled::Lnfa(img) => &img.units[unit].lnfa,
             other => panic!(
@@ -1221,6 +1237,10 @@ impl ChainImage {
             .map(|m| lnfa(m.pattern, m.unit).len())
             .sum();
         let words = positions.div_ceil(64);
+        assert!(
+            words <= MAX_CHAIN_WORDS,
+            "word masks cover at most {MAX_CHAIN_WORDS} Shift-And words, not {words}"
+        );
         let mut position_tile = Vec::with_capacity(positions);
         let mut position_pattern = Vec::with_capacity(positions);
         let mut chain_words = vec![ChainWord::default(); words];
@@ -1262,12 +1282,26 @@ impl ChainImage {
             };
             word.follows = valid & !word.starts;
         }
+        let labels = labels.finish();
+        let start_words = (0..labels.classes)
+            .map(|class| {
+                let mut mask = WordMask::default();
+                for (w, (word, &label)) in chain_words.iter().zip(labels.entry(class)).enumerate() {
+                    if word.starts & label != 0 {
+                        mask[w / 64] |= 1 << (w % 64);
+                    }
+                }
+                mask
+            })
+            .collect();
         ChainImage {
             cost,
             words: chain_words,
             position_tile,
             position_pattern,
-            labels: labels.finish(),
+            labels,
+            start_words,
+            armed_tiles: initial.iter().filter(|&&n| n > 0).count(),
             initial,
             tile_cam,
             tile_switch,
@@ -1279,6 +1313,7 @@ impl ChainImage {
             + vec_bytes(&self.position_tile)
             + vec_bytes(&self.position_pattern)
             + self.labels.heap_bytes()
+            + vec_bytes(&self.start_words)
             + vec_bytes(&self.initial)
             + vec_bytes(&self.tile_cam)
             + vec_bytes(&self.tile_switch)
@@ -1289,12 +1324,19 @@ impl ChainImage {
 pub(crate) struct ChainRun {
     /// The Shift-And register.
     states: Vec<u64>,
-    /// Per-byte Shift-And labels.
-    labels: Columns<u64>,
-    /// Per-tile candidate states of the current cycle.
+    /// Words that hold a state or take a carry from the word below: with
+    /// the words the next byte starts, the only ones a step can change.
+    live: WordMask,
+    /// Per tile: successor states of the current step (zero between
+    /// steps).
     cands: Vec<u32>,
+    /// Bytes consumed, and per tile the steps on which it took a
+    /// successor.
+    steps: u64,
+    successor_steps: Vec<u64>,
     /// Cycles by powered tiles, and powered CAM-path and switch-path
-    /// tile-cycles by candidate states.
+    /// tile-cycles by candidate states, on the tiles that took a
+    /// successor; [`ChainRun::levels`] adds the others.
     powered: Vec<u64>,
     cam_levels: Vec<u64>,
     switch_levels: Vec<u64>,
@@ -1305,8 +1347,10 @@ impl ChainRun {
         let tiles = image.initial.len();
         ChainRun {
             states: vec![0; image.words.len()],
-            labels: Columns::new(),
+            live: WordMask::default(),
             cands: vec![0; tiles],
+            steps: 0,
+            successor_steps: vec![0; tiles],
             powered: vec![0; tiles + 1],
             cam_levels: vec![0; TILE_BITS + 1],
             switch_levels: vec![0; TILE_BITS + 1],
@@ -1321,65 +1365,114 @@ impl ChainRun {
         meter: &mut EnergyMeter,
         out: &mut Vec<MatchEvent>,
     ) {
-        let label = self.labels.lookup(&image.labels, byte);
+        let class = image.labels.class(byte);
+        let label = image.labels.entry(class);
+        let mut visit = self.live;
+        for (v, s) in visit.iter_mut().zip(&image.start_words[class]) {
+            *v |= s;
+        }
+        self.live = WordMask::default();
         // Candidates per tile: the always-armed first states plus the
         // successors of active states. The active vector gates the CAM
         // columns (§3.2), so matching energy scales with candidates.
-        self.cands.copy_from_slice(&image.initial);
-        let mut ring_crossings = 0u32;
-        let mut carry = 0u64;
-        let labels = &self.labels.table[label..label + image.words.len()];
-        for (w, ((states, word), &label)) in self
-            .states
-            .iter_mut()
-            .zip(&image.words)
-            .zip(labels)
-            .enumerate()
-        {
-            let shifted = (*states << 1) | carry;
-            carry = *states >> 63;
-            let mut succ = shifted & word.follows;
-            if succ != 0 {
-                ring_crossings += (succ & word.hops).count_ones();
-            }
-            while succ != 0 {
-                let p = w * 64 + succ.trailing_zeros() as usize;
-                succ &= succ - 1;
-                self.cands[image.position_tile[p] as usize] += 1;
-            }
-            let next = (shifted | word.starts) & label;
-            *states = next;
-            let mut done = next & word.finals;
-            while done != 0 {
-                let p = w * 64 + done.trailing_zeros() as usize;
-                done &= done - 1;
-                out.push(MatchEvent {
-                    pattern: image.position_pattern[p],
-                    end: offset + 1,
-                });
+        let (mut ring_crossings, mut touched) = (0u32, 0u64);
+        // The old top bit of the last word visited, and its index.
+        let (mut carry, mut last) = (0u64, usize::MAX);
+        for (limb, &bits) in visit.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let w = limb * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // The carry into `w` is the old top bit of `w − 1`. A word
+                // holding a state is visited, so an unvisited `w − 1`
+                // carries 0.
+                let carry_in = if last.wrapping_add(1) == w { carry } else { 0 };
+                let states = self.states[w];
+                (carry, last) = (states >> 63, w);
+                let shifted = (states << 1) | carry_in;
+                let word = &image.words[w];
+                let mut succ = shifted & word.follows;
+                if succ != 0 {
+                    ring_crossings += (succ & word.hops).count_ones();
+                }
+                while succ != 0 {
+                    let t = image.position_tile[w * 64 + succ.trailing_zeros() as usize] as usize;
+                    succ &= succ - 1;
+                    self.cands[t] += 1;
+                    touched |= 1 << t;
+                }
+                let next = (shifted | word.starts) & label[w];
+                self.states[w] = next;
+                if next == 0 {
+                    continue;
+                }
+                self.live[w / 64] |= 1 << (w % 64);
+                if next >> 63 != 0 && w + 1 < self.states.len() {
+                    self.live[(w + 1) / 64] |= 1 << ((w + 1) % 64);
+                }
+                let mut done = next & word.finals;
+                while done != 0 {
+                    let p = w * 64 + done.trailing_zeros() as usize;
+                    done &= done - 1;
+                    out.push(MatchEvent {
+                        pattern: image.position_pattern[p],
+                        end: offset + 1,
+                    });
+                }
             }
         }
-        // A tile is powered if it holds a first state or a candidate.
-        let mut powered = 0;
-        for (t, &cands) in self.cands.iter().enumerate() {
-            if cands == 0 {
-                continue;
-            }
-            powered += 1;
-            let level = (cands as usize).min(TILE_BITS);
+        // A tile is powered if it holds a first state or a candidate. Tiles
+        // taking no successor sit at their first states' level, counted in
+        // bulk by `levels`.
+        let mut powered = image.armed_tiles;
+        while touched != 0 {
+            let t = touched.trailing_zeros() as usize;
+            touched &= touched - 1;
+            let initial = image.initial[t];
+            let level = ((initial + std::mem::take(&mut self.cands[t])) as usize).min(TILE_BITS);
             if image.tile_cam[t] {
                 self.cam_levels[level] += 1;
             }
             if image.tile_switch[t] {
                 self.switch_levels[level] += 1;
             }
+            if initial == 0 {
+                powered += 1;
+            } else {
+                self.successor_steps[t] += 1;
+            }
         }
         self.powered[powered] += 1;
-        meter.charge(
-            Category::Wire,
-            image.cost.ring_hop_pj * f64::from(ring_crossings),
-        );
-        meter.charge(Category::Buffer, image.cost.buffer_pj);
+        self.steps += 1;
+        if ring_crossings > 0 {
+            meter.charge(
+                Category::Wire,
+                image.cost.ring_hop_pj * f64::from(ring_crossings),
+            );
+        }
+    }
+
+    /// The CAM-path and switch-path tile-cycles by candidate states, the
+    /// steps on which a tile took no successor included: such a tile held
+    /// only its first states, or was gated when it holds none.
+    fn levels(&self, image: &ChainImage) -> (Vec<u64>, Vec<u64>) {
+        let (mut cam, mut switch) = (self.cam_levels.clone(), self.switch_levels.clone());
+        for (t, &initial) in image.initial.iter().enumerate() {
+            if initial == 0 {
+                continue;
+            }
+            let (idle, level) = (
+                self.steps - self.successor_steps[t],
+                (initial as usize).min(TILE_BITS),
+            );
+            if image.tile_cam[t] {
+                cam[level] += idle;
+            }
+            if image.tile_switch[t] {
+                switch[level] += idle;
+            }
+        }
+        (cam, switch)
     }
 
     fn observe(&self, image: &ChainImage) -> ArrayObservation {
@@ -1406,19 +1499,21 @@ impl ChainRun {
     fn settle(&self, image: &ChainImage, meter: &mut EnergyMeter) {
         let cost = &image.cost;
         let activity = |k: usize| (k as f64 / TILE_BITS as f64).min(1.0);
+        let (cam_levels, switch_levels) = self.levels(image);
         // Column-gated CAM search: wordline drive + the candidate
         // columns' compare energy.
-        charge_levels(meter, Category::StateMatch, &self.cam_levels, |k| {
+        charge_levels(meter, Category::StateMatch, &cam_levels, |k| {
             0.5 + cost.match_pj * activity(k)
         });
         // One-hot lookup in the local switch: two columns per candidate.
-        charge_levels(meter, Category::StateMatch, &self.switch_levels, |k| {
+        charge_levels(meter, Category::StateMatch, &switch_levels, |k| {
             cost.local_switch
                 .access_energy_pj((2.0 * activity(k)).min(1.0))
         });
         charge_levels(meter, Category::Controller, &self.powered, |p| {
             controller_pj(cost, p)
         });
+        charge_bytes(meter, cost, self.steps);
     }
 }
 
@@ -1539,8 +1634,9 @@ mod tests {
     }
 
     /// Steps `input` through a fresh run one tick at a time; `full` forces
-    /// every tick down the complete search-and-route path, as if the
-    /// array were never quiet.
+    /// every tick down the complete path, as if the array were never
+    /// quiet: every tile of a tile array busy, every word of a chain array
+    /// live.
     fn stepped(
         image: &ArrayImage,
         compiled: &[Compiled],
@@ -1550,8 +1646,14 @@ mod tests {
         let mut sim = Array::new(image, compiled);
         let (mut out, mut meter) = (Vec::new(), EnergyMeter::new());
         let mut tick = |sim: &mut Array, byte: Option<u8>, offset: usize| {
-            if let (true, Array::Tile(t)) = (full, &mut *sim) {
-                t.busy = u64::MAX >> (64 - t.tiles.len());
+            match (full, &mut *sim) {
+                (true, Array::Tile(t)) => t.busy = u64::MAX >> (64 - t.tiles.len()),
+                (true, Array::Chain(c)) => {
+                    for w in 0..c.states.len() {
+                        c.live[w / 64] |= 1 << (w % 64);
+                    }
+                }
+                (false, _) => {}
             }
             sim.tick(image, compiled, byte, offset, &mut meter, &mut out);
         };
@@ -1570,10 +1672,9 @@ mod tests {
 
     /// Jumping idle runs, skipping quiet ticks one at a time, and running
     /// the full search on every tick charge exactly the same: the same
-    /// levels, a marked zero wire charge, and the buffer energy added once
-    /// per cycle in order. The plans cover a plain initial state, a
-    /// bit-vector initial state (`b{5,30}c`) and a `^`-anchored one whose
-    /// first byte is idle.
+    /// levels, a marked wire category, and the same buffer energy. The
+    /// plans cover a plain initial state, a bit-vector initial state
+    /// (`b{5,30}c`) and a `^`-anchored one whose first byte is idle.
     #[test]
     fn skipped_idle_runs_equal_full_ticks() {
         let bits = |m: &EnergyMeter| {
@@ -1582,8 +1683,8 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let (compiled, plan) = two_tile_nbva(3);
-        // The second case never wakes: only the fast path charges it, so
-        // its zero wire charge must still mark the category.
+        // The second case never wakes: no cycle charges wire energy, and
+        // the category is marked only when the run settles.
         let mut cases = vec![
             (
                 compiled.clone(),
@@ -1620,6 +1721,136 @@ mod tests {
             if matches!(image, ArrayImage::Tile(_)) {
                 assert!(fast.quiescent_cycles > 0, "no idle run was skipped");
             }
+        }
+    }
+
+    /// The chain kernel as it stepped before live words: every word and
+    /// every tile on every cycle, the wire and buffer energy charged every
+    /// cycle. Returns the matches, the cycles by powered tiles, the
+    /// CAM-path and switch-path levels, and the per-cycle charges.
+    fn every_word(
+        image: &ChainImage,
+        input: &[u8],
+    ) -> (Vec<MatchEvent>, [Vec<u64>; 3], EnergyMeter) {
+        let tiles = image.initial.len();
+        let mut states = vec![0u64; image.words.len()];
+        let mut levels = [
+            vec![0u64; tiles + 1],
+            vec![0; TILE_BITS + 1],
+            vec![0; TILE_BITS + 1],
+        ];
+        let (mut out, mut meter) = (Vec::new(), EnergyMeter::new());
+        for (offset, &byte) in input.iter().enumerate() {
+            let label = image.labels.entry(image.labels.class(byte));
+            let mut cands = image.initial.clone();
+            let (mut carry, mut crossings) = (0u64, 0u32);
+            for (w, word) in image.words.iter().enumerate() {
+                let shifted = (states[w] << 1) | carry;
+                carry = states[w] >> 63;
+                let mut succ = shifted & word.follows;
+                crossings += (succ & word.hops).count_ones();
+                while succ != 0 {
+                    cands[image.position_tile[w * 64 + succ.trailing_zeros() as usize] as usize] +=
+                        1;
+                    succ &= succ - 1;
+                }
+                states[w] = (shifted | word.starts) & label[w];
+                let mut done = states[w] & word.finals;
+                while done != 0 {
+                    let p = w * 64 + done.trailing_zeros() as usize;
+                    done &= done - 1;
+                    out.push(MatchEvent {
+                        pattern: image.position_pattern[p],
+                        end: offset + 1,
+                    });
+                }
+            }
+            let mut powered = 0;
+            for (t, &n) in cands.iter().enumerate().filter(|&(_, &n)| n > 0) {
+                powered += 1;
+                let level = (n as usize).min(TILE_BITS);
+                levels[1][level] += u64::from(image.tile_cam[t]);
+                levels[2][level] += u64::from(image.tile_switch[t]);
+            }
+            levels[0][powered] += 1;
+            meter.charge(
+                Category::Wire,
+                image.cost.ring_hop_pj * f64::from(crossings),
+            );
+            meter.charge(Category::Buffer, image.cost.buffer_pj);
+        }
+        (out, levels, meter)
+    }
+
+    /// Live-word stepping equals stepping every word: the same matches,
+    /// powered tile-cycles, activity levels and energy bits, whether the
+    /// run visits its live words or is forced to visit them all. The plan
+    /// has a 150-state chain crossing two 64-position word boundaries in a
+    /// two-tile bin whose second tile holds no first state, and two
+    /// switch-path bins sharing the chain's last word.
+    #[test]
+    fn live_word_steps_equal_every_word_steps() {
+        let bits = |m: &EnergyMeter| {
+            m.iter()
+                .map(|(c, pj)| (c, pj.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let long = "abcdefghijklmnopqrstuvwxyz".repeat(6)[..150].to_string();
+        let sources = [long.as_str(), "xyz", "qrst", "hello", "[aceg]x[bdfh]y"];
+        let sim = crate::Simulator::new(Machine::Rap).with_bin_size(2);
+        let patterns: Vec<rap_regex::Pattern> = sources
+            .iter()
+            .map(|p| rap_regex::parse_pattern(p).expect("parses"))
+            .collect();
+        let compiled = sim.compile_parsed(&patterns).expect("compiles");
+        let mapping = sim.map_verified(&compiled).expect("verifies");
+        let plan = mapping
+            .arrays
+            .iter()
+            .find(|a| matches!(a.kind, ArrayKind::Lnfa { .. }))
+            .expect("an LNFA array");
+        let ArrayKind::Lnfa { bins } = &plan.kind else {
+            unreachable!()
+        };
+        assert!(bins.len() >= 3, "{} bins", bins.len());
+        assert!(bins.iter().any(|b| b.tiles > 1), "a multi-tile bin");
+        let input = [
+            b"hello xyz qrst ".to_vec(),
+            long.as_bytes()[..40].to_vec(),
+            b" axby cxdy ".to_vec(),
+            long.as_bytes().to_vec(),
+            b"abcdefghijklmnop xyzxyz ".to_vec(),
+            long.as_bytes().to_vec(),
+        ]
+        .concat();
+        let image = image(&compiled, plan);
+        let ArrayImage::Chain(chain) = &image else {
+            unreachable!("an LNFA array runs on the chain kernel")
+        };
+        assert!(chain.words.len() >= 3, "the long chain spans three words");
+        let (live, live_out, live_meter) = stepped(&image, &compiled, &input, false);
+        let (_, full_out, full_meter) = stepped(&image, &compiled, &input, true);
+        let (every_out, [powered, cam, switch], every_meter) = every_word(chain, &input);
+        let Array::Chain(run) = &live else {
+            unreachable!()
+        };
+        assert_eq!(
+            live_out.iter().filter(|m| m.pattern == 0).count(),
+            2,
+            "the long chain matches twice"
+        );
+        assert_eq!(live_out, every_out);
+        assert_eq!(full_out, every_out);
+        assert_eq!(run.powered, powered);
+        assert_eq!(live.powered_tile_cycles(), tile_cycles(&powered));
+        assert_eq!(run.levels(chain), (cam, switch));
+        assert_eq!(bits(&live_meter), bits(&full_meter));
+        for category in [Category::Wire, Category::Buffer] {
+            assert_eq!(
+                live_meter.category_pj(category).to_bits(),
+                every_meter.category_pj(category).to_bits(),
+                "{category}"
+            );
         }
     }
 

@@ -11,9 +11,13 @@
 //!   recycled only once *every* array has consumed it, so a stalling NBVA
 //!   array eventually back-pressures the fast arrays;
 //! * per-array **8-entry input FIFOs** refilled by the polling arbiter
-//!   (one byte per array per cycle) that hide short bit-vector phases;
+//!   (one byte per array per cycle) that hide short bit-vector phases. A
+//!   lane's FIFO always holds the stream bytes from the array's next byte
+//!   up to the arbiter's next fetch, so the run keeps those two offsets
+//!   instead of copying bytes through a queue;
 //! * per-array **2-entry output FIFOs** draining into the **64-entry bank
-//!   output buffer**; when it fills, an interrupt asks the host CPU to
+//!   output buffer** over a bus that visits only the lanes holding a
+//!   record; when the buffer fills, an interrupt asks the host CPU to
 //!   collect the reports (§3.3).
 //!
 //! Those sizes are the default geometry. A run sizes every buffer from
@@ -78,9 +82,9 @@ pub struct BankStats {
 /// Per-array streaming state.
 struct ArrayLane {
     sim: Array,
-    input_fifo: Fifo<(usize, u8)>,
     output_fifo: Fifo<MatchEvent>,
-    /// Next input byte index the arbiter will fetch for this lane.
+    /// Next input byte index the arbiter will fetch for this lane. The
+    /// input FIFO holds the stream bytes `consumed..fetch_pos`.
     fetch_pos: usize,
     /// Bytes consumed by the array so far.
     consumed: usize,
@@ -110,8 +114,10 @@ struct Trace {
 /// lowered from.
 pub struct StreamRun {
     lowered: Arc<Lowered>,
-    /// Ping-pong bank input window in bytes.
+    /// Ping-pong bank input window in bytes, and the entries of each
+    /// array input FIFO.
     window: usize,
+    input_entries: usize,
     lanes: Vec<ArrayLane>,
     bank_output: Fifo<MatchEvent>,
     meter: EnergyMeter,
@@ -150,12 +156,18 @@ impl StreamRun {
     fn open(lowered: Arc<Lowered>, compiled: &[Compiled], trace: Option<Trace>) -> StreamRun {
         lowered.check(compiled);
         let arch = lowered.arch;
+        // A zero-entry window or input FIFO never moves a byte, so a feed
+        // would never end (the verify gate refuses such a geometry, V011).
+        assert!(
+            arch.bank_input_entries > 0 && arch.array_input_entries > 0,
+            "mapped buffer geometry has a zero-entry input window or FIFO: \
+             the bank cannot build it"
+        );
         let lanes = lowered
             .arrays
             .iter()
             .map(|image| ArrayLane {
                 sim: Array::new(image, compiled),
-                input_fifo: Fifo::new(arch.array_input_entries as usize),
                 output_fifo: Fifo::new(arch.array_output_entries as usize),
                 fetch_pos: 0,
                 consumed: 0,
@@ -168,6 +180,7 @@ impl StreamRun {
         StreamRun {
             lowered,
             window: 2 * arch.bank_input_entries as usize, // ping-pong pages
+            input_entries: arch.array_input_entries as usize,
             lanes,
             bank_output: Fifo::new(arch.bank_output_entries as usize),
             meter: EnergyMeter::new(),
@@ -198,17 +211,29 @@ impl StreamRun {
         self.len = end;
         let mut collected: Vec<MatchEvent> = Vec::new();
         let lanes = &mut self.lanes;
-        let done =
-            |lanes: &[ArrayLane]| lanes.iter().all(|l| l.consumed == end && !l.sim.stalled());
+        // The slowest and fastest lanes' progress, and whether every lane
+        // has consumed the chunk and left its stalls, entering each cycle.
+        let (mut min_consumed, mut max_consumed, mut done) =
+            lanes
+                .iter()
+                .fold((usize::MAX, 0, true), |(min, max, done), l| {
+                    (
+                        min.min(l.consumed),
+                        max.max(l.consumed),
+                        done && l.consumed == end && !l.sim.stalled(),
+                    )
+                });
+        // Bytes resident in the input FIFOs, records in the lanes' output
+        // FIFOs, and the lanes holding one this cycle, in lane order.
+        let (mut input_occupancy, mut queued) = (0u64, 0u64);
+        let mut ready: Vec<usize> = Vec::new();
 
-        while !lanes.is_empty() && !done(lanes) {
+        while !done {
             self.cycles += 1;
             let cycles = self.cycles;
             // The bank window: DMA cannot recycle a page until every array
             // has drained it, so the slowest lane bounds everyone's fetch
             // range.
-            let min_consumed = lanes.iter().map(|l| l.consumed).min().unwrap_or(0);
-            let max_consumed = lanes.iter().map(|l| l.consumed).max().unwrap_or(0);
             self.max_skew = self.max_skew.max(max_consumed - min_consumed);
             let fetch_limit = (min_consumed + self.window).min(end);
 
@@ -218,12 +243,8 @@ impl StreamRun {
                         cycle: cycles - 1,
                         min_consumed: min_consumed as u64,
                         max_consumed: max_consumed as u64,
-                        input_fifo_bytes: lanes.iter().map(|l| l.input_fifo.len() as u64).sum(),
-                        output_fifo_records: lanes
-                            .iter()
-                            .map(|l| l.output_fifo.len() as u64)
-                            .sum::<u64>()
-                            + self.bank_output.len() as u64,
+                        input_fifo_bytes: input_occupancy,
+                        output_fifo_records: queued + self.bank_output.len() as u64,
                         interrupts: self.interrupts,
                     });
                     for (index, (lane, image)) in lanes.iter().zip(images).enumerate() {
@@ -239,13 +260,14 @@ impl StreamRun {
                 }
             }
 
-            for (lane, image) in lanes.iter_mut().zip(images) {
+            (min_consumed, max_consumed, done) = (usize::MAX, 0, true);
+            for (index, (lane, image)) in lanes.iter_mut().zip(images).enumerate() {
                 // Polling arbiter: one byte per lane per cycle into its FIFO.
-                if !lane.input_fifo.is_full() && lane.fetch_pos < fetch_limit {
-                    lane.input_fifo
-                        .push((lane.fetch_pos, chunk[lane.fetch_pos - base]))
-                        .unwrap_or_else(|_| unreachable!("checked not full"));
+                if lane.fetch_pos - lane.consumed < self.input_entries
+                    && lane.fetch_pos < fetch_limit
+                {
                     lane.fetch_pos += 1;
+                    input_occupancy += 1;
                 }
                 // Array cycle.
                 let pending_before = lane.pending.len();
@@ -259,17 +281,17 @@ impl StreamRun {
                         &mut lane.pending,
                     );
                     lane.stalled_cycles += 1;
-                } else if let Some(&(offset, byte)) = lane.input_fifo.front() {
-                    lane.input_fifo.pop();
+                } else if lane.consumed < lane.fetch_pos {
                     lane.sim.tick(
                         image,
                         compiled,
-                        Some(byte),
-                        offset,
+                        Some(chunk[lane.consumed - base]),
+                        lane.consumed,
                         &mut self.meter,
                         &mut lane.pending,
                     );
-                    lane.consumed = offset + 1;
+                    lane.consumed += 1;
+                    input_occupancy -= 1;
                 } else if lane.consumed < end {
                     lane.starved_cycles += 1;
                 }
@@ -279,6 +301,7 @@ impl StreamRun {
                     match lane.output_fifo.push(event) {
                         Ok(()) => {
                             lane.pending.remove(0);
+                            queued += 1;
                         }
                         Err(_) => {
                             self.backpressure += 1;
@@ -286,34 +309,39 @@ impl StreamRun {
                         }
                     }
                 }
+                if !lane.output_fifo.is_empty() {
+                    ready.push(index);
+                }
+                min_consumed = min_consumed.min(lane.consumed);
+                max_consumed = max_consumed.max(lane.consumed);
+                done &= lane.consumed == end && !lane.sim.stalled();
             }
             // Bus: one report per lane per cycle into the bank output buffer.
-            for lane in lanes.iter_mut() {
-                if let Some(event) = lane.output_fifo.pop() {
-                    if self.bank_output.is_full() {
-                        // Interrupt: the host drains the whole buffer (§3.3).
-                        self.interrupts += 1;
-                        while let Some(e) = self.bank_output.pop() {
-                            collected.push(e);
-                        }
+            for index in ready.drain(..) {
+                let event = lanes[index]
+                    .output_fifo
+                    .pop()
+                    .unwrap_or_else(|| unreachable!("a ready lane holds a record"));
+                queued -= 1;
+                if self.bank_output.is_full() {
+                    // Interrupt: the host drains the whole buffer (§3.3).
+                    self.interrupts += 1;
+                    while let Some(e) = self.bank_output.pop() {
+                        collected.push(e);
                     }
-                    self.bank_output
-                        .push(event)
-                        .unwrap_or_else(|_| unreachable!("just drained"));
-                    self.meter
-                        .charge(Category::Buffer, self.lowered.cost.buffer_pj);
                 }
+                self.bank_output
+                    .push(event)
+                    .unwrap_or_else(|_| unreachable!("just drained"));
+                self.meter
+                    .charge(Category::Buffer, self.lowered.cost.buffer_pj);
             }
             // FIFO high-water marks, under the same occupancy definitions as
             // the cycle-sampled probe above (but tracked every cycle).
-            let input_occupancy: u64 = lanes.iter().map(|l| l.input_fifo.len() as u64).sum();
-            let output_occupancy: u64 = lanes
-                .iter()
-                .map(|l| l.output_fifo.len() as u64)
-                .sum::<u64>()
-                + self.bank_output.len() as u64;
             self.max_input_fifo_bytes = self.max_input_fifo_bytes.max(input_occupancy);
-            self.max_output_fifo_records = self.max_output_fifo_records.max(output_occupancy);
+            self.max_output_fifo_records = self
+                .max_output_fifo_records
+                .max(queued + self.bank_output.len() as u64);
         }
         // The host collects every report still buffered.
         for lane in lanes.iter_mut() {
@@ -617,6 +645,19 @@ mod tests {
         let (streaming, stats) = simulate_streaming(&compiled, &mapping, &input, Machine::Rap);
         assert_eq!(streaming.matches, batch.matches);
         assert_eq!(stats.output_interrupts, 0, "{stats:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "the bank cannot build it")]
+    fn zero_entry_input_window_is_refused_at_open() {
+        // Unverified: debug builds refuse it at the door (V011), release
+        // builds when the run opens, instead of feeding forever.
+        let mut sim = Simulator::new(Machine::Rap);
+        sim.mapper.arch.bank_input_entries = 0;
+        let compiled = sim.compile(&regexes(&["abc"])).expect("compiles");
+        let mapping = sim.map(&compiled);
+        let lowered = Arc::new(Lowered::new(&compiled, &mapping, Machine::Rap));
+        let _ = StreamRun::on(lowered, &compiled);
     }
 
     #[test]

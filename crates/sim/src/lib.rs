@@ -333,12 +333,12 @@ pub(crate) fn debug_assert_verified(compiled: &[Compiled], mapping: &Mapping) {
 }
 
 /// A verified plan lowered for the simulator: every array's immutable
-/// image (slot tables, per-tile initial, final and vector words, class
-/// alphabets, chain positions, wake sets), built once and shared by every
-/// run of the plan — batch, traced, streaming, resumable or replicated.
-/// A run owns only what a stream changes: live words, bit vectors,
-/// counters, and the crossbar rows and byte columns it lowers lazily
-/// (see the `array` module).
+/// image (slot tables, per-tile initial, final and vector words, match
+/// columns and Shift-And labels per byte class, chain positions, wake
+/// sets), built once and shared by every run of the plan — batch, traced,
+/// streaming, resumable or replicated. A run owns only what a stream
+/// changes: live words, bit vectors, counters, and the crossbar rows it
+/// lowers lazily (see the `array` module).
 ///
 /// The images index into the plan's compiled patterns instead of copying
 /// them, so every run is handed the images the plan was built from.

@@ -57,8 +57,9 @@ pub enum Rule {
     /// `V010-array-overflow`: `tiles_used` ≤ `tiles_per_array`.
     ArrayOverflow,
     /// `V011-config-mismatch`: (error) the mapping's buffer geometry has
-    /// a zero-entry bank window or FIFO, which the bank cannot build;
-    /// (warning) the mapping was produced for a different `ArchConfig`
+    /// a zero-entry bank window or FIFO, which the bank cannot build, or
+    /// its tile geometry exceeds the simulator's 128 columns per tile or
+    /// 64 tiles per array; (warning) the mapping was produced for a different `ArchConfig`
     /// than the one being verified against, or its bin-size knob exceeds
     /// `max_bin_size`.
     ConfigMismatch,

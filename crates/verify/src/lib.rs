@@ -23,7 +23,7 @@
 //! | `V008-pattern-coverage` | error | every pattern (and every LNFA chain unit) placed exactly once, mode-matched |
 //! | `V009-cc-encoding` | error | CAM-path chains single-code only; member geometry matches the compiled unit |
 //! | `V010-array-overflow` | error | `tiles_used` ≤ `tiles_per_array` |
-//! | `V011-config-mismatch` | error/warning | mapped buffer geometry the bank cannot build (a zero-entry window or FIFO); mapping produced for a different `ArchConfig` / oversized bin knob |
+//! | `V011-config-mismatch` | error/warning | mapped buffer geometry the bank cannot build (a zero-entry window or FIFO), or tile geometry the kernels cannot run (over 128 columns per tile or 64 tiles per array); mapping produced for a different `ArchConfig` / oversized bin knob |
 //! | `V012-low-utilization` | info | multi-tile array under 2% column occupancy |
 //!
 //! # Example

@@ -2,7 +2,7 @@
 //! and records findings in the [`Report`].
 
 use crate::diag::{Location, Report, Rule, Severity};
-use rap_arch::config::ArchConfig;
+use rap_arch::config::{ArchConfig, MAX_TILES_PER_ARRAY, MAX_TILE_COLUMNS};
 use rap_arch::encoding::single_code;
 use rap_automata::nbva::ReadAction;
 use rap_compiler::{Compiled, CompiledNbva, CompiledNfa, MatchPath};
@@ -59,10 +59,13 @@ impl Checker<'_> {
     }
 
     /// V011: the plan must have been produced for the architecture it is
-    /// verified against, and the bank must be able to build the buffer
-    /// geometry the plan was mapped for: a streaming run sizes its FIFOs
+    /// verified against, and the simulator must be able to build the
+    /// geometry the plan was mapped for. A streaming run sizes its FIFOs
     /// and its ping-pong window from it, and a zero-entry buffer never
-    /// moves a byte or a report.
+    /// moves a byte or a report. The array kernels hold a tile in one
+    /// 128-bit word and an array's tiles in one 64-bit mask, so neither
+    /// the mapped nor the target tile geometry may exceed
+    /// [`MAX_TILE_COLUMNS`] or [`MAX_TILES_PER_ARRAY`].
     fn check_config(&mut self) {
         let cfg = &self.mapping.config;
         let buffers = [
@@ -77,6 +80,29 @@ impl Checker<'_> {
                     Rule::ConfigMismatch,
                     Location::default(),
                     format!("mapped buffer geometry has {field} = 0: the bank cannot build it"),
+                );
+            }
+        }
+        let tiles = [
+            (
+                "tile_columns",
+                cfg.arch.tile_columns.max(self.arch.tile_columns),
+                MAX_TILE_COLUMNS,
+            ),
+            (
+                "tiles_per_array",
+                cfg.arch.tiles_per_array.max(self.arch.tiles_per_array),
+                MAX_TILES_PER_ARRAY,
+            ),
+        ];
+        for (field, value, limit) in tiles {
+            if value > limit {
+                self.error(
+                    Rule::ConfigMismatch,
+                    Location::default(),
+                    format!(
+                        "tile geometry has {field} = {value}: the simulator runs at most {limit}"
+                    ),
                 );
             }
         }
@@ -276,14 +302,20 @@ impl Checker<'_> {
             self.check_bv_depth(idx, placements, depth);
         }
 
-        let tiles = self.arch.tiles_per_array as usize;
-        let mut tile_columns = vec![0u64; tiles];
+        // Per-tile tables cover the tiles a state may be placed on: those
+        // the array allocated, within the architecture and the kernels'
+        // limit (so a hostile geometry costs a finding, not an allocation).
+        let tiles = array
+            .tiles_used
+            .min(self.arch.tiles_per_array)
+            .min(MAX_TILES_PER_ARRAY);
+        let mut tile_columns = vec![0u64; tiles as usize];
         // A global port carries one state's activation signal, however many
         // consumers it fans out to: count distinct signals leaving (out) and
         // entering (in) each tile, keyed by (pattern, source state).
-        let mut tile_out: Vec<HashSet<(usize, u32)>> = vec![HashSet::new(); tiles];
-        let mut tile_in: Vec<HashSet<(usize, u32)>> = vec![HashSet::new(); tiles];
-        let mut tile_actions: Vec<Option<ReadAction>> = vec![None; tiles];
+        let mut tile_out: Vec<HashSet<(usize, u32)>> = vec![HashSet::new(); tiles as usize];
+        let mut tile_in: Vec<HashSet<(usize, u32)>> = vec![HashSet::new(); tiles as usize];
+        let mut tile_actions: Vec<Option<ReadAction>> = vec![None; tiles as usize];
 
         for p in placements {
             if p.pattern >= self.compiled.len() {
@@ -309,7 +341,7 @@ impl Checker<'_> {
             }
             let mut in_range = true;
             for (state, &tile) in p.state_tile.iter().enumerate() {
-                if tile >= array.tiles_used || tile >= self.arch.tiles_per_array {
+                if tile >= tiles {
                     self.error(
                         Rule::PlacementRange,
                         loc.tile(tile),

@@ -3,8 +3,8 @@
 //! always trip the expected rule.
 
 use proptest::prelude::*;
-use rap_arch::config::ArchConfig;
-use rap_compiler::{Compiled, Compiler, CompilerConfig};
+use rap_arch::config::{ArchConfig, MAX_TILES_PER_ARRAY, MAX_TILE_COLUMNS};
+use rap_compiler::{Compiled, Compiler, CompilerConfig, Mode};
 use rap_mapper::{map_workload, ArrayKind, MapperConfig, Mapping};
 use rap_verify::{verify, Rule, Severity};
 
@@ -166,21 +166,76 @@ fn v011_arch_mismatch_warns() {
 
 #[test]
 fn v011_unbuildable_bank_geometry_is_an_error() {
-    let zeroings: [fn(&mut ArchConfig); 4] = [
+    let unbuildable: [fn(&mut ArchConfig); 6] = [
         |a| a.bank_input_entries = 0,
         |a| a.array_input_entries = 0,
         |a| a.bank_output_entries = 0,
         |a| a.array_output_entries = 0,
+        |a| a.tile_columns = MAX_TILE_COLUMNS + 128,
+        |a| a.tiles_per_array = MAX_TILES_PER_ARRAY + 16,
     ];
-    for zero in zeroings {
+    for tamper in unbuildable {
         let (compiled, mut mapping, _) = setup(&["a.*b"]);
-        zero(&mut mapping.config.arch);
+        tamper(&mut mapping.config.arch);
         let arch = mapping.config.arch;
         let report = verify(&compiled, &mapping, &arch);
         assert!(!report.is_legal(), "{report}");
         let hits = report.by_rule(Rule::ConfigMismatch);
         assert_eq!(hits.len(), 1, "{report}");
         assert_eq!(hits[0].severity, Severity::Error);
+    }
+}
+
+/// A tampered geometry claiming every tile a `u32` can count costs a
+/// finding, not a per-tile table that large.
+#[test]
+fn hostile_tile_count_is_refused_without_allocating_for_it() {
+    let (compiled, mut mapping, _) = setup(&["a.*b", "x{100}y"]);
+    mapping.config.arch.tiles_per_array = u32::MAX;
+    for array in &mut mapping.arrays {
+        array.tiles_used = u32::MAX;
+    }
+    let arch = mapping.config.arch;
+    let report = verify(&compiled, &mapping, &arch);
+    assert!(!report.is_legal(), "{report}");
+    assert!(!report.by_rule(Rule::ConfigMismatch).is_empty(), "{report}");
+}
+
+/// Plans the mapper really builds for a tile geometry past the kernels'
+/// limits are refused: 256-column tiles holding an unfolded `b{3000}`,
+/// and one 80-tile array of 100 NBVA patterns.
+#[test]
+fn v011_mapped_tile_geometry_past_the_kernels_is_an_error() {
+    let mut wide = MapperConfig::default();
+    wide.arch.tile_columns = 256;
+    let nfa = Compiler::new(CompilerConfig {
+        arch: wide.arch,
+        ..CompilerConfig::default()
+    })
+    .compile_with_mode(&rap_regex::parse("ab{3000}c").expect("parses"), Mode::Nfa)
+    .expect("compiles");
+    let mut long = MapperConfig::default();
+    long.arch.tiles_per_array = 80;
+    let nbva = compile(&["q?x{500}"; 100]);
+    for (compiled, config) in [(vec![nfa], wide), (nbva, long)] {
+        let mapping = map_workload(&compiled, &config);
+        assert!(
+            mapping
+                .arrays
+                .iter()
+                .any(|a| a.tiles_used > MAX_TILES_PER_ARRAY
+                    || a.columns_used > u64::from(a.tiles_used * MAX_TILE_COLUMNS)),
+            "the plan uses the geometry past the limits"
+        );
+        let report = verify(&compiled, &mapping, &config.arch);
+        assert!(!report.is_legal(), "{report}");
+        assert!(
+            report
+                .by_rule(Rule::ConfigMismatch)
+                .iter()
+                .any(|d| d.severity == Severity::Error),
+            "{report}"
+        );
     }
 }
 
