@@ -195,18 +195,6 @@ pub fn eval_rap_by_mode(
     Ok(RapSystem { nfa, nbva, lnfa })
 }
 
-/// Maps `f` over `items` in parallel on a bounded worker pool (at least
-/// two workers — the harness parallelizes across the seven suites,
-/// matching the paper's multi-core experiment methodology).
-pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    rap_pipeline::par_map(items, rap_pipeline::default_workers(), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,66 +14,18 @@ use crate::summary::RunSummary;
 use crate::workload::{self, BenchConfig, SuiteCorpus};
 use rap_circuit::Machine;
 use rap_compiler::Mode;
-use rap_sim::Simulator;
+use rap_sim::{par_map, Simulator};
 use rap_telemetry::Telemetry;
 use rap_workloads::Suite;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Default grid worker count: every available core, but never fewer than
 /// two, so the (machine × suite) grid always actually overlaps work.
-pub fn default_workers() -> usize {
+fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map_or(2, usize::from)
         .max(2)
-}
-
-/// Maps `f` over `items` on a bounded pool of scoped worker threads.
-///
-/// Workers claim items through a shared atomic cursor (the same
-/// work-stealing shape as `rap_engines::batch`), so an expensive item
-/// never serializes the rest of the grid behind it. Results come back in
-/// input order. With one worker (or one item) the map runs inline.
-pub fn par_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = work[i]
-                    .lock()
-                    .expect("work lock poisoned")
-                    .take()
-                    .expect("each item claimed once");
-                let out = f(item);
-                *slots[i].lock().expect("slot lock poisoned") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("slot lock poisoned")
-                .expect("every slot filled")
-        })
-        .collect()
 }
 
 /// The outcome of one [`Pipeline::admit`] request: the
@@ -119,8 +71,8 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Creates a pipeline for one workload scale, with
-    /// [`default_workers`] grid workers.
+    /// Creates a pipeline for one workload scale, with one grid worker
+    /// per available core, and at least two.
     pub fn new(spec: BenchConfig) -> Pipeline {
         Pipeline {
             spec,
@@ -430,8 +382,9 @@ impl Pipeline {
         self.plans.len()
     }
 
-    /// Fans independent grid cells out over this pipeline's worker pool,
-    /// recording worker count and fan-out wall-clock in the report.
+    /// Fans independent grid cells out over this pipeline's workers (the
+    /// calling thread is one of them, see [`rap_sim::par_map`]), recording
+    /// worker count and fan-out wall-clock in the report.
     pub fn grid<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -459,18 +412,6 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_map_preserves_order() {
-        let out = par_map((0..97).collect::<Vec<i64>>(), 5, |x| x * 2);
-        assert_eq!(out, (0..97).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_single_worker_and_empty() {
-        assert_eq!(par_map(vec![3, 4], 1, |x| x + 1), vec![4, 5]);
-        assert_eq!(par_map(Vec::<u8>::new(), 8, |x| x), Vec::<u8>::new());
-    }
 
     #[test]
     fn plan_cache_hits_on_second_request() {

@@ -72,7 +72,7 @@ pub use artifact::{
     build_plan, build_plan_sim, CompiledSet, MappedPlan, PatternSet, PlanStream, VerifiedPlan,
 };
 pub use cache::{CacheKey, CacheStats, StableHasher};
-pub use driver::{default_workers, par_map, Admission, Pipeline};
+pub use driver::{Admission, Pipeline};
 pub use error::EvalError;
 pub use report::{PipelineReport, Stage, STAGES};
 pub use store::{

@@ -51,17 +51,23 @@
 //! charges are dyadic rationals, so a run counts how many cycles it spent
 //! at each activity level and charges `count × energy(level)` once, at the
 //! end: every product and sum is exact, hence bit-identical to charging
-//! every cycle. Wire energies are not dyadic: a cycle whose signals cross
-//! tiles charges them in cycle order, and a cycle with none charges
-//! nothing (adding +0.0 leaves a subtotal as it is); the category is
+//! every cycle. Wire energies are not dyadic, so their order matters. A
+//! tick touches no meter: it returns its cycle's wire charge when signals
+//! crossed tiles, and `None` otherwise (adding +0.0 would leave a subtotal
+//! as it is), and its caller charges them in cycle order. The category is
 //! marked once, at the end. Every consumed byte adds the same buffer
 //! energy, so a run counts its bytes and adds them at the end with
 //! [`EnergyMeter::charge_repeated`], which repeats the same additions.
 //!
-//! [`run_array`] drives one array over a whole input slice (the batch
-//! `simulate` entry point); the bank-level streaming simulation in
-//! [`crate::bank`] interleaves arrays cycle by cycle through the §3.3
-//! buffer hierarchy.
+//! [`run_array`] drives one array over a whole input slice and settles
+//! it into a [`Sink`]: each tick's wire charge as it returns, then the
+//! settle's charges. One thread stepping a plan's arrays in turn hands it
+//! the meter. When the batch `simulate` entry point runs them side by
+//! side, each records into its own [`Charges`], and the meter takes the
+//! records in array order ([`Charges::apply`]): the same additions in the
+//! same order. The bank-level streaming simulation in [`crate::bank`]
+//! interleaves arrays cycle by cycle through the §3.3 buffer hierarchy
+//! and charges each tick's wire charge as it returns.
 
 use crate::cost::CostModel;
 use crate::result::MatchEvent;
@@ -106,6 +112,57 @@ pub(crate) struct ArrayOutcome {
     pub matches: Vec<MatchEvent>,
     pub powered_tile_cycles: u64,
     pub quiescent_cycles: u64,
+}
+
+/// Where a run's energy charges go: straight to an [`EnergyMeter`], or
+/// into [`Charges`] when they must wait for other runs'.
+pub(crate) trait Sink {
+    /// Charges `pj` picojoules to `category` (see [`EnergyMeter::charge`]).
+    fn charge(&mut self, category: Category, pj: f64);
+    /// Charges `pj` picojoules to `category` `times` times over (see
+    /// [`EnergyMeter::charge_repeated`]).
+    fn charge_repeated(&mut self, category: Category, pj: f64, times: u64);
+}
+
+impl Sink for EnergyMeter {
+    fn charge(&mut self, category: Category, pj: f64) {
+        EnergyMeter::charge(self, category, pj);
+    }
+
+    fn charge_repeated(&mut self, category: Category, pj: f64, times: u64) {
+        EnergyMeter::charge_repeated(self, category, pj, times);
+    }
+}
+
+/// Energy charges recorded in order, for a meter to take later:
+/// [`Charges::apply`] makes the meter additions charging it directly would
+/// have made, in the same order, so the subtotals are bit-identical.
+#[derive(Default)]
+pub(crate) struct Charges(Vec<(Category, f64, u64)>);
+
+impl Sink for Charges {
+    fn charge(&mut self, category: Category, pj: f64) {
+        self.charge_repeated(category, pj, 1);
+    }
+
+    /// A repeat of the last charge joins it: [`EnergyMeter::charge_repeated`]
+    /// equals that many single charges bit for bit.
+    fn charge_repeated(&mut self, category: Category, pj: f64, times: u64) {
+        match self.0.last_mut() {
+            Some((c, p, n)) if *c == category && p.to_bits() == pj.to_bits() => *n += times,
+            _ if times > 0 => self.0.push((category, pj, times)),
+            _ => {}
+        }
+    }
+}
+
+impl Charges {
+    /// Charges the recorded charges to `meter`, in order.
+    pub(crate) fn apply(&self, meter: &mut EnergyMeter) {
+        for &(category, pj, times) in &self.0 {
+            meter.charge_repeated(category, pj, times);
+        }
+    }
 }
 
 /// A point-in-time activity sample of one array, as seen by a telemetry
@@ -200,24 +257,24 @@ impl Array {
     /// stalled, `byte` is ignored. `image` must be the one the run was
     /// opened on and `compiled` the images it was built from: rows of
     /// first activations are lowered from them.
+    ///
+    /// Returns the cycle's wire charge in picojoules, or `None` when no
+    /// signal crossed tiles. The caller charges it to the wire category
+    /// in cycle order; every other energy is counted, and charged by
+    /// [`Array::settle`].
     pub(crate) fn tick(
         &mut self,
         image: &ArrayImage,
         compiled: &[Compiled],
         byte: Option<u8>,
         offset: usize,
-        meter: &mut EnergyMeter,
         out: &mut Vec<MatchEvent>,
-    ) {
+    ) -> Option<f64> {
         match (self, image) {
-            (Array::Tile(a), ArrayImage::Tile(i)) => a.tick(i, compiled, byte, offset, meter, out),
-            (Array::Chain(a), ArrayImage::Chain(i)) => a.step(
-                i,
-                byte.expect("LNFA arrays never stall"),
-                offset,
-                meter,
-                out,
-            ),
+            (Array::Tile(a), ArrayImage::Tile(i)) => a.tick(i, compiled, byte, offset, out),
+            (Array::Chain(a), ArrayImage::Chain(i)) => {
+                a.step(i, byte.expect("LNFA arrays never stall"), offset, out)
+            }
             _ => unreachable!("a run is stepped against the image it was opened on"),
         }
     }
@@ -269,9 +326,10 @@ impl Array {
         }
     }
 
-    /// Charges the activity-scaled energy counted so far. Call once, when
-    /// the array's run ends.
-    pub(crate) fn settle(&self, image: &ArrayImage, meter: &mut EnergyMeter) {
+    /// Charges the energy counted so far: the activity-scaled energy, the
+    /// consumed bytes' buffer energy and the wire category's mark. Call
+    /// once, when the array's run ends.
+    pub(crate) fn settle(&self, image: &ArrayImage, meter: &mut impl Sink) {
         match (self, image) {
             (Array::Tile(a), ArrayImage::Tile(i)) => a.settle(i, meter),
             (Array::Chain(a), ArrayImage::Chain(i)) => a.settle(i, meter),
@@ -281,7 +339,8 @@ impl Array {
 }
 
 /// Drives one array over a whole input slice (stalls expanded in place)
-/// and settles its energy.
+/// and settles its energy into `meter`: each tick's wire charge as it
+/// returns, then the settle's charges.
 ///
 /// Without a probe, a quiet tile array jumps each idle run in one step
 /// ([`Array::skip_idle`]). When a telemetry probe is attached (as
@@ -295,19 +354,14 @@ pub(crate) fn run_array(
     sim: &mut Array,
     compiled: &[Compiled],
     input: &[u8],
-    meter: &mut EnergyMeter,
+    meter: &mut impl Sink,
     mut probe: Option<(&mut SimProbe, u32)>,
 ) -> ArrayOutcome {
     let mut cycles = 0u64;
     let mut matches = Vec::new();
     // Only tile arrays go quiet.
     let skip = probe.is_none() && matches!(image, ArrayImage::Tile(_));
-    let mut step = |sim: &mut Array,
-                    meter: &mut EnergyMeter,
-                    byte: Option<u8>,
-                    offset: usize,
-                    cycles: &mut u64,
-                    matches: &mut Vec<MatchEvent>| {
+    let mut step = |sim: &mut Array, byte: Option<u8>, offset: usize, cycles: &mut u64| {
         if let Some((probe, array)) = probe.as_mut() {
             if (*cycles).is_multiple_of(u64::from(probe.sample_every())) {
                 let obs = sim.observe(image);
@@ -320,7 +374,9 @@ pub(crate) fn run_array(
                 });
             }
         }
-        sim.tick(image, compiled, byte, offset, meter, matches);
+        if let Some(pj) = sim.tick(image, compiled, byte, offset, &mut matches) {
+            meter.charge(Category::Wire, pj);
+        }
         *cycles += 1;
     };
     let mut offset = 0;
@@ -334,20 +390,13 @@ pub(crate) fn run_array(
             }
         }
         while sim.stalled() {
-            step(sim, meter, None, offset, &mut cycles, &mut matches);
+            step(sim, None, offset, &mut cycles);
         }
-        step(
-            sim,
-            meter,
-            Some(input[offset]),
-            offset,
-            &mut cycles,
-            &mut matches,
-        );
+        step(sim, Some(input[offset]), offset, &mut cycles);
         offset += 1;
     }
     while sim.stalled() {
-        step(sim, meter, None, input.len(), &mut cycles, &mut matches);
+        step(sim, None, input.len(), &mut cycles);
     }
     sim.settle(image, meter);
     if let Some((probe, array)) = probe {
@@ -374,7 +423,7 @@ pub(crate) fn run_array(
 /// the sum are exact: the result equals the per-cycle running sum bit for
 /// bit.
 fn charge_levels(
-    meter: &mut EnergyMeter,
+    meter: &mut impl Sink,
     category: Category,
     counts: &[u64],
     energy: impl Fn(usize) -> f64,
@@ -897,28 +946,28 @@ impl TileRun {
         }
     }
 
+    /// One cycle; returns its wire charge, if any (see [`Array::tick`]).
     fn tick(
         &mut self,
         image: &TileImage,
         compiled: &[Compiled],
         byte: Option<u8>,
         offset: usize,
-        meter: &mut EnergyMeter,
         out: &mut Vec<MatchEvent>,
-    ) {
+    ) -> Option<f64> {
         if self.stall_remaining > 0 {
             // One cycle of the bit-vector-processing pipeline: only tiles
             // with live vectors run (read → action/route → write back).
             self.stall_remaining -= 1;
             self.powered[self.phase_tiles] += 1;
             self.phase_levels[self.phase_tiles] += 1;
-            return;
+            return None;
         }
         let byte = byte.expect("non-stalled tick needs an input byte");
         let wake = image.wake_tiles[usize::from(byte)];
         if self.busy == 0 && wake == 0 {
             self.idle_cycles(image, 1);
-            return;
+            return None;
         }
 
         // Transition fabric, driven by the configuration entering this
@@ -950,12 +999,6 @@ impl TileRun {
         self.local_levels[0] += (tiles - self.busy.count_ones() as usize) as u64;
         self.global_levels[(cross_signals as usize).min(256)] += 1;
         self.powered[tiles] += 1;
-        if cross_signals > 0 {
-            meter.charge(
-                Category::Wire,
-                image.cost.wire_pj * f64::from(cross_signals),
-            );
-        }
 
         // CAM search: candidates AND the byte's match column, in the tiles
         // that hold, receive or wake a state.
@@ -992,6 +1035,7 @@ impl TileRun {
             self.step_vectors(image, searched, byte, offset, out)
         };
         self.busy = active | live;
+        (cross_signals > 0).then(|| image.cost.wire_pj * f64::from(cross_signals))
     }
 
     /// Reports the final states that just activated in `tiles` and lowers
@@ -1125,7 +1169,7 @@ impl TileRun {
         }
     }
 
-    fn settle(&self, image: &TileImage, meter: &mut EnergyMeter) {
+    fn settle(&self, image: &TileImage, meter: &mut impl Sink) {
         let cost = &image.cost;
         // Every cycle that consumed a byte searched every tile.
         let searches: u64 = self.global_levels.iter().sum();
@@ -1154,7 +1198,7 @@ impl TileRun {
 /// Charges the per-byte energies of `bytes` consumed bytes: the buffer
 /// energy of each, and a mark on the wire category, whose cycles charged
 /// only their nonzero crossings.
-fn charge_bytes(meter: &mut EnergyMeter, cost: &CostModel, bytes: u64) {
+fn charge_bytes(meter: &mut impl Sink, cost: &CostModel, bytes: u64) {
     if bytes > 0 {
         meter.charge(Category::Wire, 0.0);
         meter.charge_repeated(Category::Buffer, cost.buffer_pj, bytes);
@@ -1357,14 +1401,14 @@ impl ChainRun {
         }
     }
 
+    /// One cycle; returns its wire charge, if any (see [`Array::tick`]).
     fn step(
         &mut self,
         image: &ChainImage,
         byte: u8,
         offset: usize,
-        meter: &mut EnergyMeter,
         out: &mut Vec<MatchEvent>,
-    ) {
+    ) -> Option<f64> {
         let class = image.labels.class(byte);
         let label = image.labels.entry(class);
         let mut visit = self.live;
@@ -1444,12 +1488,7 @@ impl ChainRun {
         }
         self.powered[powered] += 1;
         self.steps += 1;
-        if ring_crossings > 0 {
-            meter.charge(
-                Category::Wire,
-                image.cost.ring_hop_pj * f64::from(ring_crossings),
-            );
-        }
+        (ring_crossings > 0).then(|| image.cost.ring_hop_pj * f64::from(ring_crossings))
     }
 
     /// The CAM-path and switch-path tile-cycles by candidate states, the
@@ -1496,7 +1535,7 @@ impl ChainRun {
         }
     }
 
-    fn settle(&self, image: &ChainImage, meter: &mut EnergyMeter) {
+    fn settle(&self, image: &ChainImage, meter: &mut impl Sink) {
         let cost = &image.cost;
         let activity = |k: usize| (k as f64 / TILE_BITS as f64).min(1.0);
         let (cam_levels, switch_levels) = self.levels(image);
@@ -1655,7 +1694,9 @@ mod tests {
                 }
                 (false, _) => {}
             }
-            sim.tick(image, compiled, byte, offset, &mut meter, &mut out);
+            if let Some(pj) = sim.tick(image, compiled, byte, offset, &mut out) {
+                meter.charge(Category::Wire, pj);
+            }
         };
         for (offset, &byte) in input.iter().enumerate() {
             while sim.stalled() {

@@ -2,9 +2,11 @@
 //! §3.3, cycle-interleaved across arrays.
 //!
 //! The batch [`crate::simulate`] entry point runs each array to completion
-//! independently (correct for completion time, since arrays are decoupled
-//! and the bank finishes with its slowest array). This module simulates
-//! the hierarchy explicitly, cycle by cycle:
+//! on its own, side by side on the free cores (correct for completion
+//! time, since arrays are decoupled and the bank finishes with its slowest
+//! array). This module simulates the hierarchy explicitly, cycle by cycle
+//! and on one thread, since its lanes share the input window and the
+//! output bus every cycle:
 //!
 //! * a **bank input ping-pong buffer** (2 × 128 entries) fed by DMA — an
 //!   array can only read bytes inside the bank window, and a page is
@@ -18,7 +20,9 @@
 //! * per-array **2-entry output FIFOs** draining into the **64-entry bank
 //!   output buffer** over a bus that visits only the lanes holding a
 //!   record; when the buffer fills, an interrupt asks the host CPU to
-//!   collect the reports (§3.3).
+//!   collect the reports (§3.3). Reports a full output FIFO holds back
+//!   wait in a per-lane backlog read through a head index, so a flood
+//!   whose backlog grows every cycle costs each report O(1) to move.
 //!
 //! Those sizes are the default geometry. A run sizes every buffer from
 //! the `ArchConfig` the plan was mapped for, the same geometry the static
@@ -92,8 +96,10 @@ struct ArrayLane {
     starved_cycles: u64,
     /// Match reports this lane has generated (pre-dedup, pre-anchoring).
     produced: u64,
-    /// Matches produced this cycle, en route to the output FIFO.
+    /// Reports en route to the output FIFO: `pending[moved..]` wait, in
+    /// the order the array produced them; `pending[..moved]` have moved.
     pending: Vec<MatchEvent>,
+    moved: usize,
 }
 
 /// A traced run's probe and the registry its totals land in.
@@ -175,6 +181,7 @@ impl StreamRun {
                 starved_cycles: 0,
                 produced: 0,
                 pending: Vec::new(),
+                moved: 0,
             })
             .collect();
         StreamRun {
@@ -269,38 +276,40 @@ impl StreamRun {
                     lane.fetch_pos += 1;
                     input_occupancy += 1;
                 }
-                // Array cycle.
+                // Array cycle. Its wire charge joins the meter at once, so
+                // the bank charges wires in cycle-major order.
                 let pending_before = lane.pending.len();
-                if lane.sim.stalled() {
-                    lane.sim.tick(
-                        image,
-                        compiled,
-                        None,
-                        lane.consumed,
-                        &mut self.meter,
-                        &mut lane.pending,
-                    );
+                let wire = if lane.sim.stalled() {
                     lane.stalled_cycles += 1;
+                    lane.sim
+                        .tick(image, compiled, None, lane.consumed, &mut lane.pending)
                 } else if lane.consumed < lane.fetch_pos {
-                    lane.sim.tick(
+                    let byte = chunk[lane.consumed - base];
+                    let wire = lane.sim.tick(
                         image,
                         compiled,
-                        Some(chunk[lane.consumed - base]),
+                        Some(byte),
                         lane.consumed,
-                        &mut self.meter,
                         &mut lane.pending,
                     );
                     lane.consumed += 1;
                     input_occupancy -= 1;
-                } else if lane.consumed < end {
-                    lane.starved_cycles += 1;
+                    wire
+                } else {
+                    if lane.consumed < end {
+                        lane.starved_cycles += 1;
+                    }
+                    None
+                };
+                if let Some(pj) = wire {
+                    self.meter.charge(Category::Wire, pj);
                 }
                 lane.produced += (lane.pending.len() - pending_before) as u64;
-                // Reports: pending → array output FIFO (2-deep).
-                while let Some(&event) = lane.pending.first() {
+                // Reports: backlog → array output FIFO (2-deep).
+                while let Some(&event) = lane.pending.get(lane.moved) {
                     match lane.output_fifo.push(event) {
                         Ok(()) => {
-                            lane.pending.remove(0);
+                            lane.moved += 1;
                             queued += 1;
                         }
                         Err(_) => {
@@ -308,6 +317,13 @@ impl StreamRun {
                             break;
                         }
                     }
+                }
+                // Drop the moved reports once they are at least half the
+                // list: each report is then shifted at most once on
+                // average, however deep a flood's backlog grows.
+                if lane.moved > 0 && 2 * lane.moved >= lane.pending.len() {
+                    lane.pending.drain(..lane.moved);
+                    lane.moved = 0;
                 }
                 if !lane.output_fifo.is_empty() {
                     ready.push(index);
@@ -345,7 +361,8 @@ impl StreamRun {
         }
         // The host collects every report still buffered.
         for lane in lanes.iter_mut() {
-            collected.append(&mut lane.pending);
+            collected.extend(lane.pending.drain(..).skip(lane.moved));
+            lane.moved = 0;
             while let Some(e) = lane.output_fifo.pop() {
                 collected.push(e);
             }
@@ -622,6 +639,51 @@ mod tests {
             stats.output_interrupts > 0,
             "expected interrupts: {stats:?}"
         );
+    }
+
+    /// Sixteen patterns report on every byte, the output FIFO moves one
+    /// report per cycle, and the backlog grows by fifteen a cycle, to about
+    /// 61 000 reports. Fed in one shot and in chunks, the bank hands out
+    /// the batch run's matches with the buffer statistics recorded before
+    /// the backlog got a head index (when each moved report shifted the
+    /// whole backlog).
+    #[test]
+    fn deep_flood_streams_like_the_batch_path() {
+        let sources: Vec<&str> = ["[a-z]{1}", "[a-z]{2}", "[a-z]{3}"]
+            .into_iter()
+            .cycle()
+            .take(16)
+            .collect();
+        let sim = Simulator::new(Machine::Rap);
+        let compiled = sim.compile(&regexes(&sources)).expect("compiles");
+        let mapping = sim.map_verified(&compiled).expect("verifies");
+        let input = b"q".repeat(4096);
+        let batch = sim.simulate(&compiled, &mapping, &input);
+        assert_eq!(batch.matches.len(), 65_521);
+        let flood = |output_interrupts| BankStats {
+            stall_cycles: vec![0],
+            starved_cycles: vec![0],
+            max_skew: 0,
+            output_interrupts,
+            output_backpressure: 4096,
+            max_input_fifo_bytes: 0,
+            max_output_fifo_records: 65,
+        };
+
+        let (streamed, stats) = simulate_streaming(&compiled, &mapping, &input, Machine::Rap);
+        assert_eq!(streamed.matches, batch.matches);
+        assert_eq!(stats, flood(63));
+
+        let mut run = StreamRun::new(&compiled, &mapping, Machine::Rap);
+        let mut fed = Vec::new();
+        for chunk in input.chunks(1000) {
+            fed.extend(run.feed(&compiled, chunk));
+        }
+        let (tail, chunked, stats) = run.finish();
+        fed.extend(tail);
+        assert_eq!(fed, batch.matches);
+        assert_eq!(chunked.metrics.matches, 65_521);
+        assert_eq!(stats, flood(61));
     }
 
     #[test]

@@ -28,12 +28,14 @@
 mod array;
 pub mod bank;
 mod cost;
+mod par;
 pub mod reconfig;
 pub mod replicate;
 mod result;
 
 pub use bank::{simulate_streaming, simulate_streaming_traced, BankStats, StreamRun};
 pub use cost::CostModel;
+pub use par::par_map;
 pub use reconfig::{extract_arrays, simulate_hot_swap, Extraction, HotSwapRun};
 pub use replicate::{max_match_span, simulate_replicated, ReplicatedRun};
 pub use result::{MatchEvent, RunResult};
@@ -411,11 +413,35 @@ impl Lowered {
         );
     }
 
+    /// Runs the plan. A traced run steps its arrays on the calling
+    /// thread; an untraced one fans them out over the calling thread and
+    /// the helpers it can borrow from the process-wide budget.
     fn run(
         &self,
         compiled: &[Compiled],
         input: &[u8],
         telemetry: Option<(&Telemetry, &str)>,
+    ) -> RunResult {
+        if telemetry.is_some() {
+            return self.run_on(compiled, input, telemetry, 1);
+        }
+        let helpers = par::Budget::global().borrow(self.arrays.len().saturating_sub(1));
+        self.run_on(compiled, input, None, 1 + helpers.count())
+    }
+
+    /// Runs the plan's arrays on `workers` threads, the calling one
+    /// included; a traced run uses one. On one thread the arrays run in
+    /// turn and charge the meter as they go. On more, each array records
+    /// its charges (its wire charges in cycle order, then its settle's)
+    /// and the meter takes the records in array order. Either way the
+    /// meter makes the same additions in the same order, so the result is
+    /// bit-identical for every worker count.
+    pub(crate) fn run_on(
+        &self,
+        compiled: &[Compiled],
+        input: &[u8],
+        telemetry: Option<(&Telemetry, &str)>,
+        workers: usize,
     ) -> RunResult {
         self.check(compiled);
         let cost = &self.cost;
@@ -427,16 +453,32 @@ impl Lowered {
         let mut quiescent_cycles: u64 = 0;
         let mut probe = telemetry.map(|(tel, label)| tel.probe(label));
 
-        for (index, image) in self.arrays.iter().enumerate() {
-            let mut sim = array::Array::new(image, compiled);
-            let outcome = array::run_array(
-                image,
-                &mut sim,
-                compiled,
-                input,
-                &mut meter,
-                probe.as_mut().map(|p| (p, index as u32)),
-            );
+        let outcomes: Vec<array::ArrayOutcome> = if workers > 1 && probe.is_none() {
+            // Each run is dropped on the thread it ran on.
+            let runs = par_map(self.arrays.iter().collect(), workers, |image| {
+                let mut sim = array::Array::new(image, compiled);
+                let mut charges = array::Charges::default();
+                let outcome =
+                    array::run_array(image, &mut sim, compiled, input, &mut charges, None);
+                (outcome, charges)
+            });
+            runs.into_iter()
+                .map(|(outcome, charges)| {
+                    charges.apply(&mut meter);
+                    outcome
+                })
+                .collect()
+        } else {
+            (0u32..)
+                .zip(&self.arrays)
+                .map(|(index, image)| {
+                    let mut sim = array::Array::new(image, compiled);
+                    let probe = probe.as_mut().map(|p| (p, index));
+                    array::run_array(image, &mut sim, compiled, input, &mut meter, probe)
+                })
+                .collect()
+        };
+        for outcome in outcomes {
             stall_cycles += outcome.cycles.saturating_sub(input.len() as u64);
             max_cycles = max_cycles.max(outcome.cycles);
             powered_tile_cycles += outcome.powered_tile_cycles;
@@ -513,8 +555,15 @@ impl fmt::Debug for Lowered {
 /// Arrays run in parallel on the same stream; an array in NBVA mode stalls
 /// independently during bit-vector-processing phases, and the two-level
 /// buffering of §3.3 decouples the arrays, so the bank finishes when its
-/// slowest array does. To simulate one plan repeatedly, build its
-/// [`Lowered`] images once and call [`Lowered::simulate`].
+/// slowest array does. The simulation runs them the same way: each array
+/// runs to completion on its own, on the calling thread or on a helper
+/// thread borrowed from a process-wide budget of
+/// `available_parallelism() − 1` helpers (a one-array plan borrows none,
+/// and a call that finds none free runs on its caller). The arrays' energy
+/// is then charged in array order, so the result is bit-identical for any
+/// number of threads. [`simulate_traced`] steps the arrays on the calling
+/// thread. To simulate one plan repeatedly, build its [`Lowered`] images
+/// once and call [`Lowered::simulate`].
 pub fn simulate(
     compiled: &[Compiled],
     mapping: &Mapping,
@@ -527,7 +576,8 @@ pub fn simulate(
 /// Like [`simulate`], with cycle-sampled probe events and run totals
 /// recorded into `telemetry` under `label`. Tracing only observes: the
 /// returned result is identical to the untraced path's. A traced run
-/// steps every cycle, so probe samples land where they always did.
+/// steps every cycle of one array after another on the calling thread,
+/// so probe samples land where they always did.
 pub fn simulate_traced(
     compiled: &[Compiled],
     mapping: &Mapping,
@@ -728,6 +778,90 @@ mod tests {
         match err {
             SimError::Compile { pattern, .. } => assert_eq!(pattern, 1),
             other @ SimError::IllegalMapping { .. } => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    /// The wide corpus of `tests/differential.rs`, three times over,
+    /// unfolded for CA: 36 tile-spanning repetitions over as many arrays as
+    /// the fan-out tests have workers (four), which charge wire energy.
+    fn wide_ca_plan() -> (Vec<Compiled>, Mapping, Vec<u8>) {
+        let patterns: Vec<&str> = ["xc{60,200}y", "a[^a]{150}a", "xc{90,180}y"]
+            .into_iter()
+            .cycle()
+            .take(36)
+            .collect();
+        let sim = Simulator::new(Machine::Ca);
+        let compiled = sim.compile(&regexes(&patterns)).expect("compiles");
+        let mapping = sim.map_verified(&compiled).expect("verifies");
+        assert!(mapping.arrays.len() >= 4, "{} arrays", mapping.arrays.len());
+        let input = [
+            b"x".to_vec(),
+            b"c".repeat(120),
+            b"y a".to_vec(),
+            b"b".repeat(150),
+            b"a".to_vec(),
+        ]
+        .concat()
+        .repeat(4);
+        (compiled, mapping, input)
+    }
+
+    /// Everything a run reports, floats by their bits.
+    fn bits(r: &RunResult) -> impl PartialEq + fmt::Debug {
+        let energy: Vec<(Category, u64)> =
+            r.energy.iter().map(|(c, pj)| (c, pj.to_bits())).collect();
+        let m = &r.metrics;
+        (
+            r.machine,
+            (m.input_chars, m.cycles, m.matches),
+            [m.clock_hz, m.energy_uj, m.area_mm2].map(f64::to_bits),
+            energy,
+            r.matches.clone(),
+            (r.stall_cycles, r.quiescent_cycles),
+        )
+    }
+
+    /// The fan-out is exact: one worker and four report the same run, bit
+    /// for bit, whatever helpers the process-wide budget has free.
+    #[test]
+    fn array_fan_out_equals_one_thread() {
+        let (compiled, mapping, input) = wide_ca_plan();
+        let lowered = Lowered::new(&compiled, &mapping, Machine::Ca);
+        let serial = lowered.run_on(&compiled, &input, None, 1);
+        let fanned = lowered.run_on(&compiled, &input, None, 4);
+        assert!(serial.energy.category_pj(Category::Wire) > 0.0);
+        assert!(!serial.matches.is_empty());
+        assert_eq!(bits(&fanned), bits(&serial));
+    }
+
+    /// Simulations inside `par_map` workers borrow what helpers are free,
+    /// none once the budget is used up, and still report the serial run.
+    /// They run on a thread of their own, so a fan-out that waited for a
+    /// helper fails the test instead of hanging it.
+    #[test]
+    fn nested_fan_out_returns_serial_results() {
+        let (compiled, mapping, input) = wide_ca_plan();
+        let lowered = Lowered::new(&compiled, &mapping, Machine::Ca);
+        let serial = bits(&lowered.run_on(&compiled, &input, None, 1));
+        let (done, finished) = std::sync::mpsc::channel();
+        let nested = std::thread::spawn(move || {
+            let nested = || {
+                par_map(vec![(); 4], 4, |()| {
+                    bits(&lowered.simulate(&compiled, &input))
+                })
+            };
+            // Every free helper held: each simulation runs on its caller.
+            let held = par::Budget::global().borrow(usize::MAX);
+            let starved = nested();
+            drop(held);
+            done.send((starved, nested())).expect("the test waits");
+        });
+        let (starved, free) = finished
+            .recv_timeout(std::time::Duration::from_mins(2))
+            .expect("nested simulations finish: no fan-out waits for a helper");
+        nested.join().expect("nested simulations do not panic");
+        for run in starved.iter().chain(&free) {
+            assert_eq!(run, &serial);
         }
     }
 

@@ -8,9 +8,14 @@
 //! A second family checks the quiescent fast path: a quiet tile array
 //! jumps idle input when no probe is attached, and a traced run steps
 //! every cycle, so the two must agree bit for bit.
+//!
+//! The wide corpora also pin the array fan-out: an untraced batch run
+//! spreads a plan's arrays over the free cores, a traced one steps them on
+//! the calling thread, and both must report the same modeled numbers.
 
 use proptest::prelude::*;
 use rap_automata::nfa::Nfa;
+use rap_circuit::energy::Category;
 use rap_circuit::Machine;
 use rap_regex::{CharClass, Pattern, Regex};
 use rap_sim::{MatchEvent, RunResult, Simulator, StreamRun};
@@ -190,23 +195,35 @@ fn unanchored(regexes: Vec<Regex>) -> Vec<Pattern> {
         .collect()
 }
 
+/// A traced simulator: its batch runs step their arrays on the calling
+/// thread.
+fn traced(machine: Machine) -> Simulator {
+    Simulator::new(machine).with_telemetry(std::sync::Arc::new(Telemetry::new(
+        TelemetryConfig::default(),
+    )))
+}
+
 /// Compiles, maps and verifies `patterns` for `machine`, then runs the
-/// batch and the streaming path; `None` when the set does not fit.
-fn run_both(
+/// untraced batch path (arrays fanned out), the traced batch path (one
+/// thread) and the streaming path; `None` when the set does not fit.
+fn run_paths(
     machine: Machine,
     patterns: &[Pattern],
     input: &[u8],
-) -> Option<(RunResult, RunResult)> {
+) -> Option<(RunResult, RunResult, RunResult)> {
     let sim = Simulator::new(machine);
     let compiled = sim.compile_parsed(patterns).ok()?;
     let mapping = sim.map_verified(&compiled).ok()?;
     let batch = sim.simulate(&compiled, &mapping, input);
+    let serial = traced(machine).simulate(&compiled, &mapping, input);
     let (streaming, _) = sim.simulate_streaming(&compiled, &mapping, input);
-    Some((batch, streaming))
+    Some((batch, serial, streaming))
 }
 
 /// A fixed wide corpus really does exercise what the wide property is
-/// for: unfolded, it spans tiles (cross-tile edges) and several arrays.
+/// for: unfolded, it spans tiles (cross-tile edges) and several arrays,
+/// which charge wire energy. The fanned-out batch run reports the traced
+/// run's modeled numbers.
 #[test]
 fn wide_corpus_spans_tiles_and_arrays() {
     let regexes: Vec<Regex> = ["xc{60,200}y", "a[^a]{150}a", "xc{90,180}y"]
@@ -222,7 +239,10 @@ fn wide_corpus_spans_tiles_and_arrays() {
         b"b".repeat(150),
         b"a".to_vec(),
     ]
-    .concat();
+    .concat()
+    // Four passes: over one, the two CA arrays' wire charges add up to the
+    // same bits in either array order, so an order fault would not show.
+    .repeat(4);
     let expect = reference(&regexes, &input);
     assert!(!expect.is_empty());
     for machine in Machine::all() {
@@ -243,8 +263,20 @@ fn wide_corpus_spans_tiles_and_arrays() {
             assert!(cross > 0, "{machine}: no cross-tile edges");
         }
         let batch = sim.simulate(&compiled, &mapping, &input);
+        let serial = traced(machine).simulate(&compiled, &mapping, &input);
         let (streaming, _) = sim.simulate_streaming(&compiled, &mapping, &input);
+        if matches!(machine, Machine::Ca | Machine::Cama) {
+            assert!(
+                batch.energy.category_pj(Category::Wire) > 0.0,
+                "{machine}: no wire energy"
+            );
+        }
         assert_eq!(batch.matches, expect, "{machine} batch");
+        assert_eq!(
+            modeled(&batch),
+            modeled(&serial),
+            "{machine} fanned out vs traced"
+        );
         assert_eq!(streaming.matches, expect, "{machine} streaming");
     }
 }
@@ -323,7 +355,7 @@ proptest! {
         machine_idx in 0usize..4,
     ) {
         let machine = Machine::all()[machine_idx];
-        let Some((batch, streaming)) = run_both(machine, &patterns, &input) else {
+        let Some((batch, _, streaming)) = run_paths(machine, &patterns, &input) else {
             return Ok(());
         };
         let expect = reference_anchored(&patterns, &input);
@@ -336,7 +368,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Tile- and array-spanning pattern sets (mixed with small ones) match
-    /// the interpreter on every machine, batch and streaming alike.
+    /// the interpreter on every machine, batch and streaming alike, and the
+    /// fanned-out batch run reports the traced run's modeled numbers.
     #[test]
     fn wide_patterns_match_ground_truth(
         wide in prop::collection::vec(arb_wide_pattern(), 1..14),
@@ -346,12 +379,14 @@ proptest! {
     ) {
         let machine = Machine::all()[machine_idx];
         let regexes: Vec<Regex> = wide.into_iter().chain(small).collect();
-        let Some((batch, streaming)) = run_both(machine, &unanchored(regexes.clone()), &input)
+        let Some((batch, serial, streaming)) =
+            run_paths(machine, &unanchored(regexes.clone()), &input)
         else {
             return Ok(());
         };
         let expect = reference(&regexes, &input);
         prop_assert_eq!(&batch.matches, &expect, "machine {} batch", machine);
+        prop_assert_eq!(modeled(&batch), modeled(&serial), "machine {} fanned out", machine);
         prop_assert_eq!(&streaming.matches, &expect, "machine {} streaming", machine);
     }
 }
