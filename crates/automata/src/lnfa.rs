@@ -151,11 +151,6 @@ impl ShiftAndRun<'_> {
         self.states.count_ones()
     }
 
-    /// Whether state `q_i` is active.
-    pub fn is_active(&self, i: usize) -> bool {
-        self.states.get(i)
-    }
-
     /// The raw `states` register (bit i = state `q_i`).
     pub fn states(&self) -> &BitVec {
         &self.states

@@ -434,15 +434,6 @@ impl NbvaRun<'_> {
         );
         self.active.set(q as usize, true);
     }
-
-    /// Whether state `q` is active: plain states by activation bit, BV
-    /// states by a non-zero vector.
-    pub fn is_state_active(&self, q: StateId) -> bool {
-        match self.nbva.states[q as usize].kind {
-            StateKind::Plain => self.active.get(q as usize),
-            StateKind::Bv { .. } => self.vectors[q as usize].any(),
-        }
-    }
 }
 
 /// What one [`NbvaRun::step_detailed`] call did.

@@ -321,11 +321,6 @@ impl NfaRun<'_> {
         &self.active
     }
 
-    /// Whether state `q` is active.
-    pub fn is_active(&self, q: StateId) -> bool {
-        self.active.get(q as usize)
-    }
-
     /// Forces state `q` active, as if its character class had just matched
     /// — used by prefilter-driven engines that verify a literal prefix out
     /// of band and inject the post-prefix state.

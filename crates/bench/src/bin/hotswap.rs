@@ -12,10 +12,12 @@
 //!   configured control server that never swaps. Reports swap-latency
 //!   p50/p99 and the largest certified drain bound.
 //! * **execute** — the sim-level certificate spend: `Pipeline::swap`
-//!   certifies a `ReconfigPlan`, `rap_swap::execute` runs it mid-stream
-//!   through `simulate_hot_swap`, and the observed quiesce is checked
-//!   against the certified drain bound with the staying tenants
-//!   demux-identical to the unswapped composed run.
+//!   certifies a `ReconfigPlan`, and `rap_swap::execute` spends it with
+//!   one batch run per tenant's solo plan. The staying tenants must be
+//!   demux-identical to the unswapped composed run, and the observed
+//!   drain is checked against the certified bound. The batch model has no
+//!   bank window, so the observed drain is the outgoing tenant's stall
+//!   cycles over the pre-swap prefix, not a drain.
 //!
 //! Exits non-zero when any staying stream diverges, when a swap's
 //! observed drain exceeds its certified bound, when a swap fails to

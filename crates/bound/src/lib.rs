@@ -29,8 +29,10 @@
 //! the static bounds on any benchmark suite.
 
 pub mod interval;
+mod span;
 
 pub use interval::{counter_interval, Interval};
+pub use span::max_match_span;
 
 use rap_analyze::{check_soundness, state_activity, SoundnessConfig, UnitActivity};
 use rap_arch::config::ArchConfig;
@@ -340,7 +342,7 @@ pub fn analyze_bounds(
     let counters = counter_bounds(images, &mut activity, &mut report);
 
     let replication = ReplicationBound {
-        max_match_span: rap_sim::max_match_span(images),
+        max_match_span: max_match_span(images),
     };
     if replication.max_match_span.is_none() {
         report.push(

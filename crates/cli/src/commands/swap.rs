@@ -313,7 +313,7 @@ mod tests {
             })
             .collect();
         assert!(
-            rap_sim::max_match_span(&images).is_some(),
+            rap_bound::max_match_span(&images).is_some(),
             "outgoing ClamAV patterns at seed 7 must stay span-bounded: {patterns:?}"
         );
     }

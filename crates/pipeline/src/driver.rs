@@ -9,7 +9,7 @@
 use crate::artifact::{CompiledSet, MappedPlan, PatternSet, VerifiedPlan};
 use crate::error::EvalError;
 use crate::report::{Metrics, PipelineReport, Stage};
-use crate::store::{DiskTier, StoreConfig, TierStats, TieredStore};
+use crate::store::{DiskTier, StoreConfig, TieredStore};
 use crate::summary::RunSummary;
 use crate::workload::{self, BenchConfig, SuiteCorpus};
 use rap_circuit::Machine;
@@ -97,8 +97,8 @@ impl Pipeline {
     ///
     /// Loaded plans are untrusted: they re-enter through the full
     /// [`crate::MappedPlan::verify`] path, so a corrupt or tampered file
-    /// is rejected, counted ([`TierStats::corrupt`]), and rebuilt from
-    /// source.
+    /// is rejected, counted ([`crate::TierStats::corrupt`]), and rebuilt
+    /// from source.
     ///
     /// # Errors
     ///
@@ -107,16 +107,6 @@ impl Pipeline {
         let tier = DiskTier::<VerifiedPlan>::open(config)?;
         self.plans = std::mem::take(&mut self.plans).with_disk(tier);
         Ok(self)
-    }
-
-    /// Whether a persistent disk tier is attached.
-    pub fn has_store(&self) -> bool {
-        self.plans.has_disk()
-    }
-
-    /// Disk-tier counters, when a store is attached.
-    pub fn store_stats(&self) -> Option<TierStats> {
-        self.plans.disk_stats()
     }
 
     /// Attaches an observability context: per-stage spans and cache

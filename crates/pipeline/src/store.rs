@@ -732,11 +732,6 @@ impl<T> TieredStore<T> {
         self
     }
 
-    /// Whether a disk tier is attached.
-    pub fn has_disk(&self) -> bool {
-        self.disk.is_some()
-    }
-
     /// Memory-tier counters in the legacy hit/miss shape (a miss means
     /// "not answered from memory" — it may still have been answered from
     /// disk rather than compiled; see [`TieredStore::disk_stats`]).

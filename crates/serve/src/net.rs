@@ -200,6 +200,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                         session = Some(s);
                         let body = match &error {
                             ServeError::SwapRejected(analysis) => analysis.report.to_json(),
+                            ServeError::Rejected(analysis) => analysis.report.to_json(),
                             other => format!("{{\"error\":{:?}}}", other.to_string()),
                         };
                         if write_frame(&mut stream, OP_REJECTED, body.as_bytes()).is_err() {

@@ -242,7 +242,7 @@ impl Shared {
         residency.tenancy = if residency.tenants.is_empty() {
             None
         } else {
-            Some(Arc::new(self.certify(residency)?))
+            Some(Arc::new(self.certify(&residency.tenants)?))
         };
         self.metrics
             .recompose_ns
@@ -252,9 +252,8 @@ impl Shared {
 
     /// Certifies a shard's residents from their solo plans and derives
     /// the certificate's budgets.
-    fn certify(&self, residency: &Residency) -> Result<Tenancy, ServeError> {
-        let tenants: Vec<(&str, &VerifiedPlan)> = residency
-            .tenants
+    fn certify(&self, residents: &[ResidentTenant]) -> Result<Tenancy, ServeError> {
+        let tenants: Vec<(&str, &VerifiedPlan)> = residents
             .iter()
             .map(|t| (t.name.as_str(), &*t.plan))
             .collect();
@@ -380,7 +379,8 @@ impl Shared {
 
     /// Hot-swaps a resident tenant: statically certifies replacing the
     /// `outgoing` session's tenant with `name`/`patterns` on the same
-    /// shard (Q001–Q008), then — only if certified — drains the
+    /// shard (Q001–Q008) and the shard's own recomposition of the
+    /// post-swap residents, then — only if both pass — drains the
     /// outgoing session and registers the replacement into the freed
     /// footprint. Every other session keeps scanning throughout; a
     /// refusal leaves the outgoing session untouched and streaming.
@@ -442,6 +442,41 @@ impl Shared {
                 .record(start.elapsed().as_nanos() as u64);
             return Err(ServeError::SwapRejected(Box::new(analysis)));
         };
+        // The swap certificate pins staying tenants to their slots, but
+        // registering the replacement recomposes the shard first-fit in
+        // name order, and a set that fits pinned can fail first-fit.
+        // Certify that layout too while the outgoing session still runs.
+        let post_swap: Vec<ResidentTenant> = shard
+            .residency
+            .lock()
+            .expect("shard residency poisoned")
+            .tenants
+            .iter()
+            .filter(|t| t.name != outgoing_name)
+            .map(|t| ResidentTenant {
+                name: t.name.clone(),
+                plan: Arc::clone(&t.plan),
+            })
+            .chain([ResidentTenant {
+                name: name.to_string(),
+                plan: Arc::clone(&solo),
+            }])
+            .collect();
+        if let Err(error) = self.certify(&post_swap) {
+            self.metrics.swaps_rejected.inc();
+            self.finding(
+                Rule::AdmissionRejected,
+                format!(
+                    "hot swap {outgoing_name:?} -> {name:?} refused on shard {}: \
+                     the post-swap recomposition is not certified ({error})",
+                    shard.id
+                ),
+            );
+            self.metrics
+                .swap_ns
+                .record(start.elapsed().as_nanos() as u64);
+            return Err(error);
+        }
         // Spend the certificate: drain ONLY the outgoing session (its
         // final scan covers every accepted byte, bounded by the
         // certified drain window), then attach the replacement to the
@@ -574,7 +609,8 @@ impl Server {
 
     /// Hot-swaps a resident tenant: statically certifies replacing the
     /// `outgoing` session's tenant with the `name`/`patterns`
-    /// replacement on the same shard, and only then drains the outgoing
+    /// replacement on the same shard, and the shard's recomposition of
+    /// the post-swap residents, and only then drains the outgoing
     /// session (within its certified drain bound) and registers the
     /// replacement into the freed footprint. Every other session keeps
     /// scanning throughout. Returns the replacement's session and the
@@ -583,7 +619,9 @@ impl Server {
     /// # Errors
     ///
     /// [`ServeError::SwapRejected`] with the Q-rule findings when the
-    /// swap cannot be certified (the outgoing session is untouched),
+    /// swap cannot be certified, [`ServeError::Rejected`] with the
+    /// S-rule findings when the post-swap residents fail the shard's
+    /// recomposition (the outgoing session is untouched in both cases),
     /// [`ServeError::DuplicateTenant`] on a name clash,
     /// [`ServeError::Pipeline`] when a stage fails.
     pub fn swap_tenant(
@@ -593,18 +631,6 @@ impl Server {
         patterns: &PatternSet,
     ) -> Result<(Session, Box<rap_swap::ReconfigPlan>), ServeError> {
         self.shared.swap_tenant(outgoing, name, patterns)
-    }
-
-    /// Parses `sources` and registers the tenant.
-    ///
-    /// # Errors
-    ///
-    /// As [`Server::register`], plus [`ServeError::Pipeline`] on parse
-    /// failure.
-    pub fn register_sources(&self, name: &str, sources: &[String]) -> Result<Session, ServeError> {
-        let patterns =
-            PatternSet::parse(sources).map_err(|e| ServeError::Pipeline(e.to_string()))?;
-        self.register(name, &patterns)
     }
 
     /// Binds `addr` (e.g. `127.0.0.1:0`) and starts accepting framed

@@ -570,6 +570,61 @@ fn rejected_swap_leaves_the_outgoing_session_streaming() {
     assert_eq!(out.drain().len(), 1);
 }
 
+/// `count` sources, the `i`th rendered by `shape(i)`.
+fn tagged(count: usize, shape: impl Fn(usize) -> String) -> PatternSet {
+    let sources: Vec<String> = (0..count).map(shape).collect();
+    PatternSet::parse(&sources).expect("parses")
+}
+
+#[test]
+fn swap_failing_first_fit_recomposition_leaves_the_outgoing_session_streaming() {
+    let server = server(1, 8);
+    // First-fit in name order puts `a` in slot 0 and `c`'s three arrays
+    // (NFA, NBVA, LNFA) in slots 1-3 of bank 0; `d` sits alone in bank 1.
+    // The replacement `b` is one array of 40 literals: pinned at `c`'s
+    // base, `a` and `b` share bank 0 and the swap certifies. First-fit in
+    // name order packs `a`, `b` and `d` into bank 0, whose burst (1 + 40
+    // + 40 records) overflows its output capacity, so the shard's
+    // recomposition refuses (S002).
+    let a = server
+        .register("a", &patterns(&["needle"]))
+        .expect("admits");
+    let c_set = tagged(40, |i| match i % 3 {
+        0 => format!("(a|bc)(d|ef)(g|hi)(j|kl){i:02}"),
+        1 => format!("x{i:02}y{{20,40}}z"),
+        _ => format!("lit{i:02}"),
+    });
+    let c = server.register("c", &c_set).expect("admits");
+    let d = server
+        .register("d", &tagged(40, |i| format!("dd{i:02}")))
+        .expect("admits");
+    match server.swap_tenant(&c, "b", &tagged(40, |i| format!("bb{i:02}"))) {
+        Err(ServeError::Rejected(analysis)) => {
+            assert!(
+                !analysis
+                    .report
+                    .by_rule(rap_admit::Rule::BankOversubscribed)
+                    .is_empty(),
+                "{}",
+                analysis.report
+            );
+        }
+        Err(other) => panic!("expected a recomposition refusal, got {other:?}"),
+        Ok(_) => panic!("expected a recomposition refusal, got a swap"),
+    }
+    assert_eq!(server.metrics().swaps_rejected.get(), 1);
+    assert_eq!(server.metrics().swaps_completed.get(), 0);
+    // The refusal drained nothing: every resident keeps streaming.
+    c.send(b"a lit02 and an adgj00").expect("still open");
+    c.finish();
+    assert_eq!(c.drain().len(), 2);
+    for (session, chunk) in [(&a, &b"one needle"[..]), (&d, &b"dd07"[..])] {
+        session.send(chunk).expect("still open");
+        session.finish();
+        assert_eq!(session.drain().len(), 1);
+    }
+}
+
 #[test]
 fn unbuildable_swap_replacement_counts_as_rejected() {
     let server = server(1, 8);

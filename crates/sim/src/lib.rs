@@ -29,15 +29,11 @@ mod array;
 pub mod bank;
 mod cost;
 mod par;
-pub mod reconfig;
-pub mod replicate;
 mod result;
 
 pub use bank::{simulate_streaming, simulate_streaming_traced, BankStats, StreamRun};
 pub use cost::CostModel;
 pub use par::par_map;
-pub use reconfig::{extract_arrays, simulate_hot_swap, Extraction, HotSwapRun};
-pub use replicate::{max_match_span, simulate_replicated, ReplicatedRun};
 pub use result::{MatchEvent, RunResult};
 
 use rap_arch::config::ArchConfig;
@@ -338,9 +334,9 @@ pub(crate) fn debug_assert_verified(compiled: &[Compiled], mapping: &Mapping) {
 /// image (slot tables, per-tile initial, final and vector words, match
 /// columns and Shift-And labels per byte class, chain positions, wake
 /// sets), built once and shared by every run of the plan — batch, traced,
-/// streaming, resumable or replicated. A run owns only what a stream
-/// changes: live words, bit vectors, counters, and the crossbar rows it
-/// lowers lazily (see the `array` module).
+/// streaming or resumable. A run owns only what a stream changes: live
+/// words, bit vectors, counters, and the crossbar rows it lowers lazily
+/// (see the `array` module).
 ///
 /// The images index into the plan's compiled patterns instead of copying
 /// them, so every run is handed the images the plan was built from.

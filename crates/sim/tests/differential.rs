@@ -96,6 +96,24 @@ fn arb_runs() -> impl Strategy<Value = Vec<u8>> {
         .prop_map(|runs| runs.into_iter().flat_map(|(b, n)| vec![b; n]).collect())
 }
 
+/// Inputs for the wide corpora: runs, then segments that carry both wide
+/// shapes across their tiles (`x c…c y`, `a b…b a`), the whole repeated
+/// twice as the fixed wide corpus repeats its input. Both arrays of a
+/// two-array CA or CAMA plan then charge wire energy, in cycles and
+/// amounts that differ, so the energy bits depend on the order the
+/// arrays' charges reach the meter.
+fn arb_wide_input() -> impl Strategy<Value = Vec<u8>> {
+    let segment = (any::<bool>(), 100usize..260).prop_map(|(x, n)| {
+        if x {
+            [b"x".to_vec(), vec![b'c'; n], b"y".to_vec()].concat()
+        } else {
+            [b"a".to_vec(), vec![b'b'; n], b"a".to_vec()].concat()
+        }
+    });
+    (arb_runs(), prop::collection::vec(segment, 2..6))
+        .prop_map(|(runs, segments)| [runs, segments.concat()].concat().repeat(2))
+}
+
 /// Patterns whose tile arrays spend long stretches quiet, possibly `^`-
 /// and/or `$`-anchored: the small multi-mode ones, and counted repetitions
 /// that start with their bit-vector state (as NBVA, the initial state of
@@ -369,12 +387,13 @@ proptest! {
 
     /// Tile- and array-spanning pattern sets (mixed with small ones) match
     /// the interpreter on every machine, batch and streaming alike, and the
-    /// fanned-out batch run reports the traced run's modeled numbers.
+    /// fanned-out batch run reports the traced run's modeled numbers. Ten
+    /// or more wide patterns often fill two CA or CAMA arrays.
     #[test]
     fn wide_patterns_match_ground_truth(
-        wide in prop::collection::vec(arb_wide_pattern(), 1..14),
+        wide in prop::collection::vec(arb_wide_pattern(), 10..20),
         small in prop::collection::vec(arb_pattern(), 0..3),
-        input in arb_runs(),
+        input in arb_wide_input(),
         machine_idx in 0usize..4,
     ) {
         let machine = Machine::all()[machine_idx];

@@ -45,20 +45,23 @@
 //! per tile (both fit the 2.08 GHz clock period), local/global
 //! controller energy per tile/array.
 //!
-//! [`execute`] spends a certificate on `rap-sim`'s partial
-//! reconfiguration mechanism and returns per-tenant match streams, so
-//! callers can check the certified promise — staying tenants
+//! [`execute`] spends a certificate. The certificate proves every
+//! tenant's slot range runs exactly as its solo plan, so `execute` runs
+//! one batch `rap_sim::simulate` per tenant: each staying tenant over the
+//! whole stream, the outgoing tenant over the pre-swap prefix, and the
+//! replacement over the post-swap suffix. It returns per-tenant match
+//! streams, so callers can check the certified promise — staying tenants
 //! bit-identical to an unswapped run — end to end.
 
 use rap_admit::{admit, AdmitOptions, ComposedPlan, TenantSummary};
 use rap_arch::config::ArchConfig;
-use rap_bound::{array_bounds, ArrayBound, BankBound};
+use rap_bound::{array_bounds, max_match_span, ArrayBound, BankBound};
 use rap_circuit::models::{CAM_32X128, GLOBAL_CONTROLLER, LOCAL_CONTROLLER, SRAM_128X128};
 use rap_circuit::Machine;
 use rap_compiler::Compiled;
 use rap_diag::{Location, RuleCode, Severity};
 use rap_mapper::Mapping;
-use rap_sim::{max_match_span, simulate_hot_swap, MatchEvent};
+use rap_sim::{simulate, MatchEvent};
 
 pub use rap_admit::Tenant;
 
@@ -229,12 +232,6 @@ pub struct ReconfigPlan {
     pub slots: Vec<u32>,
     /// Outgoing slots the replacement does not reuse (power-gated).
     pub freed_slots: Vec<u32>,
-    /// The outgoing arrays, as indices into the **resident** composed
-    /// mapping (the arrays that stop consuming and drain).
-    pub retired_arrays: Vec<usize>,
-    /// The replacement arrays, as indices into the **post-swap**
-    /// composed mapping (the arrays that attach at the swap offset).
-    pub fresh_arrays: Vec<usize>,
     /// The certified drain bound.
     pub drain: DrainBound,
     /// The reconfiguration cost.
@@ -283,6 +280,22 @@ fn tenant_arrays(tenants: &[TenantSummary], tenant: &TenantSummary) -> Vec<usize
                 .expect("tenant slot is occupied")
         })
         .collect()
+}
+
+/// A tenant's solo plan inside a composition: its images, sliced out of
+/// the composed plan's, and its arrays re-based to the tenant's own
+/// pattern namespace. The certificate proves this plan runs exactly as
+/// the tenant's slot range of the composed plan.
+fn solo<'a>(composed: &'a ComposedPlan, tenant: &TenantSummary) -> (&'a [Compiled], Mapping) {
+    let (lo, hi) = tenant.pattern_range;
+    let mapping = Mapping {
+        arrays: tenant_arrays(&composed.tenants, tenant)
+            .into_iter()
+            .map(|a| composed.mapping.arrays[a].remap_patterns(|p| p - lo))
+            .collect(),
+        config: composed.mapping.config,
+    };
+    (&composed.images[lo..hi], mapping)
 }
 
 /// Statically analyzes replacing resident tenant `outgoing` with
@@ -427,11 +440,11 @@ pub fn analyze_swap(
         }
     };
 
-    // Re-admission: staying tenants pinned where they are, their images
-    // borrowed from the resident plan and their arrays re-based to a
-    // solo namespace; the replacement pinned to the footprint and the
-    // outgoing tenant's match-ID base (demux continuity).
-    let solo_plans: Vec<(Mapping, Vec<ArrayBound>)> = staying
+    // Re-admission: staying tenants pinned where they are, as their solo
+    // plans (images borrowed from the resident plan); the replacement
+    // pinned to the footprint and the outgoing tenant's match-ID base
+    // (demux continuity).
+    let solo_plans: Vec<(&[Compiled], Mapping, Vec<ArrayBound>)> = staying
         .iter()
         .map(|t| {
             assert!(
@@ -440,24 +453,17 @@ pub fn analyze_swap(
                 t.name,
                 t.slots
             );
-            let (lo, hi) = t.pattern_range;
-            let mapping = Mapping {
-                arrays: tenant_arrays(&resident.tenants, t)
-                    .into_iter()
-                    .map(|a| resident.mapping.arrays[a].remap_patterns(|p| p - lo))
-                    .collect(),
-                config: resident.mapping.config,
-            };
-            let bounds = array_bounds(&resident.images[lo..hi], &mapping);
-            (mapping, bounds)
+            let (images, mapping) = solo(resident, t);
+            let bounds = array_bounds(images, &mapping);
+            (images, mapping, bounds)
         })
         .collect();
     let mut tenants: Vec<Tenant<'_>> = staying
         .iter()
         .zip(&solo_plans)
-        .map(|(t, (mapping, bounds))| Tenant {
+        .map(|(t, (images, mapping, bounds))| Tenant {
             name: &t.name,
-            images: &resident.images[t.pattern_range.0..t.pattern_range.1],
+            images,
             mapping,
             bounds,
             match_base: Some(t.match_ids.0),
@@ -559,12 +565,6 @@ pub fn analyze_swap(
         return reject(report);
     }
 
-    let fresh = composed
-        .tenants
-        .iter()
-        .find(|t| t.name == incoming.name)
-        .expect("replacement is in the post-swap summaries");
-    let fresh_arrays = tenant_arrays(&composed.tenants, fresh);
     SwapAnalysis {
         report,
         staying: staying_names,
@@ -574,8 +574,6 @@ pub fn analyze_swap(
             banks,
             slots,
             freed_slots,
-            retired_arrays: tenant_arrays(&resident.tenants, leaving),
-            fresh_arrays,
             drain,
             cost,
             composed,
@@ -594,15 +592,21 @@ pub struct SwapExecution {
     pub outgoing: Vec<MatchEvent>,
     /// The replacement tenant's post-swap matches (global offsets).
     pub incoming: Vec<MatchEvent>,
-    /// Cycles the retired arrays needed beyond the swap offset.
+    /// Cycles the outgoing tenant's solo run over the pre-swap prefix
+    /// took beyond the swap offset. The batch model has no bank window,
+    /// so this is not a drain: it counts the tenant's bit-vector stalls
+    /// over the whole prefix, not the cycles after the swap, and can
+    /// exceed the certified [`DrainBound`] on a long, stall-heavy prefix.
     pub observed_drain_cycles: u64,
-    /// Cycle at which the swap window closed.
-    pub quiesce_cycle: u64,
 }
 
 /// Spends a certificate: applies `plan` to the resident composition
-/// mid-stream at byte offset `swap_at` through `rap-sim`'s partial
-/// reconfiguration mechanism, and demultiplexes the result per tenant.
+/// mid-stream at byte offset `swap_at`. The certificate proves each
+/// tenant's slot range runs exactly as its solo plan, so each tenant runs
+/// alone: staying tenants over the whole stream, the outgoing tenant
+/// over `input[..swap_at]` (its stream ends at the swap, so its
+/// `$`-anchored patterns report there), and the replacement over
+/// `input[swap_at..]`, its match ends shifted to global offsets.
 ///
 /// # Panics
 ///
@@ -615,43 +619,38 @@ pub fn execute(
     swap_at: usize,
     machine: Machine,
 ) -> SwapExecution {
-    let run = simulate_hot_swap(
-        &resident.images,
-        &resident.mapping,
-        &plan.retired_arrays,
-        &plan.composed.images,
-        &plan.composed.mapping,
-        &plan.fresh_arrays,
-        input,
-        swap_at,
-        machine,
-    );
-    let out_idx = resident
-        .tenants
-        .iter()
-        .position(|t| t.name == plan.outgoing)
-        .expect("plan's outgoing tenant is resident");
+    assert!(swap_at <= input.len(), "swap offset beyond the stream");
+    let run = |composed: &ComposedPlan, tenant: &TenantSummary, segment: &[u8]| {
+        let (images, mapping) = solo(composed, tenant);
+        simulate(images, &mapping, segment, machine)
+    };
     let staying = resident
         .tenants
         .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != out_idx)
-        .map(|(i, t)| (t.name.clone(), resident.tenant_matches(i, &run.pre_matches)))
+        .filter(|t| t.name != plan.outgoing)
+        .map(|t| (t.name.clone(), run(resident, t, input).matches))
         .collect();
-    let outgoing = resident.tenant_matches(out_idx, &run.pre_matches);
-    let in_idx = plan
+    let leaving = resident
+        .tenants
+        .iter()
+        .find(|t| t.name == plan.outgoing)
+        .expect("plan's outgoing tenant is resident");
+    let drained = run(resident, leaving, &input[..swap_at]);
+    let fresh = plan
         .composed
         .tenants
         .iter()
-        .position(|t| t.name == plan.incoming)
+        .find(|t| t.name == plan.incoming)
         .expect("plan's replacement is in the certificate");
-    let incoming = plan.composed.tenant_matches(in_idx, &run.fresh_matches);
+    let mut incoming = run(&plan.composed, fresh, &input[swap_at..]).matches;
+    for m in &mut incoming {
+        m.end += swap_at;
+    }
     SwapExecution {
         staying,
-        outgoing,
+        outgoing: drained.matches,
         incoming,
-        observed_drain_cycles: run.observed_drain_cycles,
-        quiesce_cycle: run.quiesce_cycle,
+        observed_drain_cycles: drained.metrics.cycles.saturating_sub(swap_at as u64),
     }
 }
 

@@ -1,11 +1,10 @@
-//! Streaming through the bank buffer hierarchy (§3.3) and multi-bank
-//! workload sharing (§5.5): watch the FIFOs absorb bit-vector stalls, the
-//! output buffer raise host interrupts, and replication recover the
-//! throughput an NBVA-heavy workload loses.
+//! Streaming through the bank buffer hierarchy (§3.3): watch the FIFOs
+//! absorb bit-vector stalls and the output buffer raise host interrupts,
+//! with the streamed matches equal to the batch run's.
 //!
 //! Run with: `cargo run --release --example streaming`
 
-use rap::sim::{simulate_replicated, Simulator};
+use rap::sim::Simulator;
 use rap::workloads::{generate_input, generate_patterns, Suite};
 use rap::Machine;
 
@@ -43,29 +42,5 @@ fn main() -> Result<(), rap::SimError> {
     println!("  per-array starved  : {:?}", stats.starved_cycles);
     println!("  max consumed skew  : {} bytes", stats.max_skew);
     println!("  output interrupts  : {}", stats.output_interrupts);
-
-    // §5.5: replicate until the workload sustains ≥ 2 Gch/s. Sharding
-    // needs bounded match spans, so demo it on the NBVA-decided subset
-    // (`.*`-style patterns have unbounded span and block sharding).
-    let decider = rap::compiler::Compiler::new(sim.compiler);
-    let nbva_only: Vec<_> = regexes
-        .iter()
-        .filter(|re| decider.decide(re) == rap::Mode::Nbva)
-        .cloned()
-        .collect();
-    let compiled = sim.compile(&nbva_only)?;
-    let mapping = sim.map(&compiled);
-    let base = sim.simulate(&compiled, &mapping, &stream);
-    let rep = simulate_replicated(&compiled, &mapping, &stream, Machine::Rap, 2.0, 8);
-    assert_eq!(rep.result.matches, base.matches);
-    println!(
-        "replicated: {} banks (overlap {} B): {:.2} -> {:.2} Gch/s at {:.3} -> {:.3} mm2",
-        rep.replicas,
-        rep.overlap,
-        base.metrics.throughput_gchps(),
-        rep.result.metrics.throughput_gchps(),
-        base.metrics.area_mm2,
-        rep.result.metrics.area_mm2
-    );
     Ok(())
 }

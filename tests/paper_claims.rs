@@ -194,30 +194,6 @@ fn bvap_wastes_area_without_repetitions() {
     );
 }
 
-/// §5.5's replication: sharding a stalling NBVA workload over extra banks
-/// recovers throughput at an area cost, without losing matches.
-#[test]
-fn replication_recovers_nbva_throughput() {
-    use rap::sim::simulate_replicated;
-    let patterns = generate_patterns(Suite::ClamAv, 40, 31);
-    let input = generate_input(&patterns, 30_000, 0.05, 31);
-    // Only bounded-span patterns shard; `.*`-style NFA patterns would
-    // block replication (max_match_span = None), which is the documented
-    // fallback, not what this test probes.
-    let regexes = split_by_mode(&parsed(&patterns), Mode::Nbva);
-    assert!(regexes.len() >= 25, "suite should be NBVA-heavy");
-    let sim = Simulator::new(Machine::Rap).with_bv_depth(32);
-    let compiled = sim.compile(&regexes).expect("compiles");
-    let mapping = sim.map(&compiled);
-    let base = sim.simulate(&compiled, &mapping, &input);
-    let rep = simulate_replicated(&compiled, &mapping, &input, Machine::Rap, 2.0, 8);
-    assert_eq!(rep.result.matches, base.matches);
-    if base.metrics.throughput_gchps() < 1.9 {
-        assert!(rep.replicas > 1);
-        assert!(rep.result.metrics.throughput_gchps() > base.metrics.throughput_gchps());
-    }
-}
-
 /// RAP's known cost: the per-tile local controller makes its pure-NFA mode
 /// *worse* than CAMA (the paper's RegexLib observation).
 #[test]
