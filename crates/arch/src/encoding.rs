@@ -86,13 +86,13 @@ impl CcCode {
 }
 
 /// The canonical product-term cover of a class: high nibbles sharing an
-/// identical low-nibble set form one term. Terms are disjoint and their
-/// union is exactly `cc`.
+/// identical low-nibble set form one term, in order of each term's lowest
+/// high nibble. Terms are disjoint and their union is exactly `cc`.
 pub fn product_cover(cc: &CharClass) -> Vec<ProductTerm> {
-    let mut lo_sets = [0u16; 16];
-    for b in cc.iter() {
-        lo_sets[(b >> 4) as usize] |= 1 << (b & 0x0f);
-    }
+    // High nibble `hi` owns bytes `16·hi ..= 16·hi + 15`: bits `16·(hi % 4)`
+    // up of bitmap word `hi / 4`, so its low-nibble set is that 16-bit lane.
+    let words = cc.as_words();
+    let lo_sets: [u16; 16] = std::array::from_fn(|hi| (words[hi / 4] >> (16 * (hi % 4))) as u16);
     let mut terms: Vec<ProductTerm> = Vec::new();
     for (hi, &lo) in lo_sets.iter().enumerate() {
         if lo == 0 {

@@ -2,7 +2,7 @@
 //! be exact for arbitrary classes.
 
 use proptest::prelude::*;
-use rap_arch::encoding::{encode_class, product_cover, single_code};
+use rap_arch::encoding::{encode_class, product_cover, single_code, ProductTerm};
 use rap_regex::CharClass;
 
 fn arb_class() -> impl Strategy<Value = CharClass> {
@@ -17,8 +17,65 @@ fn arb_class() -> impl Strategy<Value = CharClass> {
     ]
 }
 
+/// The class of the bytes `member` accepts.
+fn class_where(member: impl Fn(u8) -> bool) -> CharClass {
+    CharClass::from_bytes((0..=255u8).filter(|&b| member(b)))
+}
+
+/// Arbitrary 256-bit classes, and classes whose high nibbles draw their
+/// low-nibble sets from a few lanes, so that terms merge high nibbles.
+fn arb_bitmap() -> impl Strategy<Value = CharClass> {
+    prop_oneof![
+        prop::collection::vec(any::<u64>(), 4).prop_map(|w| class_where(|b| w
+            [usize::from(b / 64)]
+            >> (b % 64)
+            & 1
+            == 1)),
+        (
+            prop::collection::vec(any::<u16>(), 1..4),
+            prop::collection::vec(0usize..4, 16),
+        )
+            .prop_map(|(lanes, picks)| {
+                let lo_sets: Vec<u16> = picks.iter().map(|&i| lanes[i % lanes.len()]).collect();
+                class_where(|b| lo_sets[usize::from(b >> 4)] >> (b & 0x0f) & 1 == 1)
+            }),
+        arb_class(),
+    ]
+}
+
+/// The cover built by walking every member byte, as `product_cover` did
+/// before it read the bitmap's 16-bit lanes.
+fn byte_walk_cover(cc: &CharClass) -> Vec<ProductTerm> {
+    let mut lo_sets = [0u16; 16];
+    for b in cc.iter() {
+        lo_sets[usize::from(b >> 4)] |= 1 << (b & 0x0f);
+    }
+    let mut terms: Vec<ProductTerm> = Vec::new();
+    for (hi, &lo) in lo_sets.iter().enumerate() {
+        if lo == 0 {
+            continue;
+        }
+        if let Some(term) = terms.iter_mut().find(|t| t.lo_mask == lo) {
+            term.hi_mask |= 1 << hi;
+        } else {
+            terms.push(ProductTerm {
+                hi_mask: 1 << hi,
+                lo_mask: lo,
+            });
+        }
+    }
+    terms
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The cover read from the bitmap's lanes is the byte walk's, term
+    /// order included.
+    #[test]
+    fn product_cover_equals_the_byte_walk(cc in arb_bitmap()) {
+        prop_assert_eq!(product_cover(&cc), byte_walk_cover(&cc));
+    }
 
     /// The product-term cover is exact and disjoint for every class.
     #[test]

@@ -12,6 +12,16 @@
 //! *one* position whose `first`/`last` are itself and which follows itself
 //! (the repetition count lives in the bit vector, not in extra control
 //! states). Such a `σ{0,k}` position is *nullable*.
+//!
+//! The walk costs time linear in the positions plus the edges it makes.
+//! Every subexpression creates fresh positions, so the first/last sets a
+//! Concat or Alt joins are disjoint and join by plain concatenation, and a
+//! Concat's edges enter positions no follow list reaches yet. Only a Star
+//! or Plus loop can meet an edge its body already made (as in `(a*b*)*`);
+//! those links skip it through a stamp array over positions. An unfolded
+//! `σ{0,k}` (k optional positions, about k²/2 edges) therefore no longer
+//! costs k³ membership tests. Follow lists keep first-seen order, which
+//! mapper placements and stored plans depend on.
 
 use crate::StateId;
 use rap_regex::{CharClass, Regex};
@@ -60,6 +70,8 @@ pub(crate) fn construct(regex: &Regex, allow_bv: bool) -> Glushkov {
         positions: Vec::new(),
         follow: Vec::new(),
         allow_bv,
+        seen: Vec::new(),
+        stamp: 0,
     };
     let f = b.walk(regex);
     Glushkov {
@@ -92,6 +104,10 @@ struct Builder {
     positions: Vec<Position>,
     follow: Vec<Vec<StateId>>,
     allow_bv: bool,
+    /// `seen[q] == stamp` ⇔ `q` is already in the follow list being
+    /// extended by [`Builder::link_loop`].
+    seen: Vec<u64>,
+    stamp: u64,
 }
 
 impl Builder {
@@ -102,11 +118,20 @@ impl Builder {
         id
     }
 
-    fn link(&mut self, from: &[StateId], to: &[StateId]) {
+    /// Links `from` to `to` for a Star or Plus loop. The loop body's own
+    /// walk may have made some of these edges already (as in `(a*b*)*`), so
+    /// each follow list is extended with the positions of `to` it does not
+    /// hold yet, in `to`'s order.
+    fn link_loop(&mut self, from: &[StateId], to: &[StateId]) {
+        self.seen.resize(self.positions.len(), 0);
         for &p in from {
+            self.stamp += 1;
             let follow = &mut self.follow[p as usize];
+            for &q in follow.iter() {
+                self.seen[q as usize] = self.stamp;
+            }
             for &q in to {
-                if !follow.contains(&q) {
+                if self.seen[q as usize] != self.stamp {
                     follow.push(q);
                 }
             }
@@ -135,22 +160,27 @@ impl Builder {
             Regex::Concat(parts) => {
                 let mut acc = Factors::empty();
                 for part in parts {
-                    let f = self.walk(part);
-                    self.link(&acc.last, &f.first);
-                    let first = if acc.nullable {
-                        union(&acc.first, &f.first)
-                    } else {
-                        acc.first
-                    };
-                    let last = if f.nullable {
-                        union(&f.last, &acc.last)
-                    } else {
-                        f.last
-                    };
+                    let fresh = self.positions.len() as StateId;
+                    let mut f = self.walk(part);
+                    // `part` created every position of `f`, so the sets of
+                    // `acc` and `f` are disjoint, and no follow list outside
+                    // `part` reaches `f.first` yet: the edges and the sets
+                    // below need no membership tests.
+                    debug_assert!(apart(&[&acc.first, &acc.last], &[&f.first, &f.last], fresh));
+                    for &p in &acc.last {
+                        self.follow[p as usize].extend_from_slice(&f.first);
+                    }
+                    let mut first = acc.first;
+                    if acc.nullable {
+                        first.extend_from_slice(&f.first);
+                    }
+                    if f.nullable {
+                        f.last.extend_from_slice(&acc.last);
+                    }
                     acc = Factors {
                         nullable: acc.nullable && f.nullable,
                         first,
-                        last,
+                        last: f.last,
                     };
                 }
                 acc
@@ -160,10 +190,12 @@ impl Builder {
                 let mut first = Vec::new();
                 let mut last = Vec::new();
                 for part in parts {
+                    let fresh = self.positions.len() as StateId;
                     let f = self.walk(part);
+                    debug_assert!(apart(&[&first, &last], &[&f.first, &f.last], fresh));
                     nullable |= f.nullable;
-                    first = union(&first, &f.first);
-                    last = union(&last, &f.last);
+                    first.extend_from_slice(&f.first);
+                    last.extend_from_slice(&f.last);
                 }
                 Factors {
                     nullable,
@@ -173,7 +205,7 @@ impl Builder {
             }
             Regex::Star(inner) => {
                 let f = self.walk(inner);
-                self.link(&f.last, &f.first);
+                self.link_loop(&f.last, &f.first);
                 Factors {
                     nullable: true,
                     first: f.first,
@@ -182,7 +214,7 @@ impl Builder {
             }
             Regex::Plus(inner) => {
                 let f = self.walk(inner);
-                self.link(&f.last, &f.first);
+                self.link_loop(&f.last, &f.first);
                 Factors {
                     nullable: f.nullable,
                     first: f.first,
@@ -226,14 +258,12 @@ impl Builder {
     }
 }
 
-fn union(a: &[StateId], b: &[StateId]) -> Vec<StateId> {
-    let mut out = a.to_vec();
-    for &x in b {
-        if !out.contains(&x) {
-            out.push(x);
-        }
-    }
-    out
+/// Whether every position of `older` was created before `fresh` and every
+/// position of `newer` at or after it: the first and last sets of two
+/// subexpressions walked one after the other.
+fn apart(older: &[&[StateId]], newer: &[&[StateId]], fresh: StateId) -> bool {
+    older.iter().all(|set| set.iter().all(|&p| p < fresh))
+        && newer.iter().all(|set| set.iter().all(|&q| q >= fresh))
 }
 
 #[cfg(test)]

@@ -43,8 +43,8 @@ pub fn max_match_span(compiled: &[Compiled]) -> Option<usize> {
 }
 
 /// Iterative cycle detection (white/gray/black DFS) over a successor
-/// function.
-fn digraph_has_cycle(n: usize, succ: impl Fn(usize) -> Vec<u32>) -> bool {
+/// function that borrows each state's list.
+fn digraph_has_cycle<'a>(n: usize, succ: impl Fn(usize) -> &'a [u32]) -> bool {
     let mut color = vec![0u8; n]; // 0 white, 1 gray, 2 black
     let mut stack: Vec<(usize, usize)> = Vec::new();
     for start in 0..n {
@@ -76,11 +76,11 @@ fn digraph_has_cycle(n: usize, succ: impl Fn(usize) -> Vec<u32>) -> bool {
 }
 
 fn has_cycle(nfa: &rap_automata::nfa::Nfa) -> bool {
-    digraph_has_cycle(nfa.len(), |v| nfa.states()[v].succ.clone())
+    digraph_has_cycle(nfa.len(), |v| &nfa.states()[v].succ)
 }
 
 fn has_cycle_nbva(nbva: &rap_automata::nbva::Nbva) -> bool {
-    digraph_has_cycle(nbva.len(), |v| nbva.states()[v].succ.clone())
+    digraph_has_cycle(nbva.len(), |v| &nbva.states()[v].succ)
 }
 
 #[cfg(test)]

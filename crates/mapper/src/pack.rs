@@ -75,14 +75,20 @@ impl<'a> Packer<'a> {
     /// Places one regex's blocks with first-fit over the array's tiles
     /// (each block goes to the lowest tile with room and a compatible
     /// read-action family); opens a fresh array when the regex does not
-    /// fit the current one (regexes cannot span arrays, §3.3).
+    /// fit the current one (regexes cannot span arrays, §3.3). `succ(q)`
+    /// is state `q`'s successor list, for the cross-tile edge count.
     ///
     /// # Panics
     ///
     /// Panics if the regex cannot fit even an empty array (the compiler's
     /// capacity check plus fragmentation headroom should prevent this).
-    fn place(&mut self, pattern: usize, blocks: &[Block], edges: &[(u32, u32)]) {
-        match Self::try_place(self.config, self.current.clone(), pattern, blocks, edges) {
+    fn place<'s>(
+        &mut self,
+        pattern: usize,
+        blocks: &[Block],
+        succ: impl Fn(usize) -> &'s [u32] + Copy,
+    ) {
+        match Self::try_place(self.config, self.current.clone(), pattern, blocks, succ) {
             Some(next) => self.current = next,
             None => {
                 self.flush();
@@ -90,7 +96,7 @@ impl<'a> Packer<'a> {
                     self.config.arch.tiles_per_array,
                     self.config.arch.tile_columns,
                 );
-                self.current = Self::try_place(self.config, fresh, pattern, blocks, edges)
+                self.current = Self::try_place(self.config, fresh, pattern, blocks, succ)
                     .unwrap_or_else(|| {
                         panic!(
                             "pattern {pattern} does not fit one array even when empty \
@@ -103,12 +109,12 @@ impl<'a> Packer<'a> {
     }
 
     /// Attempts the placement on a copy of the accumulator.
-    fn try_place(
+    fn try_place<'s>(
         config: &MapperConfig,
         mut acc: ArrayAccum,
         pattern: usize,
         blocks: &[Block],
-        edges: &[(u32, u32)],
+        succ: impl Fn(usize) -> &'s [u32],
     ) -> Option<ArrayAccum> {
         let tile_cols = config.arch.tile_columns;
         let tiles_per_array = config.arch.tiles_per_array as usize;
@@ -142,10 +148,16 @@ impl<'a> Packer<'a> {
             acc.columns_used += u64::from(block.columns);
             state_tile.push(tile as u32);
         }
-        let cross_tile_edges = edges
+        let cross_tile_edges = state_tile
             .iter()
-            .filter(|&&(p, q)| state_tile[p as usize] != state_tile[q as usize])
-            .count() as u32;
+            .enumerate()
+            .map(|(p, &tile)| {
+                succ(p)
+                    .iter()
+                    .filter(|&&q| state_tile[q as usize] != tile)
+                    .count()
+            })
+            .sum::<usize>() as u32;
         acc.placements.push(Placement {
             pattern,
             state_tile,
@@ -182,26 +194,6 @@ fn action_class(read: ReadAction) -> ActionClass {
     }
 }
 
-fn nfa_edges(nfa: &rap_automata::nfa::Nfa) -> Vec<(u32, u32)> {
-    let mut edges = Vec::new();
-    for (p, s) in nfa.states().iter().enumerate() {
-        for &q in &s.succ {
-            edges.push((p as u32, q));
-        }
-    }
-    edges
-}
-
-fn nbva_edges(nbva: &rap_automata::nbva::Nbva) -> Vec<(u32, u32)> {
-    let mut edges = Vec::new();
-    for (p, s) in nbva.states().iter().enumerate() {
-        for &q in &s.succ {
-            edges.push((p as u32, q));
-        }
-    }
-    edges
-}
-
 /// Packs NFA images into arrays.
 pub(crate) fn pack_nfa(items: &[(usize, &CompiledNfa)], config: &MapperConfig) -> Vec<ArrayPlan> {
     let mut packer = Packer::new(config);
@@ -215,7 +207,7 @@ pub(crate) fn pack_nfa(items: &[(usize, &CompiledNfa)], config: &MapperConfig) -
                 bvm_slots: 0,
             })
             .collect();
-        packer.place(*pattern, &blocks, &nfa_edges(&img.nfa));
+        packer.place(*pattern, &blocks, |q| &img.nfa.states()[q].succ);
     }
     packer
         .finish()
@@ -259,7 +251,7 @@ pub(crate) fn pack_nbva(items: &[(usize, &CompiledNbva)], config: &MapperConfig)
                 },
             })
             .collect();
-        packer.place(*pattern, &blocks, &nbva_edges(&img.nbva));
+        packer.place(*pattern, &blocks, |q| &img.nbva.states()[q].succ);
     }
     packer
         .finish()

@@ -58,10 +58,17 @@ fn arb_input() -> impl Strategy<Value = Vec<u8>> {
 
 /// Long counted repetitions: as NBVA they are one bit-vector state, but
 /// unfolded (CA, CAMA, RAP's NFA mode) they span two or more 128-state
-/// tiles, and a dozen of them overflow a 2 048-state array.
+/// tiles, and a dozen of them overflow a 2 048-state array. The third
+/// shape, `x(cc?){n}y`, repeats a body that is not one class and expands
+/// to 2ⁿ strings, so RAP and BVAP keep it as an NFA of 2n + 2 states that
+/// spans tiles too.
 fn arb_wide_pattern() -> impl Strategy<Value = Regex> {
     let lit = Regex::literal_byte;
     prop_oneof![
+        (64u32..130).prop_map(move |n| {
+            let body = Regex::concat(vec![lit(b'c'), Regex::opt(lit(b'c'))]);
+            Regex::concat(vec![lit(b'x'), Regex::repeat(body, n, Some(n)), lit(b'y')])
+        }),
         (40u32..140, 0u32..100).prop_map(move |(m, k)| {
             Regex::concat(vec![
                 lit(b'x'),

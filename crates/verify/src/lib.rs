@@ -26,6 +26,16 @@
 //! | `V011-config-mismatch` | error/warning | mapped buffer geometry the bank cannot build (a zero-entry window or FIFO), or tile geometry the kernels cannot run (over 128 columns per tile or 64 tiles per array); mapping produced for a different `ArchConfig` / oversized bin knob |
 //! | `V012-low-utilization` | info | multi-tile array under 2% column occupancy |
 //!
+//! V006 walks each placed state's successor list in place, so it costs
+//! time linear in the plan's transitions. It ORs the tiles a state's
+//! crossing edges enter into a 64-bit mask (an array has at most
+//! [`MAX_TILES_PER_ARRAY`](rap_arch::config::MAX_TILES_PER_ARRAY) = 64
+//! tiles), then charges one output port to the state's tile and one input
+//! port to each tile in the mask. A port carries one (pattern, source
+//! state) signal, so a pattern placed twice in one array, which V008
+//! refuses, shares one mask per state across both placements and counts
+//! each signal once per tile.
+//!
 //! # Example
 //!
 //! ```

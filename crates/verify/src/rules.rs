@@ -5,10 +5,10 @@ use crate::diag::{Location, Report, Rule, Severity};
 use rap_arch::config::{ArchConfig, MAX_TILES_PER_ARRAY, MAX_TILE_COLUMNS};
 use rap_arch::encoding::single_code;
 use rap_automata::nbva::ReadAction;
-use rap_compiler::{Compiled, CompiledNbva, CompiledNfa, MatchPath};
+use rap_compiler::{Compiled, CompiledNbva, MatchPath};
 use rap_mapper::binning::Bin;
 use rap_mapper::plan::{ArrayKind, ArrayPlan, Mapping, Placement};
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 
 /// The BV depths the paper sweeps (Fig. 10(a)); other values execute but
 /// are outside the validated design space.
@@ -311,10 +311,12 @@ impl Checker<'_> {
             .min(MAX_TILES_PER_ARRAY);
         let mut tile_columns = vec![0u64; tiles as usize];
         // A global port carries one state's activation signal, however many
-        // consumers it fans out to: count distinct signals leaving (out) and
-        // entering (in) each tile, keyed by (pattern, source state).
-        let mut tile_out: Vec<HashSet<(usize, u32)>> = vec![HashSet::new(); tiles as usize];
-        let mut tile_in: Vec<HashSet<(usize, u32)>> = vec![HashSet::new(); tiles as usize];
+        // consumers it fans out to. Per (pattern, source state), `signals`
+        // holds the tiles the signal leaves (out) and enters (in) as masks
+        // over the array's at most `MAX_TILES_PER_ARRAY` = 64 tiles. A
+        // pattern placed twice in one array (a hostile mapping, V008)
+        // shares one entry, so its signals count once per tile.
+        let mut signals: BTreeMap<usize, Vec<TileMasks>> = BTreeMap::new();
         let mut tile_actions: Vec<Option<ReadAction>> = vec![None; tiles as usize];
 
         for p in placements {
@@ -323,9 +325,9 @@ impl Checker<'_> {
             }
             let loc = Location::array(idx).pattern(p.pattern);
             let image = &self.compiled[p.pattern];
-            let (states, edges) = match image {
-                Compiled::Nfa(img) => (img.nfa.len(), nfa_edges(img)),
-                Compiled::Nbva(img) => (img.nbva.len(), nbva_edges(img)),
+            let states = match image {
+                Compiled::Nfa(img) => img.nfa.len(),
+                Compiled::Nbva(img) => img.nbva.len(),
                 Compiled::Lnfa(_) => continue, // mode mismatch already reported
             };
             if p.state_tile.len() != states {
@@ -388,13 +390,23 @@ impl Checker<'_> {
             }
 
             // V006: recomputed cross-tile edge count and port demand.
+            let masks = signals
+                .entry(p.pattern)
+                .or_insert_with(|| vec![TileMasks::default(); states]);
             let mut crossing = 0u32;
-            for &(from, to) in &edges {
-                let (ft, tt) = (p.state_tile[from as usize], p.state_tile[to as usize]);
-                if ft != tt {
-                    crossing += 1;
-                    tile_out[ft as usize].insert((p.pattern, from));
-                    tile_in[tt as usize].insert((p.pattern, from));
+            for (from, mask) in masks.iter_mut().enumerate() {
+                let ft = p.state_tile[from];
+                let mut into = 0u64;
+                for &to in successors(image, from) {
+                    let tt = p.state_tile[to as usize];
+                    if tt != ft {
+                        crossing += 1;
+                        into |= 1 << tt;
+                    }
+                }
+                if into != 0 {
+                    mask.out |= 1 << ft;
+                    mask.into |= into;
                 }
             }
             if crossing != p.cross_tile_edges {
@@ -434,10 +446,20 @@ impl Checker<'_> {
                 ),
             );
         }
+        let mut out_ports = vec![0u64; tiles as usize];
+        let mut in_ports = vec![0u64; tiles as usize];
+        for m in signals.values().flatten() {
+            for (ports, mut mask) in [(&mut out_ports, m.out), (&mut in_ports, m.into)] {
+                while mask != 0 {
+                    ports[mask.trailing_zeros() as usize] += 1;
+                    mask &= mask - 1;
+                }
+            }
+        }
         // Input and output taps are separate port banks; each side gets the
         // full per-tile budget.
-        for (tile, (out, inp)) in tile_out.iter().zip(&tile_in).enumerate() {
-            for (dir, ports) in [("output", out.len() as u64), ("input", inp.len() as u64)] {
+        for (tile, (&out, &inp)) in out_ports.iter().zip(&in_ports).enumerate() {
+            for (dir, ports) in [("output", out), ("input", inp)] {
                 if ports > u64::from(self.arch.global_ports_per_tile) {
                     self.warn(
                         Rule::GlobalPorts,
@@ -772,22 +794,18 @@ fn normalize(read: ReadAction) -> ReadAction {
     }
 }
 
-fn nfa_edges(img: &CompiledNfa) -> Vec<(u32, u32)> {
-    let mut edges = Vec::new();
-    for (p, s) in img.nfa.states().iter().enumerate() {
-        for &q in &s.succ {
-            edges.push((p as u32, q));
-        }
-    }
-    edges
+/// The tiles one state's activation signal leaves and enters.
+#[derive(Clone, Copy, Debug, Default)]
+struct TileMasks {
+    out: u64,
+    into: u64,
 }
 
-fn nbva_edges(img: &CompiledNbva) -> Vec<(u32, u32)> {
-    let mut edges = Vec::new();
-    for (p, s) in img.nbva.states().iter().enumerate() {
-        for &q in &s.succ {
-            edges.push((p as u32, q));
-        }
+/// State `q`'s successor list in an NFA or NBVA image.
+fn successors(image: &Compiled, q: usize) -> &[u32] {
+    match image {
+        Compiled::Nfa(img) => &img.nfa.states()[q].succ,
+        Compiled::Nbva(img) => &img.nbva.states()[q].succ,
+        Compiled::Lnfa(_) => unreachable!("placements of LNFA images are skipped"),
     }
-    edges
 }
