@@ -659,7 +659,6 @@ pub fn admit(
                 .max()
                 .unwrap_or(arch.max_bin_size),
             bvm,
-            validate: false,
         };
         Some(ComposedPlan {
             images,

@@ -7,7 +7,7 @@
 //! * **load** — N concurrent tenant streams (one OS thread each)
 //!   across a sharded scan plane, every tenant's delivered events
 //!   checked bit-identical against its solo streaming run (the
-//!   zero-leakage criterion).
+//!   zero-leakage check).
 //! * **overload** — a deliberately tiny certified budget (one shard,
 //!   one queue page) driven with oversized chunks, to show chunks shed
 //!   under backpressure with the R002-before-R003 finding ordering.

@@ -1,13 +1,12 @@
-//! Workload materialization and per-machine evaluation, on top of the
-//! staged [`rap_pipeline`] engine.
+//! Per-machine evaluation, on top of the staged [`rap_pipeline`] engine.
 //!
-//! This module is the harness-facing veneer: suite corpora come from the
-//! process-wide memo (each corpus is generated, parsed, and synthesized
-//! exactly once per process), per-cell evaluation goes through
-//! [`Pipeline::eval`]'s typed compile → map → verify → simulate chain with
-//! content-addressed plan caching, and failures surface as typed
-//! [`EvalError`]s instead of panics, so one bad suite no longer aborts a
-//! whole table run.
+//! This module is the harness-facing veneer: suite corpora come from
+//! [`Pipeline::corpus`]'s process-wide memo (each corpus is generated,
+//! parsed, and synthesized exactly once per process), per-cell evaluation
+//! goes through [`Pipeline::eval`]'s typed compile → map → verify →
+//! simulate chain with content-addressed plan caching, and failures
+//! surface as typed [`EvalError`]s instead of panics, so one bad suite no
+//! longer aborts a whole table run.
 
 use rap_circuit::Machine;
 use rap_compiler::{Compiler, CompilerConfig, Mode};
@@ -16,27 +15,8 @@ use rap_regex::Regex;
 use rap_sim::Simulator;
 use rap_workloads::Suite;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
-pub use rap_pipeline::{BenchConfig, EvalError, RunSummary, SuiteCorpus};
-
-/// The memoized corpus for `(suite, cfg)` — patterns generated once,
-/// parsed once, input synthesized once per process.
-pub fn suite_corpus(suite: Suite, cfg: &BenchConfig) -> Arc<SuiteCorpus> {
-    rap_pipeline::suite_corpus(suite, cfg).0
-}
-
-/// Parses the synthetic patterns of a suite (memoized; cloned out of the
-/// shared corpus).
-pub fn suite_regexes(suite: Suite, cfg: &BenchConfig) -> Vec<Regex> {
-    suite_corpus(suite, cfg).regexes()
-}
-
-/// Generates the input stream for a suite (memoized; cloned out of the
-/// shared corpus — the pattern corpus is *not* regenerated).
-pub fn suite_input(suite: Suite, cfg: &BenchConfig) -> Vec<u8> {
-    suite_corpus(suite, cfg).input().to_vec()
-}
+pub use rap_pipeline::{BenchConfig, EvalError, RunSummary};
 
 /// Builds a simulator with a suite's DSE-chosen knobs.
 pub fn simulator_for(machine: Machine, suite: Suite) -> Simulator {
@@ -78,7 +58,7 @@ pub fn lint_suite(
     cfg: &BenchConfig,
 ) -> Result<rap_verify::Report, EvalError> {
     let sim = simulator_for(machine, suite);
-    let corpus = suite_corpus(suite, cfg);
+    let (corpus, _) = rap_pipeline::suite_corpus(suite, cfg);
     let pats = PatternSet::from_regexes(&corpus.regexes());
     Ok(pats.compile(&sim, None)?.map(&sim).lint())
 }
@@ -210,21 +190,19 @@ mod tests {
 
     #[test]
     fn suite_materialization() {
-        let cfg = tiny();
-        let res = suite_regexes(Suite::Snort, &cfg);
-        assert_eq!(res.len(), 12);
-        let input = suite_input(Suite::Snort, &cfg);
-        assert_eq!(input.len(), 2_000);
+        let pipe = Pipeline::new(tiny());
+        let corpus = pipe.corpus(Suite::Snort);
+        assert_eq!(corpus.regexes().len(), 12);
+        assert_eq!(corpus.input().len(), 2_000);
     }
 
     #[test]
     fn eval_machine_produces_sane_numbers() {
-        let cfg = tiny();
-        let pipe = Pipeline::new(cfg);
-        let patterns = suite_regexes(Suite::SpamAssassin, &cfg);
-        let input = suite_input(Suite::SpamAssassin, &cfg);
+        let pipe = Pipeline::new(tiny());
+        let corpus = pipe.corpus(Suite::SpamAssassin);
+        let (patterns, input) = (corpus.regexes(), corpus.input());
         for machine in Machine::all() {
-            let s = eval_machine(&pipe, machine, Suite::SpamAssassin, &patterns, &input, None)
+            let s = eval_machine(&pipe, machine, Suite::SpamAssassin, &patterns, input, None)
                 .unwrap_or_else(|e| panic!("{machine}: {e}"));
             assert!(s.energy_uj > 0.0, "{machine}");
             assert!(s.area_mm2 > 0.0, "{machine}");
@@ -244,8 +222,7 @@ mod tests {
 
     #[test]
     fn mode_split_partitions_everything() {
-        let cfg = tiny();
-        let patterns = suite_regexes(Suite::Snort, &cfg);
+        let patterns = Pipeline::new(tiny()).corpus(Suite::Snort).regexes();
         let split = ModeSplit::of(&patterns);
         assert_eq!(
             split.nfa.len() + split.nbva.len() + split.lnfa.len(),
@@ -255,11 +232,10 @@ mod tests {
 
     #[test]
     fn rap_system_total_combines_modes() {
-        let cfg = tiny();
-        let pipe = Pipeline::new(cfg);
-        let patterns = suite_regexes(Suite::Snort, &cfg);
-        let input = suite_input(Suite::Snort, &cfg);
-        let sys = eval_rap_by_mode(&pipe, Suite::Snort, &patterns, &input).expect("evaluates");
+        let pipe = Pipeline::new(tiny());
+        let corpus = pipe.corpus(Suite::Snort);
+        let sys = eval_rap_by_mode(&pipe, Suite::Snort, &corpus.regexes(), corpus.input())
+            .expect("evaluates");
         let total = sys.total();
         assert!(total.energy_uj > 0.0);
         assert!(total.area_mm2 >= sys.nbva.area_mm2);
@@ -274,14 +250,13 @@ mod tests {
 
     #[test]
     fn all_machines_report_identical_match_counts() {
-        let cfg = tiny();
-        let pipe = Pipeline::new(cfg);
-        let patterns = suite_regexes(Suite::Yara, &cfg);
-        let input = suite_input(Suite::Yara, &cfg);
+        let pipe = Pipeline::new(tiny());
+        let corpus = pipe.corpus(Suite::Yara);
+        let (patterns, input) = (corpus.regexes(), corpus.input());
         let counts: Vec<u64> = Machine::all()
             .iter()
             .map(|&m| {
-                eval_machine(&pipe, m, Suite::Yara, &patterns, &input, None)
+                eval_machine(&pipe, m, Suite::Yara, &patterns, input, None)
                     .expect("evaluates")
                     .matches
             })
@@ -291,13 +266,12 @@ mod tests {
 
     #[test]
     fn repeated_eval_hits_plan_cache() {
-        let cfg = tiny();
-        let pipe = Pipeline::new(cfg);
-        let patterns = suite_regexes(Suite::ClamAv, &cfg);
-        let input = suite_input(Suite::ClamAv, &cfg);
-        let a = eval_machine(&pipe, Machine::Rap, Suite::ClamAv, &patterns, &input, None)
+        let pipe = Pipeline::new(tiny());
+        let corpus = pipe.corpus(Suite::ClamAv);
+        let (patterns, input) = (corpus.regexes(), corpus.input());
+        let a = eval_machine(&pipe, Machine::Rap, Suite::ClamAv, &patterns, input, None)
             .expect("evaluates");
-        let b = eval_machine(&pipe, Machine::Rap, Suite::ClamAv, &patterns, &input, None)
+        let b = eval_machine(&pipe, Machine::Rap, Suite::ClamAv, &patterns, input, None)
             .expect("evaluates");
         assert_eq!(a, b);
         let report = pipe.report();

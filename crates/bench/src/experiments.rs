@@ -23,8 +23,8 @@ use rap_workloads::anmlzoo::AnmlZoo;
 use rap_workloads::{generate_input, Suite};
 use std::sync::Arc;
 
-/// Materialized per-suite work for a mode-filtered table: the suite, the
-/// mode-subset pattern set, and the shared corpus (for its input stream).
+/// Materialized per-suite work: the suite, its pattern set (a mode subset
+/// or the whole suite), and the shared corpus (for its input stream).
 struct SuiteWork {
     suite: Suite,
     patterns: PatternSet,
@@ -174,11 +174,12 @@ pub fn fig10(pipe: &Pipeline, which: &str) {
 
 /// One DSE sweep: evaluates every (suite, knob) cell on the grid and
 /// returns rows of summaries grouped by suite, knob-major within a suite.
+/// `forced` pins every cell's mode; `None` lets the compiler decide.
 fn dse_sweep(
     pipe: &Pipeline,
     work: &[SuiteWork],
     knobs: &[u32],
-    forced: Mode,
+    forced: Option<Mode>,
     sim_for: impl Fn(u32) -> Simulator + Sync,
 ) -> Vec<(Suite, Vec<RunSummary>)> {
     let cells: Vec<(usize, usize)> = (0..work.len())
@@ -186,12 +187,7 @@ fn dse_sweep(
         .collect();
     let results = pipe.grid(cells, |(r, k)| {
         let w = &work[r];
-        pipe.eval_with(
-            &sim_for(knobs[k]),
-            &w.patterns,
-            w.corpus.input(),
-            Some(forced),
-        )
+        pipe.eval_with(&sim_for(knobs[k]), &w.patterns, w.corpus.input(), forced)
     });
     collect_rows(work.iter().map(|w| w.suite), &results, knobs.len())
 }
@@ -200,7 +196,7 @@ fn dse_nbva(pipe: &Pipeline) {
     println!("Fig. 10(a) — NBVA DSE over BV depth (normalized to depth 4)\n");
     let depths = [4u32, 8, 16, 32];
     let work = mode_subsets(pipe, &Suite::all(), |s| s.nbva);
-    let rows = dse_sweep(pipe, &work, &depths, Mode::Nbva, |d| {
+    let rows = dse_sweep(pipe, &work, &depths, Some(Mode::Nbva), |d| {
         Simulator::new(Machine::Rap).with_bv_depth(d)
     });
     let mut table = Table::new(["Dataset", "depth", "energy", "area", "throughput", "chosen"]);
@@ -230,7 +226,7 @@ fn dse_lnfa(pipe: &Pipeline) {
     println!("\nFig. 10(b) — LNFA DSE over bin size (normalized to bin 1)\n");
     let bins = [1u32, 2, 4, 8, 16, 32];
     let work = mode_subsets(pipe, &Suite::all(), |s| s.lnfa);
-    let rows = dse_sweep(pipe, &work, &bins, Mode::Lnfa, |b| {
+    let rows = dse_sweep(pipe, &work, &bins, Some(Mode::Lnfa), |b| {
         Simulator::new(Machine::Rap).with_bin_size(b)
     });
     let mut table = Table::new(["Dataset", "bin", "energy", "area", "chosen"]);
@@ -605,13 +601,83 @@ pub fn table4(pipe: &Pipeline) {
     println!("\n(paper: RAP throughput 11.5-13.8x hAP at 1.7-5.5x the power)");
 }
 
+/// Ablations of two design choices, as modeled numbers: the unfold
+/// threshold (§4) swept over {2, 4, 8, 16} on Snort with the suite's
+/// chosen knobs, and unified CC/BV storage, RAP against BVAP's fixed
+/// bit-vector modules on Yara. Both run the full decision graph on the
+/// whole suite. BV depth and bin size are Fig. 10's sweeps.
+pub fn ablation(pipe: &Pipeline) {
+    let cfg = pipe.spec();
+    println!("Ablations — unfold threshold (Snort) and unified CC/BV storage (Yara)");
+    println!(
+        "({} patterns per suite, {} input chars; compiler default threshold {})\n",
+        cfg.patterns_per_suite,
+        cfg.input_len,
+        rap_compiler::CompilerConfig::default().unfold_threshold
+    );
+    let whole = |suite| {
+        let corpus = pipe.corpus(suite);
+        [SuiteWork {
+            suite,
+            patterns: PatternSet::from_regexes(&corpus.regexes()),
+            corpus,
+        }]
+    };
+    let mut table = Table::new([
+        "Ablation",
+        "Dataset",
+        "Setting",
+        "Energy (uJ)",
+        "Area (mm2)",
+        "Throughput (Gch/s)",
+        "States",
+        "Matches",
+    ]);
+    let mut row = |name: &str, suite: &Suite, setting: String, r: &RunSummary| {
+        table.row([
+            name.to_string(),
+            suite.name().to_string(),
+            setting,
+            f2(r.energy_uj),
+            f2(r.area_mm2),
+            f2(r.throughput_gchps),
+            r.states.to_string(),
+            r.matches.to_string(),
+        ]);
+    };
+
+    let thresholds = [2u32, 4, 8, 16];
+    let rows = dse_sweep(pipe, &whole(Suite::Snort), &thresholds, None, |t| {
+        let mut sim = pipe.simulator_for(Machine::Rap, Suite::Snort);
+        sim.compiler.unfold_threshold = t;
+        sim
+    });
+    for (suite, runs) in &rows {
+        for (t, r) in thresholds.iter().zip(runs) {
+            row("unfold_threshold", suite, t.to_string(), r);
+        }
+    }
+
+    let machines = [Machine::Rap, Machine::Bvap];
+    let rows = eval_grid(pipe, &whole(Suite::Yara), &machines.map(|m| (m, None)));
+    for (suite, runs) in &rows {
+        for (m, r) in machines.iter().zip(runs) {
+            row("storage", suite, m.name().to_string(), r);
+        }
+    }
+    print!("{}", table.render());
+    table.write_csv("ablation");
+    crate::export_trace(pipe, "ablation");
+}
+
 /// A named experiment runner.
 type Experiment = (&'static str, fn(&Pipeline));
 
-/// Runs every experiment in the paper's order on one shared pipeline and
-/// prints the pipeline report (stage timings, cache counters) at the end.
+/// Runs every experiment in the paper's order, then the ablations, on one
+/// shared pipeline and prints the pipeline report (stage timings, cache
+/// counters) at the end.
 pub fn all(pipe: &Pipeline) {
-    let experiments: [Experiment; 8] = [
+    let experiments: [Experiment; 9] = [
         ("fig1", fig1),
         ("fig10", |p| fig10(p, "both")),
         ("table2", table2),
@@ -620,6 +686,7 @@ pub fn all(pipe: &Pipeline) {
         ("fig12", fig12),
         ("fig13", fig13),
         ("table4", table4),
+        ("ablation", ablation),
     ];
     for (name, run) in experiments {
         println!("\n================= {name} =================\n");

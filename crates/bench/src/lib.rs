@@ -11,6 +11,7 @@
 //!
 //! ```text
 //! cargo run --release -p rap-bench --bin table2
+//! cargo run --release -p rap-bench --bin ablation
 //! cargo run --release -p rap-bench --bin all_experiments
 //! ```
 //!
@@ -26,10 +27,7 @@ pub mod eval;
 pub mod experiments;
 pub mod tables;
 
-pub use eval::{
-    eval_machine, eval_rap_by_mode, suite_input, suite_regexes, BenchConfig, EvalError, ModeSplit,
-    RunSummary,
-};
+pub use eval::{eval_machine, eval_rap_by_mode, BenchConfig, EvalError, ModeSplit, RunSummary};
 pub use rap_pipeline::{Pipeline, PipelineReport, StoreConfig};
 pub use rap_telemetry::Telemetry;
 

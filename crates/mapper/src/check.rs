@@ -4,8 +4,7 @@
 //! depends on this crate, so the mapper cannot call it). This module only
 //! asserts the cheap structural invariants the packer is supposed to
 //! guarantee by construction; it runs at the end of [`crate::map_workload`]
-//! in debug builds and, when [`crate::MapperConfig::validate`] is set, in
-//! release builds too.
+//! in debug builds.
 
 use crate::plan::{ArrayKind, Mapping};
 use rap_compiler::Compiled;

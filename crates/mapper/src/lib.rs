@@ -60,7 +60,7 @@ pub fn map_workload(compiled: &[Compiled], config: &MapperConfig) -> Mapping {
         arrays,
         config: *config,
     };
-    if cfg!(debug_assertions) || config.validate {
+    if cfg!(debug_assertions) {
         check::selfcheck(compiled, &mapping);
     }
     mapping

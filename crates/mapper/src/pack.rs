@@ -27,7 +27,7 @@ enum ActionClass {
 
 /// Running state of the array being filled: per-tile free columns, the
 /// read-action family each tile is committed to, and BVM slot budgets.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct ArrayAccum {
     placements: Vec<Placement>,
     tile_free: Vec<u32>,
@@ -54,6 +54,87 @@ impl ArrayAccum {
     fn tiles_used(&self, tile_columns: u32) -> u32 {
         self.tile_free.iter().filter(|&&f| f < tile_columns).count() as u32
     }
+
+    /// Places one regex's blocks with first-fit over the array's tiles
+    /// (each block goes to the lowest tile with room and a compatible
+    /// read-action family) and records the placement. A regex whose block
+    /// finds no tile is taken back out whole and `false` returned, leaving
+    /// the array as it was. `succ(q)` is state `q`'s successor list, for
+    /// the cross-tile edge count.
+    fn try_place<'s>(
+        &mut self,
+        config: &MapperConfig,
+        pattern: usize,
+        blocks: &[Block],
+        succ: impl Fn(usize) -> &'s [u32],
+    ) -> bool {
+        let tile_cols = config.arch.tile_columns;
+        let slot_budget = config.bvm.map_or(u32::MAX, |b| b.slots_per_tile);
+        let mut state_tile = Vec::with_capacity(blocks.len());
+        // Tiles whose read-action family this regex committed.
+        let mut claimed = Vec::new();
+        for block in blocks {
+            assert!(
+                block.columns <= tile_cols,
+                "state block of {} columns exceeds a tile",
+                block.columns
+            );
+            assert!(
+                block.bvm_slots <= slot_budget,
+                "state needs {} BVM slots but a tile has {slot_budget}",
+                block.bvm_slots
+            );
+            let Some(tile) = (0..self.tile_free.len()).find(|&t| {
+                let fits_cols = self.tile_free[t] >= block.columns;
+                let fits_slots = self.tile_slots_used[t] + block.bvm_slots <= slot_budget;
+                let action_ok = match (block.action, self.tile_actions[t]) {
+                    (None, _) | (_, None) => true,
+                    (Some(a), Some(b)) => a == b,
+                };
+                fits_cols && fits_slots && action_ok
+            }) else {
+                self.take_back(blocks, &state_tile, &claimed);
+                return false;
+            };
+            if block.action.is_some() && self.tile_actions[tile].is_none() {
+                self.tile_actions[tile] = block.action;
+                claimed.push(tile);
+            }
+            self.tile_slots_used[tile] += block.bvm_slots;
+            self.tile_free[tile] -= block.columns;
+            self.columns_used += u64::from(block.columns);
+            state_tile.push(tile as u32);
+        }
+        let cross_tile_edges = state_tile
+            .iter()
+            .enumerate()
+            .map(|(p, &tile)| {
+                succ(p)
+                    .iter()
+                    .filter(|&&q| state_tile[q as usize] != tile)
+                    .count()
+            })
+            .sum::<usize>() as u32;
+        self.placements.push(Placement {
+            pattern,
+            state_tile,
+            cross_tile_edges,
+        });
+        true
+    }
+
+    /// Undoes the first `state_tile.len()` blocks of a refused regex.
+    fn take_back(&mut self, blocks: &[Block], state_tile: &[u32], claimed: &[usize]) {
+        for (block, &tile) in blocks.iter().zip(state_tile) {
+            let tile = tile as usize;
+            self.tile_slots_used[tile] -= block.bvm_slots;
+            self.tile_free[tile] += block.columns;
+            self.columns_used -= u64::from(block.columns);
+        }
+        for &tile in claimed {
+            self.tile_actions[tile] = None;
+        }
+    }
 }
 
 /// Generic greedy packer shared by the NFA and NBVA paths.
@@ -72,11 +153,8 @@ impl<'a> Packer<'a> {
         }
     }
 
-    /// Places one regex's blocks with first-fit over the array's tiles
-    /// (each block goes to the lowest tile with room and a compatible
-    /// read-action family); opens a fresh array when the regex does not
-    /// fit the current one (regexes cannot span arrays, §3.3). `succ(q)`
-    /// is state `q`'s successor list, for the cross-tile edge count.
+    /// Places one regex in the current array, opening a fresh array when
+    /// it does not fit (regexes cannot span arrays, §3.3).
     ///
     /// # Panics
     ///
@@ -88,82 +166,15 @@ impl<'a> Packer<'a> {
         blocks: &[Block],
         succ: impl Fn(usize) -> &'s [u32] + Copy,
     ) {
-        match Self::try_place(self.config, self.current.clone(), pattern, blocks, succ) {
-            Some(next) => self.current = next,
-            None => {
-                self.flush();
-                let fresh = ArrayAccum::new(
-                    self.config.arch.tiles_per_array,
-                    self.config.arch.tile_columns,
-                );
-                self.current = Self::try_place(self.config, fresh, pattern, blocks, succ)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "pattern {pattern} does not fit one array even when empty \
-                             ({} blocks)",
-                            blocks.len()
-                        )
-                    });
-            }
+        if self.current.try_place(self.config, pattern, blocks, succ) {
+            return;
         }
-    }
-
-    /// Attempts the placement on a copy of the accumulator.
-    fn try_place<'s>(
-        config: &MapperConfig,
-        mut acc: ArrayAccum,
-        pattern: usize,
-        blocks: &[Block],
-        succ: impl Fn(usize) -> &'s [u32],
-    ) -> Option<ArrayAccum> {
-        let tile_cols = config.arch.tile_columns;
-        let tiles_per_array = config.arch.tiles_per_array as usize;
-        let slot_budget = config.bvm.map_or(u32::MAX, |b| b.slots_per_tile);
-        let mut state_tile = Vec::with_capacity(blocks.len());
-        for block in blocks {
-            assert!(
-                block.columns <= tile_cols,
-                "state block of {} columns exceeds a tile",
-                block.columns
-            );
-            assert!(
-                block.bvm_slots <= slot_budget,
-                "state needs {} BVM slots but a tile has {slot_budget}",
-                block.bvm_slots
-            );
-            let tile = (0..tiles_per_array).find(|&t| {
-                let fits_cols = acc.tile_free[t] >= block.columns;
-                let fits_slots = acc.tile_slots_used[t] + block.bvm_slots <= slot_budget;
-                let action_ok = match (block.action, acc.tile_actions[t]) {
-                    (None, _) | (_, None) => true,
-                    (Some(a), Some(b)) => a == b,
-                };
-                fits_cols && fits_slots && action_ok
-            })?;
-            if let Some(a) = block.action {
-                acc.tile_actions[tile] = Some(a);
-            }
-            acc.tile_slots_used[tile] += block.bvm_slots;
-            acc.tile_free[tile] -= block.columns;
-            acc.columns_used += u64::from(block.columns);
-            state_tile.push(tile as u32);
-        }
-        let cross_tile_edges = state_tile
-            .iter()
-            .enumerate()
-            .map(|(p, &tile)| {
-                succ(p)
-                    .iter()
-                    .filter(|&&q| state_tile[q as usize] != tile)
-                    .count()
-            })
-            .sum::<usize>() as u32;
-        acc.placements.push(Placement {
-            pattern,
-            state_tile,
-            cross_tile_edges,
-        });
-        Some(acc)
+        self.flush();
+        assert!(
+            self.current.try_place(self.config, pattern, blocks, succ),
+            "pattern {pattern} does not fit one array even when empty ({} blocks)",
+            blocks.len()
+        );
     }
 
     fn flush(&mut self) {
@@ -173,11 +184,9 @@ impl<'a> Packer<'a> {
                 &mut self.current,
                 ArrayAccum::new(self.config.arch.tiles_per_array, tile_columns),
             );
-            self.finished.push((
-                acc.placements.clone(),
-                acc.tiles_used(tile_columns),
-                acc.columns_used,
-            ));
+            let tiles_used = acc.tiles_used(tile_columns);
+            self.finished
+                .push((acc.placements, tiles_used, acc.columns_used));
         }
     }
 
@@ -367,6 +376,60 @@ mod tests {
             other => panic!("unexpected kind {other:?}"),
         }
         assert_eq!(arrays.len(), 1);
+    }
+
+    #[test]
+    fn refused_pattern_leaves_the_array_untouched_and_lands_whole_in_a_fresh_one() {
+        let config = MapperConfig::default();
+        let cols = config.arch.tile_columns;
+        let tiles = config.arch.tiles_per_array as usize;
+        let block = |columns, action| Block {
+            columns,
+            action,
+            bvm_slots: 0,
+        };
+        let no_succ = |_: usize| -> &'static [u32] { &[] };
+        // Pattern 0 leaves 8 free columns in every tile but the last,
+        // which stays empty.
+        let filler = vec![block(cols - 8, None); tiles - 1];
+        // Pattern 1's first block commits tile 0 to rAll and its second
+        // opens the last tile; its third finds no tile with room.
+        let late_misfit = [
+            block(8, Some(ActionClass::All)),
+            block(cols, None),
+            block(cols, None),
+        ];
+        let mut packer = Packer::new(&config);
+        packer.place(0, &filler, no_succ);
+        let before = packer.current.clone();
+        assert_eq!(before.tiles_used(cols), tiles as u32 - 1);
+
+        let mut tried = before.clone();
+        assert!(!tried.try_place(&config, 1, &late_misfit, no_succ));
+        assert_eq!(tried, before, "a refused pattern changed the array");
+
+        packer.place(1, &late_misfit, no_succ);
+        let arrays = packer.finish();
+        assert_eq!(arrays.len(), 2);
+        assert_eq!(
+            arrays[0],
+            (
+                before.placements.clone(),
+                before.tiles_used(cols),
+                before.columns_used
+            )
+        );
+        let (placements, tiles_used, columns_used) = &arrays[1];
+        assert_eq!(
+            placements,
+            &[Placement {
+                pattern: 1,
+                state_tile: vec![0, 1, 2],
+                cross_tile_edges: 0,
+            }]
+        );
+        assert_eq!(*tiles_used, 3);
+        assert_eq!(*columns_used, u64::from(8 + 2 * cols));
     }
 
     #[test]

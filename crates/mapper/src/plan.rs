@@ -38,11 +38,6 @@ pub struct MapperConfig {
     /// `Some` models a BVAP-style machine with fixed bit-vector modules;
     /// `None` is RAP's unified CAM storage.
     pub bvm: Option<BvmConfig>,
-    /// Run the mapper's structural self-check on the produced plan even in
-    /// release builds (debug builds always run it). The full rule-based
-    /// verifier lives in `rap-verify`; this flag only gates the mapper's
-    /// own cheap invariant assertions.
-    pub validate: bool,
 }
 
 impl Default for MapperConfig {
@@ -51,7 +46,6 @@ impl Default for MapperConfig {
             arch: ArchConfig::default(),
             bin_size: 8,
             bvm: None,
-            validate: false,
         }
     }
 }

@@ -137,7 +137,6 @@ pub(crate) fn hash_configs(h: &mut StableHasher, compiler: &CompilerConfig, mapp
             h.write_u32(bvm.slots_per_tile);
         }
     }
-    h.write(&[u8::from(mapper.validate)]);
 }
 
 /// Derives the content address of a *composed* (multi-tenant) plan from

@@ -53,7 +53,7 @@ use std::time::SystemTime;
 
 /// Bump when the header layout or any serialized artifact's encoding
 /// changes shape; old files then read as stale misses and get rebuilt.
-pub const STORE_FORMAT_VERSION: u32 = 1;
+pub const STORE_FORMAT_VERSION: u32 = 2;
 
 /// File magic: identifies RAP store entries regardless of version.
 const MAGIC: &[u8; 8] = b"RAPSTORE";

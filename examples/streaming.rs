@@ -18,7 +18,7 @@ fn main() -> Result<(), rap::SimError> {
 
     let sim = Simulator::new(Machine::Rap).with_bv_depth(Suite::ClamAv.chosen_bv_depth());
     let compiled = sim.compile(&regexes)?;
-    let mapping = sim.map(&compiled);
+    let mapping = sim.map_verified(&compiled)?;
 
     // Batch reference.
     let batch = sim.simulate(&compiled, &mapping, &stream);
