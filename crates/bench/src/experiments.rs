@@ -31,6 +31,16 @@ struct SuiteWork {
     corpus: Arc<SuiteCorpus>,
 }
 
+/// A suite's whole corpus as the one row of a grid.
+fn whole_suite(pipe: &Pipeline, suite: Suite) -> [SuiteWork; 1] {
+    let corpus = pipe.corpus(suite);
+    [SuiteWork {
+        suite,
+        patterns: PatternSet::from_regexes(&corpus.regexes()),
+        corpus,
+    }]
+}
+
 /// Builds the per-suite subsets for one decided mode, dropping suites
 /// whose subset is empty.
 fn mode_subsets(
@@ -174,10 +184,13 @@ pub fn fig10(pipe: &Pipeline, which: &str) {
 
 /// One DSE sweep: evaluates every (suite, knob) cell on the grid and
 /// returns rows of summaries grouped by suite, knob-major within a suite.
-/// `forced` pins every cell's mode; `None` lets the compiler decide.
+/// `forced` pins every cell's mode; `None` lets the compiler decide. A
+/// traced cell is labeled by machine, suite and knob setting, e.g.
+/// `RAP/Snort/depth=8` for `knob` `"depth"`.
 fn dse_sweep(
     pipe: &Pipeline,
     work: &[SuiteWork],
+    knob: &str,
     knobs: &[u32],
     forced: Option<Mode>,
     sim_for: impl Fn(u32) -> Simulator + Sync,
@@ -186,8 +199,9 @@ fn dse_sweep(
         .flat_map(|r| (0..knobs.len()).map(move |k| (r, k)))
         .collect();
     let results = pipe.grid(cells, |(r, k)| {
-        let w = &work[r];
-        pipe.eval_with(&sim_for(knobs[k]), &w.patterns, w.corpus.input(), forced)
+        let (w, sim) = (&work[r], sim_for(knobs[k]));
+        let label = format!("{}/{}/{knob}={}", sim.machine, w.suite.name(), knobs[k]);
+        pipe.eval_labeled(&sim, &w.patterns, w.corpus.input(), forced, &label)
     });
     collect_rows(work.iter().map(|w| w.suite), &results, knobs.len())
 }
@@ -196,7 +210,7 @@ fn dse_nbva(pipe: &Pipeline) {
     println!("Fig. 10(a) — NBVA DSE over BV depth (normalized to depth 4)\n");
     let depths = [4u32, 8, 16, 32];
     let work = mode_subsets(pipe, &Suite::all(), |s| s.nbva);
-    let rows = dse_sweep(pipe, &work, &depths, Some(Mode::Nbva), |d| {
+    let rows = dse_sweep(pipe, &work, "depth", &depths, Some(Mode::Nbva), |d| {
         Simulator::new(Machine::Rap).with_bv_depth(d)
     });
     let mut table = Table::new(["Dataset", "depth", "energy", "area", "throughput", "chosen"]);
@@ -226,7 +240,7 @@ fn dse_lnfa(pipe: &Pipeline) {
     println!("\nFig. 10(b) — LNFA DSE over bin size (normalized to bin 1)\n");
     let bins = [1u32, 2, 4, 8, 16, 32];
     let work = mode_subsets(pipe, &Suite::all(), |s| s.lnfa);
-    let rows = dse_sweep(pipe, &work, &bins, Some(Mode::Lnfa), |b| {
+    let rows = dse_sweep(pipe, &work, "bin", &bins, Some(Mode::Lnfa), |b| {
         Simulator::new(Machine::Rap).with_bin_size(b)
     });
     let mut table = Table::new(["Dataset", "bin", "energy", "area", "chosen"]);
@@ -615,14 +629,6 @@ pub fn ablation(pipe: &Pipeline) {
         cfg.input_len,
         rap_compiler::CompilerConfig::default().unfold_threshold
     );
-    let whole = |suite| {
-        let corpus = pipe.corpus(suite);
-        [SuiteWork {
-            suite,
-            patterns: PatternSet::from_regexes(&corpus.regexes()),
-            corpus,
-        }]
-    };
     let mut table = Table::new([
         "Ablation",
         "Dataset",
@@ -647,7 +653,8 @@ pub fn ablation(pipe: &Pipeline) {
     };
 
     let thresholds = [2u32, 4, 8, 16];
-    let rows = dse_sweep(pipe, &whole(Suite::Snort), &thresholds, None, |t| {
+    let snort = whole_suite(pipe, Suite::Snort);
+    let rows = dse_sweep(pipe, &snort, "unfold", &thresholds, None, |t| {
         let mut sim = pipe.simulator_for(Machine::Rap, Suite::Snort);
         sim.compiler.unfold_threshold = t;
         sim
@@ -659,7 +666,8 @@ pub fn ablation(pipe: &Pipeline) {
     }
 
     let machines = [Machine::Rap, Machine::Bvap];
-    let rows = eval_grid(pipe, &whole(Suite::Yara), &machines.map(|m| (m, None)));
+    let yara = whole_suite(pipe, Suite::Yara);
+    let rows = eval_grid(pipe, &yara, &machines.map(|m| (m, None)));
     for (suite, runs) in &rows {
         for (m, r) in machines.iter().zip(runs) {
             row("storage", suite, m.name().to_string(), r);
@@ -694,4 +702,38 @@ pub fn all(pipe: &Pipeline) {
     }
     println!("\nAll experiments complete; CSVs are under results/.");
     println!("\n{}", pipe.report());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rap_pipeline::BenchConfig;
+    use rap_telemetry::Telemetry;
+
+    /// A traced sweep journals each knob setting of a suite under a label
+    /// of its own.
+    #[test]
+    fn swept_cells_journal_their_own_labels() {
+        let pipe = Pipeline::new(BenchConfig {
+            patterns_per_suite: 12,
+            input_len: 500,
+            match_rate: 0.02,
+            seed: 7,
+        })
+        .with_telemetry(Arc::new(Telemetry::default()));
+        let work = whole_suite(&pipe, Suite::Snort);
+        dse_sweep(&pipe, &work, "unfold", &[2, 4], None, |t| {
+            let mut sim = pipe.simulator_for(Machine::Rap, Suite::Snort);
+            sim.compiler.unfold_threshold = t;
+            sim
+        });
+        let labels: Vec<String> = pipe
+            .telemetry()
+            .expect("the pipeline is traced")
+            .drain_traces()
+            .into_iter()
+            .map(|trace| trace.label)
+            .collect();
+        assert_eq!(labels, ["RAP/Snort/unfold=2", "RAP/Snort/unfold=4"]);
+    }
 }

@@ -203,25 +203,6 @@ impl Pipeline {
         )
     }
 
-    /// Like [`Pipeline::eval`] but with explicit simulator knobs (the DSE
-    /// sweeps of Fig. 10 vary BV depth / bin size away from the
-    /// suite-chosen values). The knobs are part of the cache key, so each
-    /// swept configuration is its own artifact.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compile/verify failures as [`EvalError`].
-    pub fn eval_with(
-        &self,
-        sim: &Simulator,
-        patterns: &PatternSet,
-        input: &[u8],
-        forced: Option<Mode>,
-    ) -> Result<RunSummary, EvalError> {
-        let label = sim.machine.to_string();
-        self.eval_labeled(sim, patterns, input, forced, &label)
-    }
-
     /// Core cell evaluation with an explicit trace label (the label only
     /// matters when telemetry is attached; it names the run's trace in
     /// the JSONL journal, e.g. `"rap/snort"`).

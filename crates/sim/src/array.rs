@@ -30,8 +30,9 @@
 //! shared by every run of it (see [`crate::Lowered`]). The **run**
 //! ([`Array`]) owns what a stream changes: live words, bit vectors,
 //! counters, and the crossbar rows it lowers lazily, the first time their
-//! state activates. A run builds no byte columns, and never pays for the
-//! edges of states it never visits.
+//! state activates (a BV state's, with its vector, the first time it is
+//! entered). A run builds no byte columns, and never pays for the edges
+//! of states it never visits.
 //!
 //! A tile array whose tiles hold no active or live state and no pending
 //! stall is *quiet*. A byte outside its **wake set** (the union of its
@@ -232,12 +233,10 @@ pub(crate) enum Array {
 }
 
 impl Array {
-    /// Opens a run at stream offset 0. The BV states' rows are lowered
-    /// here, from `compiled`, because they emit without ever being
-    /// plain-active.
-    pub(crate) fn new(image: &ArrayImage, compiled: &[Compiled]) -> Array {
+    /// Opens a run at stream offset 0.
+    pub(crate) fn new(image: &ArrayImage) -> Array {
         match image {
-            ArrayImage::Tile(i) => Array::Tile(Box::new(TileRun::new(i, compiled))),
+            ArrayImage::Tile(i) => Array::Tile(Box::new(TileRun::new(i))),
             ArrayImage::Chain(i) => Array::Chain(Box::new(ChainRun::new(i))),
         }
     }
@@ -819,7 +818,9 @@ pub(crate) struct TileRun {
     rows: Vec<Row>,
     row_of: Vec<u32>,
     links: Vec<Link>,
-    /// The vector of every BV state, in [`TileImage::vectors`] order.
+    /// The vector of every BV state, in [`TileImage::vectors`] order. A
+    /// BV state is opened on its first entry: its row is lowered and its
+    /// vector, empty until then, sized to its width.
     vectors: Vec<BitVec>,
     /// Bytes consumed; doubles as the per-cycle report stamp.
     consumed: u64,
@@ -842,9 +843,9 @@ pub(crate) struct TileRun {
 }
 
 impl TileRun {
-    fn new(image: &TileImage, compiled: &[Compiled]) -> TileRun {
+    fn new(image: &TileImage) -> TileRun {
         let tiles = image.words.len();
-        let mut run = TileRun {
+        TileRun {
             tiles: image
                 .words
                 .iter()
@@ -859,11 +860,7 @@ impl TileRun {
             rows: Vec::new(),
             row_of: vec![0; tiles * TILE_BITS],
             links: Vec::new(),
-            vectors: image
-                .vectors
-                .iter()
-                .map(|v| BitVec::zeros(v.width))
-                .collect(),
+            vectors: vec![BitVec::zeros(0); image.vectors.len()],
             consumed: 0,
             reported: vec![0; image.patterns.len()],
             stall_remaining: 0,
@@ -874,12 +871,7 @@ impl TileRun {
             local_levels: vec![0; TILE_BITS + 1],
             global_levels: vec![0; 257],
             phase_levels: vec![0; tiles + 1],
-        };
-        // BV states emit without ever being plain-active: lower them now.
-        for v in &image.vectors {
-            run.lower(image, compiled, v.slot);
         }
-        run
     }
 
     /// Whether the array is quiet: no tile holds an active or live state
@@ -1032,7 +1024,7 @@ impl TileRun {
         let live = if image.vectors.is_empty() {
             0
         } else {
-            self.step_vectors(image, searched, byte, offset, out)
+            self.step_vectors(image, compiled, searched, byte, offset, out)
         };
         self.busy = active | live;
         (cross_signals > 0).then(|| image.cost.wire_pj * f64::from(cross_signals))
@@ -1077,9 +1069,14 @@ impl TileRun {
     /// can change. Starts a bit-vector phase when any vector was entered or
     /// advanced. Only `tiles` can hold an entering or live vector. Returns
     /// the tiles left with a live vector.
+    ///
+    /// A state's first entry opens it: its row is lowered from `compiled`
+    /// and its vector sized, before any tick can count it live (a live
+    /// state's `cross` bit feeds the cycle's wire charge).
     fn step_vectors(
         &mut self,
         image: &TileImage,
+        compiled: &[Compiled],
         mut tiles: u64,
         byte: u8,
         offset: usize,
@@ -1097,8 +1094,13 @@ impl TileRun {
                 let bit = todo & todo.wrapping_neg();
                 todo &= todo - 1;
                 let index = image.slot_vector[slot] as usize;
-                let (v, vector) = (&image.vectors[index], &mut self.vectors[index]);
+                let v = &image.vectors[index];
                 let entering = entering & bit != 0;
+                if entering && self.tiles[t].lowered & bit == 0 {
+                    self.lower(image, compiled, slot);
+                    self.vectors[index] = BitVec::zeros(v.width);
+                }
+                let vector = &mut self.vectors[index];
                 if v.cc.contains(byte) {
                     touched |= entering || vector.any();
                     vector.shift_up();
@@ -1605,7 +1607,7 @@ mod tests {
     ) -> ArrayOutcome {
         let image = image(compiled, plan);
         let mut meter = EnergyMeter::new();
-        let mut sim = Array::new(&image, compiled);
+        let mut sim = Array::new(&image);
         run_array(&image, &mut sim, compiled, input, &mut meter, probe)
     }
 
@@ -1647,29 +1649,39 @@ mod tests {
         let (compiled, plan) = two_tile_nbva(3);
         let image = image(&compiled, &plan);
         let mut meter = EnergyMeter::new();
-        let mut sim = Array::new(&image, &compiled);
-        // Before any byte only the BV state's row is lowered: it stays in
-        // tile 1 (`y{6}` → `z`).
-        let Array::Tile(tile) = &sim else {
-            panic!("NBVA arrays run on the tile kernel")
+        let mut sim = Array::new(&image);
+        // The lowered and cross words per tile, and the BV state's vector
+        // width.
+        let opened = |sim: &Array| {
+            let Array::Tile(tile) = sim else {
+                panic!("NBVA arrays run on the tile kernel")
+            };
+            let words = |w: fn(&Tile) -> u128| tile.tiles.iter().map(w).collect::<Vec<_>>();
+            (
+                words(|w| w.lowered),
+                words(|w| w.cross),
+                tile.vectors[0].len(),
+            )
         };
-        let words = |w: fn(&Tile) -> u128| tile.tiles.iter().map(w).collect::<Vec<_>>();
-        assert_eq!(words(|w| w.lowered), vec![0, 0b01]);
-        assert_eq!(words(|w| w.cross), vec![0, 0]);
+        // Before any byte no row is lowered and the BV state is not open.
+        assert_eq!(opened(&sim), (vec![0, 0], vec![0, 0], 0));
         run_array(&image, &mut sim, &compiled, b"x", &mut meter, None);
         // `x` activated: its row routes to the BV state on tile 1 through
-        // the global crossbar.
+        // the global crossbar. The BV state is only reached; it enters on
+        // the next byte.
+        assert_eq!(opened(&sim), (vec![0b1, 0], vec![0b1, 0], 0));
         let Array::Tile(tile) = &sim else {
             unreachable!()
         };
-        let words = |w: fn(&Tile) -> u128| tile.tiles.iter().map(w).collect::<Vec<_>>();
-        assert_eq!(words(|w| w.lowered), vec![0b1, 0b01]);
-        assert_eq!(words(|w| w.cross), vec![0b1, 0]);
         let row = tile.rows[tile.row_of[0] as usize];
         assert_eq!(row.local, 0);
         let links = &tile.links[row.links.0 as usize..row.links.1 as usize];
         assert_eq!(links.len(), 1);
         assert_eq!((links[0].tile, links[0].mask), (1, 0b01));
+        // The first `y` enters it: its row (`y{6}` → `z`, within tile 1) is
+        // lowered and its vector sized on that entry.
+        run_array(&image, &mut sim, &compiled, b"y", &mut meter, None);
+        assert_eq!(opened(&sim), (vec![0b1, 0b01], vec![0b1, 0], 6));
     }
 
     /// Steps `input` through a fresh run one tick at a time; `full` forces
@@ -1682,7 +1694,7 @@ mod tests {
         input: &[u8],
         full: bool,
     ) -> (Array, Vec<MatchEvent>, EnergyMeter) {
-        let mut sim = Array::new(image, compiled);
+        let mut sim = Array::new(image);
         let (mut out, mut meter) = (Vec::new(), EnergyMeter::new());
         let mut tick = |sim: &mut Array, byte: Option<u8>, offset: usize| {
             match (full, &mut *sim) {
@@ -1748,7 +1760,7 @@ mod tests {
         for (compiled, plan, input) in cases {
             let image = image(&compiled, &plan);
             let mut skipped = EnergyMeter::new();
-            let mut sim = Array::new(&image, &compiled);
+            let mut sim = Array::new(&image);
             let fast = run_array(&image, &mut sim, &compiled, &input, &mut skipped, None);
             let (quiet, quiet_out, quiet_meter) = stepped(&image, &compiled, &input, false);
             let (full, full_out, full_meter) = stepped(&image, &compiled, &input, true);

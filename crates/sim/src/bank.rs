@@ -173,7 +173,7 @@ impl StreamRun {
             .arrays
             .iter()
             .map(|image| ArrayLane {
-                sim: Array::new(image, compiled),
+                sim: Array::new(image),
                 output_fifo: Fifo::new(arch.array_output_entries as usize),
                 fetch_pos: 0,
                 consumed: 0,

@@ -411,33 +411,34 @@ impl Lowered {
 
     /// Runs the plan. A traced run steps its arrays on the calling
     /// thread; an untraced one fans them out over the calling thread and
-    /// the helpers it can borrow from the process-wide budget.
+    /// the idle helpers of the process-wide pool.
     fn run(
         &self,
         compiled: &[Compiled],
         input: &[u8],
         telemetry: Option<(&Telemetry, &str)>,
     ) -> RunResult {
-        if telemetry.is_some() {
-            return self.run_on(compiled, input, telemetry, 1);
-        }
-        let helpers = par::Budget::global().borrow(self.arrays.len().saturating_sub(1));
-        self.run_on(compiled, input, None, 1 + helpers.count())
+        let want = if telemetry.is_some() {
+            0
+        } else {
+            self.arrays.len().saturating_sub(1)
+        };
+        self.run_on(compiled, input, telemetry, par::Pool::global().take(want))
     }
 
-    /// Runs the plan's arrays on `workers` threads, the calling one
-    /// included; a traced run uses one. On one thread the arrays run in
-    /// turn and charge the meter as they go. On more, each array records
-    /// its charges (its wire charges in cycle order, then its settle's)
-    /// and the meter takes the records in array order. Either way the
-    /// meter makes the same additions in the same order, so the result is
-    /// bit-identical for every worker count.
+    /// Runs the plan's arrays on the calling thread and `crew`'s helpers;
+    /// a traced run takes none. On one thread the arrays run in turn and
+    /// charge the meter as they go. With helpers, each array records its
+    /// charges (its wire charges in cycle order, then its settle's) and
+    /// the meter takes the records in array order. Either way the meter
+    /// makes the same additions in the same order, so the result is
+    /// bit-identical for every crew.
     pub(crate) fn run_on(
         &self,
         compiled: &[Compiled],
         input: &[u8],
         telemetry: Option<(&Telemetry, &str)>,
-        workers: usize,
+        crew: par::Crew<'_>,
     ) -> RunResult {
         self.check(compiled);
         let cost = &self.cost;
@@ -449,10 +450,10 @@ impl Lowered {
         let mut quiescent_cycles: u64 = 0;
         let mut probe = telemetry.map(|(tel, label)| tel.probe(label));
 
-        let outcomes: Vec<array::ArrayOutcome> = if workers > 1 && probe.is_none() {
+        let outcomes: Vec<array::ArrayOutcome> = if crew.len() > 0 && probe.is_none() {
             // Each run is dropped on the thread it ran on.
-            let runs = par_map(self.arrays.iter().collect(), workers, |image| {
-                let mut sim = array::Array::new(image, compiled);
+            let runs = crew.map(self.arrays.iter().collect(), |image| {
+                let mut sim = array::Array::new(image);
                 let mut charges = array::Charges::default();
                 let outcome =
                     array::run_array(image, &mut sim, compiled, input, &mut charges, None);
@@ -468,7 +469,7 @@ impl Lowered {
             (0u32..)
                 .zip(&self.arrays)
                 .map(|(index, image)| {
-                    let mut sim = array::Array::new(image, compiled);
+                    let mut sim = array::Array::new(image);
                     let probe = probe.as_mut().map(|p| (p, index));
                     array::run_array(image, &mut sim, compiled, input, &mut meter, probe)
                 })
@@ -552,12 +553,12 @@ impl fmt::Debug for Lowered {
 /// independently during bit-vector-processing phases, and the two-level
 /// buffering of §3.3 decouples the arrays, so the bank finishes when its
 /// slowest array does. The simulation runs them the same way: each array
-/// runs to completion on its own, on the calling thread or on a helper
-/// thread borrowed from a process-wide budget of
-/// `available_parallelism() − 1` helpers (a one-array plan borrows none,
-/// and a call that finds none free runs on its caller). The arrays' energy
-/// is then charged in array order, so the result is bit-identical for any
-/// number of threads. [`simulate_traced`] steps the arrays on the calling
+/// runs to completion on its own, on the calling thread or on an idle
+/// helper of a process-wide pool of at most `available_parallelism() − 1`
+/// threads, parked between calls (a one-array plan takes none, and a call
+/// that finds none idle runs on its caller). The arrays' energy is then
+/// charged in array order, so the result is bit-identical for any number
+/// of threads. [`simulate_traced`] steps the arrays on the calling
 /// thread. To simulate one plan repeatedly, build its [`Lowered`] images
 /// once and call [`Lowered::simulate`].
 pub fn simulate(
@@ -818,27 +819,30 @@ mod tests {
     }
 
     /// The fan-out is exact: one worker and four report the same run, bit
-    /// for bit, whatever helpers the process-wide budget has free.
+    /// for bit. The helpers come from a pool of the test's own, so the
+    /// fanned run has them whatever the global pool has idle.
     #[test]
     fn array_fan_out_equals_one_thread() {
         let (compiled, mapping, input) = wide_ca_plan();
         let lowered = Lowered::new(&compiled, &mapping, Machine::Ca);
-        let serial = lowered.run_on(&compiled, &input, None, 1);
-        let fanned = lowered.run_on(&compiled, &input, None, 4);
+        let pool = par::Pool::new(3);
+        let serial = lowered.run_on(&compiled, &input, None, pool.take(0));
+        let fanned = lowered.run_on(&compiled, &input, None, pool.take(3));
+        assert_eq!(pool.started(), 3);
         assert!(serial.energy.category_pj(Category::Wire) > 0.0);
         assert!(!serial.matches.is_empty());
         assert_eq!(bits(&fanned), bits(&serial));
     }
 
-    /// Simulations inside `par_map` workers borrow what helpers are free,
-    /// none once the budget is used up, and still report the serial run.
-    /// They run on a thread of their own, so a fan-out that waited for a
-    /// helper fails the test instead of hanging it.
+    /// Simulations inside `par_map` workers take what helpers are idle,
+    /// none once the pool's are all held, and still report the serial
+    /// run. They run on a thread of their own, so a fan-out that waited
+    /// for a helper fails the test instead of hanging it.
     #[test]
     fn nested_fan_out_returns_serial_results() {
         let (compiled, mapping, input) = wide_ca_plan();
         let lowered = Lowered::new(&compiled, &mapping, Machine::Ca);
-        let serial = bits(&lowered.run_on(&compiled, &input, None, 1));
+        let serial = bits(&lowered.run_on(&compiled, &input, None, par::Pool::global().take(0)));
         let (done, finished) = std::sync::mpsc::channel();
         let nested = std::thread::spawn(move || {
             let nested = || {
@@ -846,8 +850,8 @@ mod tests {
                     bits(&lowered.simulate(&compiled, &input))
                 })
             };
-            // Every free helper held: each simulation runs on its caller.
-            let held = par::Budget::global().borrow(usize::MAX);
+            // Every idle helper held: each simulation runs on its caller.
+            let held = par::Pool::global().take(usize::MAX);
             let starved = nested();
             drop(held);
             done.send((starved, nested())).expect("the test waits");
